@@ -1,8 +1,8 @@
 """Exact-arithmetic toolkit for embedding obstructions of simplicial complexes.
 
 Builds configuration spaces of disjoint simplex pairs, evaluates the Z/2
-intersection-parity cocycle of a certified general-position map, and decides
-whether a complex can embed in a given Euclidean dimension.  Companion
+intersection-parity cocycle of the vertices placed on the moment curve, and
+decides whether a complex can embed in a given Euclidean dimension.  Companion
 modules construct the complexes the theory feeds on: octahedralizations and
 doublings, chamber complexes of finite Coxeter systems, and spherical
 buildings of flags over prime fields with their opposition machinery.
@@ -18,7 +18,7 @@ from .complexes import (
     path_complex,
     points_complex,
 )
-from .errors import GenericityError, ResourceLimitError
+from .errors import CertificateError, ResourceLimitError
 from .gf2 import GF2Matrix, GF2Vector
 from .homology import betti, betti_numbers, chain_complex, cycle_basis
 from .vankampen import is_trivial, obstruction_cocycle, verify_ados
@@ -29,7 +29,7 @@ __all__ = [
     "SimplicialComplex",
     "GF2Matrix",
     "GF2Vector",
-    "GenericityError",
+    "CertificateError",
     "ResourceLimitError",
     "betti",
     "betti_numbers",

@@ -4,7 +4,8 @@ Commands: ``gen`` (write example complexes as JSON), ``homology`` (Betti
 numbers of a complex file), ``opp`` (opposition complex of a building
 chamber), ``vk`` (obstruction verdict for a complex file), and ``verify``
 (built-in consistency suites).  Exit codes: 0 success, 1 a verification
-suite failed, 2 usage or parse error, 3 resource or genericity failure.
+suite failed, 2 usage or parse error, 3 resource limit exceeded, 4 a
+self-check on the verdict path failed (a program fault, not an input one).
 
 Reports are plain lines by default or a single JSON object with ``--json``;
 for fixed inputs and seed the result fields are byte-identical across runs
@@ -25,12 +26,13 @@ from . import complexes as cx
 from . import coxeter as cox
 from . import homology
 from . import vankampen as vk
-from .errors import GenericityError, ResourceLimitError
+from .errors import CertificateError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_CERTIFICATE = 4
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -38,9 +40,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ResourceLimitError, GenericityError) as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     except json.JSONDecodeError as exc:
         print(f"error: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
@@ -84,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vkp.add_argument("--seed", type=int, default=0)
     vkp.add_argument("--certificate", action="store_true", help="include the certificate")
     vkp.add_argument("--max-cells", type=int, default=None)
-    vkp.add_argument("--threads", type=int, default=1)
     vkp.add_argument("--json", action="store_true")
     vkp.set_defaults(func=cmd_vk)
 
@@ -228,9 +232,7 @@ def cmd_opp(args: argparse.Namespace) -> int:
 def cmd_vk(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     k = _read_complex(args.file)
-    verdict = vk.is_trivial(
-        k, args.n, args.seed, threads=args.threads, max_cells=args.max_cells
-    )
+    verdict = vk.is_trivial(k, args.n, args.seed, max_cells=args.max_cells)
     result = {
         "n": args.n,
         "verdict": "nontrivial" if verdict.nontrivial else "trivial",

@@ -2,7 +2,9 @@
 
 Contract violations (bad vertex ids, non-faces, malformed files) raise plain
 ``ValueError`` at the offending call site.  The two classes below cover the
-remaining failure modes that callers are expected to catch and report.
+remaining failure modes that callers are expected to catch and report: a
+budget that an enumeration would exceed, and a run-time self-check on the
+verdict path that failed, which means the program, not the input, is wrong.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import os
 
 __all__ = [
     "ResourceLimitError",
-    "GenericityError",
+    "CertificateError",
     "DEFAULT_MAX_VERTICES",
     "default_max_cells",
 ]
@@ -27,12 +29,12 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured cell or vertex budget."""
 
 
-class GenericityError(RuntimeError):
-    """A general-position certificate could not be established.
+class CertificateError(RuntimeError):
+    """A self-check on the verdict path failed.
 
-    Raised only after the bounded perturbation schedule is exhausted; the
-    message names the predicate (affine independence or transversal pair)
-    that kept failing.
+    Raised when the boundary of a boundary is nonzero, the obstruction
+    fails the cocycle condition, or a certificate does not substitute.
+    These are explicit checks, so they also run under ``python -O``.
     """
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import CertificateError
+
 __all__ = ["GF2Vector", "GF2Matrix"]
 
 
@@ -290,5 +292,6 @@ class GF2Matrix:
             if (r >> aug_col) & 1:
                 bits |= 1 << col
         x = GF2Vector(self.cols, bits)
-        assert self.apply(x).bits == b.bits
+        if self.apply(x).bits != b.bits:
+            raise CertificateError("solution does not substitute into the system")
         return x

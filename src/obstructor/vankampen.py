@@ -1,40 +1,38 @@
 """The Z/2 van Kampen obstruction, computed exactly.
 
 Pipeline: build the configuration space of unordered disjoint simplex
-pairs, realize the complex on the rational moment curve in R^n, count (mod
-2) the intersections of every complementary disjoint pair, and decide
-whether the resulting cocycle is a coboundary.  A nonzero pairing with an
-explicit cycle certifies that the complex does not embed in R^n.
+pairs, place the vertices on the moment curve in R^n at seeded distinct
+parameters, count (mod 2) the intersections of every complementary
+disjoint pair, and decide whether the resulting cocycle is a coboundary.
+A nonzero pairing with an explicit cycle certifies that the complex does
+not embed in R^n.
 
-All geometry is ``fractions.Fraction``; genericity of the map is not
-assumed but certified -- every at-most-(n+1)-point subset must be affinely
-independent (automatic on the moment curve once parameters are distinct)
-and every complementary pair must give a nonsingular incidence system.
-Failing pairs trigger deterministic perturbation with a bounded budget.
+No coordinates are computed.  Points on the moment curve with distinct
+parameters are in general position, and two complementary simplices cross
+exactly when their vertices interlace in parameter order (the cyclic
+polytope theorem), so every parity is an exact integer comparison.  The
+cocycle condition and the certificate's substitution are checked at run
+time and raise ``CertificateError``, also under ``python -O``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
-from .errors import GenericityError, ResourceLimitError, default_max_cells
+from .errors import CertificateError, ResourceLimitError, default_max_cells
 from .gf2 import GF2Matrix, GF2Vector
 from .homology import betti
 
 __all__ = [
     "CellPair",
     "ConfigurationSpace",
-    "GeneralPositionMap",
     "ObstructionCocycle",
     "ObstructionVerdict",
     "AdosReport",
     "configuration_space",
-    "general_position_map",
     "pair_intersection_parity",
     "obstruction_cocycle",
     "is_trivial",
@@ -76,9 +74,6 @@ class ConfigurationSpace:
     @property
     def top_dimension(self) -> int:
         return len(self.cells) - 1
-
-    def index(self, d: int) -> dict[CellPair, int]:
-        return {c: i for i, c in enumerate(self.cells[d])}
 
     def boundary_or_zero(self, d: int) -> GF2Matrix:
         if 0 <= d <= self.top_dimension:
@@ -127,7 +122,9 @@ def configuration_space(
     cells: list[tuple[CellPair, ...]] = []
     total = 0
     for d in range(up_to + 1):
-        layer = tuple(sorted(_disjoint_pairs(k, d)))
+        # Enumerate one cell past the remaining budget, so an oversized
+        # layer is refused without being built.
+        layer = tuple(sorted(islice(_disjoint_pairs(k, d), cap - total + 1)))
         total += len(layer)
         if total > cap:
             raise ResourceLimitError(
@@ -143,7 +140,8 @@ def configuration_space(
                 ones.append((below[row_cell], col))
         boundary.append(GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones))
     for d in range(1, up_to):
-        assert (boundary[d] @ boundary[d + 1]).is_zero(), "boundary of boundary is nonzero"
+        if not (boundary[d] @ boundary[d + 1]).is_zero():
+            raise CertificateError(f"boundary of boundary is nonzero in dimension {d + 1}")
     return ConfigurationSpace(k, tuple(cells), tuple(boundary))
 
 
@@ -157,7 +155,7 @@ def _cell_facets(cell: CellPair) -> Iterator[CellPair]:
             yield CellPair.make(s, t[:drop] + t[drop + 1 :])
 
 
-# -- general position maps -------------------------------------------
+# -- crossing parity on the moment curve -----------------------------
 
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -178,158 +176,19 @@ def _seeded_values(seed: int, count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class GeneralPositionMap:
-    """Vertex coordinates on the rational moment curve, genericity certified."""
-
-    target_dim: int
-    params: tuple[Fraction, ...]
-    coords: tuple[tuple[Fraction, ...], ...]
-    certified: bool
-    perturbations: int
-
-    def point(self, vertex: int) -> tuple[Fraction, ...]:
-        return self.coords[vertex]
-
-
-def _moment_point(t: Fraction, n: int) -> tuple[Fraction, ...]:
-    out = []
-    p = Fraction(1)
-    for _ in range(n):
-        p *= t
-        out.append(p)
-    return tuple(out)
-
-
-def general_position_map(
-    k: SimplicialComplex,
-    n: int,
-    seed: int = 0,
-    max_retries: int = 64,
-) -> GeneralPositionMap:
-    """Place vertices at (t, t^2, ..., t^n) for seeded distinct rationals t.
-
-    Distinct parameters make any <= n+1 points affinely independent (the
-    affine system below is then a scaled Vandermonde), so only the
-    complementary-pair nonsingularity can fail; each failure perturbs the
-    smallest vertex of the offending pair by a fresh inverse power of 3
-    and re-verifies everything.
-    """
-    if n < 1:
-        raise ValueError(f"target dimension must be >= 1, got {n}")
-    params = [Fraction(v) for v in _seeded_values(seed, k.num_vertices)]
-    pairs = tuple(sorted(_disjoint_pairs(k, n)))
-
-    attempt = 0
-    while True:
-        problem = _genericity_problem(k, n, params, pairs)
-        if problem is None:
-            coords = tuple(_moment_point(t, n) for t in params)
-            return GeneralPositionMap(n, tuple(params), coords, True, attempt)
-        if attempt >= max_retries:
-            kind, vertex = problem
-            raise GenericityError(
-                f"could not certify {kind} after {max_retries} perturbations "
-                f"(last offender: vertex {vertex})"
-            )
-        kind, vertex = problem
-        attempt += 1
-        params[vertex] += Fraction(1, 3**attempt)
-
-
-def _genericity_problem(
-    k: SimplicialComplex,
-    n: int,
-    params: Sequence[Fraction],
-    pairs: Sequence[CellPair],
-) -> Optional[tuple[str, int]]:
-    """None if both certificates hold, else (predicate, offending vertex)."""
-    seen: dict[Fraction, int] = {}
-    for v, t in enumerate(params):
-        if t in seen:
-            return ("affine independence (distinct parameters)", v)
-        seen[t] = v
-    coords = [_moment_point(t, n) for t in params]
-    for cell in pairs:
-        rows = _incidence_rows(cell, coords, n)
-        if _rational_rank(rows) != n + 2:
-            return ("complementary pair nonsingularity", min(cell.sigma + cell.tau))
-    return None
-
-
-def _incidence_rows(
-    cell: CellPair, coords: Sequence[tuple[Fraction, ...]], n: int
-) -> list[list[Fraction]]:
-    """The square affine system for conv(sigma) meet conv(tau).
-
-    Unknowns: barycentric weights on sigma then on tau.  Rows: n coordinate
-    balance equations, then one normalization per simplex.
-    """
-    s, t = cell
-    width = len(s) + len(t)
-    rows = []
-    for c in range(n):
-        row = [coords[v][c] for v in s] + [-coords[v][c] for v in t]
-        rows.append(row)
-    rows.append([Fraction(1)] * len(s) + [Fraction(0)] * len(t))
-    rows.append([Fraction(0)] * len(s) + [Fraction(1)] * len(t))
-    assert all(len(r) == width for r in rows) and len(rows) == n + 2
-    return rows
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    work = [list(r) for r in rows]
-    cols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(cols):
-        sel = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
-
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact solution of a square system; raises if singular."""
-    m = len(rows)
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(m):
-        sel = next((i for i in range(col, m) if work[i][col] != 0), None)
-        if sel is None:
-            raise RuntimeError("singular incidence system despite genericity certificate")
-        work[col], work[sel] = work[sel], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(m):
-            if i != col and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [a - c * b for a, b in zip(work[i], work[col])]
-    return [work[i][m] for i in range(m)]
-
-
-def pair_intersection_parity(gp_map: GeneralPositionMap, cell: CellPair) -> int:
+def pair_intersection_parity(params: Sequence[int], cell: CellPair) -> int:
     """1 iff the images of the two simplices cross, 0 otherwise.
 
-    The convex hulls of two generic complementary-dimension simplices meet
-    in at most one point: the unique solution of the incidence system,
-    which lies in both open cells iff every barycentric weight is strictly
-    positive.
+    Vertex v sits at (t, t^2, ..., t^n) with t = ``params[v]``, the
+    parameters distinct.  Any n+2 such points are the vertices of a cyclic
+    polytope: every n+1 of them are affinely independent, and their only
+    Radon partition is the alternating one (Gale 1963; Breen 1973).  So
+    the open simplices on sigma and tau meet, in exactly one point, iff
+    their vertices alternate in parameter order.
     """
-    n = gp_map.target_dim
-    if cell.cell_dim != n:
-        raise ValueError(f"cell dimension {cell.cell_dim} != target dimension {n}")
-    rows = _incidence_rows(cell, gp_map.coords, n)
-    rhs = [Fraction(0)] * n + [Fraction(1), Fraction(1)]
-    solution = _solve_square(rows, rhs)
-    assert all(x != 0 for x in solution), "zero barycentric weight contradicts independence"
-    return 1 if all(x > 0 for x in solution) else 0
+    in_sigma = set(cell.sigma)
+    sides = [v in in_sigma for v in sorted(cell.sigma + cell.tau, key=params.__getitem__)]
+    return 1 if all(a != b for a, b in zip(sides, sides[1:])) else 0
 
 
 # -- the obstruction -------------------------------------------------
@@ -349,23 +208,21 @@ def obstruction_cocycle(
     seed: int = 0,
     *,
     space: Optional[ConfigurationSpace] = None,
-    gp_map: Optional[GeneralPositionMap] = None,
-    threads: int = 1,
     max_cells: Optional[int] = None,
 ) -> ObstructionCocycle:
-    """Evaluate all n-cell parities; the cocycle condition is asserted."""
+    """Evaluate all n-cell parities; the cocycle condition is checked.
+
+    ``space`` must hold layers up to n+1 for the check to cover every
+    (n+1)-cell; by default it is built here.
+    """
+    if n < 1:
+        raise ValueError(f"target dimension must be >= 1, got {n}")
     cfg = space if space is not None else configuration_space(k, n + 1, max_cells=max_cells)
-    gp = gp_map if gp_map is not None else general_position_map(k, n, seed)
+    params = _seeded_values(seed, k.num_vertices)
     n_cells = cfg.cells[n] if n <= cfg.top_dimension else ()
-    if threads > 1 and len(n_cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parities = list(pool.map(lambda c: pair_intersection_parity(gp, c), n_cells))
-    else:
-        parities = [pair_intersection_parity(gp, c) for c in n_cells]
-    values = GF2Vector.from_list(parities)
-    coboundary_rows = cfg.boundary_or_zero(n + 1).transpose()
-    for row in coboundary_rows.rows_iter():
-        assert row.dot(values) == 0, "obstruction failed the cocycle condition"
+    values = GF2Vector.from_list([pair_intersection_parity(params, c) for c in n_cells])
+    if not cfg.boundary_or_zero(n + 1).transpose().apply(values).is_zero():
+        raise CertificateError("obstruction failed the cocycle condition")
     return ObstructionCocycle(n, values)
 
 
@@ -395,7 +252,6 @@ def is_trivial(
     n: int,
     seed: int = 0,
     *,
-    threads: int = 1,
     max_cells: Optional[int] = None,
 ) -> ObstructionVerdict:
     """Decide whether the obstruction class vanishes in dimension n.
@@ -406,19 +262,19 @@ def is_trivial(
     being returned.
     """
     cfg = configuration_space(k, n + 1, max_cells=max_cells)
-    gp = general_position_map(k, n, seed)
-    cocycle = obstruction_cocycle(
-        k, n, seed, space=cfg, gp_map=gp, threads=threads
-    )
+    cocycle = obstruction_cocycle(k, n, seed, space=cfg)
     boundary_n = cfg.boundary_or_zero(n)
     for cycle in boundary_n.kernel_basis():
         if cycle.dot(cocycle.values) == 1:
-            assert boundary_n.apply(cycle).is_zero(), "certificate is not a cycle"
+            if not boundary_n.apply(cycle).is_zero():
+                raise CertificateError("certificate is not a cycle")
             return ObstructionVerdict(n, True, cycle, "cycle", cocycle, seed)
-    primitive = boundary_n.transpose().solve(cocycle.values)
-    assert primitive is not None, "cocycle pairs to zero with all cycles yet has no primitive"
-    check = boundary_n.transpose().apply(primitive)
-    assert check.bits == cocycle.values.bits, "primitive substitution failed"
+    coboundary = boundary_n.transpose()
+    primitive = coboundary.solve(cocycle.values)
+    if primitive is None:
+        raise CertificateError("cocycle pairs to zero with all cycles yet has no primitive")
+    if coboundary.apply(primitive) != cocycle.values:
+        raise CertificateError("primitive substitution failed")
     return ObstructionVerdict(n, False, primitive, "cochain", cocycle, seed)
 
 
@@ -441,7 +297,6 @@ def verify_ados(
     k: int,
     seed: int = 0,
     *,
-    threads: int = 1,
     max_cells: Optional[int] = None,
 ) -> AdosReport:
     """Compare the doubled complex's obstruction with the homology of the base.
@@ -474,7 +329,7 @@ def verify_ados(
         # vertex: still planar), so law (a) needs a top cell.
         raise ValueError(f"doubling simplex must be a {k}-simplex, got {tuple(delta)}")
     d = double_over(l, delta)  # validates that delta is a face
-    verdict = is_trivial(d, 2 * k, seed, threads=threads, max_cells=max_cells)
+    verdict = is_trivial(d, 2 * k, seed, max_cells=max_cells)
     lhs = verdict.nontrivial
     rhs = betti(l, k) >= 1
     return AdosReport(lhs, rhs, lhs == rhs, verdict)

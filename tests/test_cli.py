@@ -201,10 +201,49 @@ def test_vk_resource_cap(k33_file):
     assert "error:" in res.stderr
 
 
-def test_vk_threads_match(k33_file):
-    solo = run("vk", k33_file, "2")
-    multi = run("vk", k33_file, "2", "--threads", "4")
-    assert solo.stdout == multi.stdout
+def test_vk_is_unchanged_under_optimize(k33_file):
+    plain = json.loads(run("vk", k33_file, "2", "--json", "--certificate").stdout)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "obstructor", "vk", k33_file, "2", "--json", "--certificate"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert optimized.returncode == 0, optimized.stderr
+    optimized_payload = json.loads(optimized.stdout)
+    plain.pop("timing_ms")
+    optimized_payload.pop("timing_ms")
+    assert optimized_payload == plain
+
+
+def test_cocycle_check_survives_optimize(tmp_path):
+    """A wrong parity rule is caught with asserts stripped, and the CLI
+    reports it with exit code 4.  On the full simplex on 5 vertices,
+    ``full_simplex(5)``, each 3-cell made of an edge and a disjoint
+    triangle has 5 facets, so the constant cochain 1 is not a cocycle."""
+    f = tmp_path / "simplex.json"
+    f.write_text(json.dumps({"facets": [[0, 1, 2, 3, 4]]}))
+    script = "\n".join([
+        "import sys",
+        "assert False, 'asserts are not stripped'",
+        "from obstructor import vankampen as vk",
+        "from obstructor.cli import main",
+        "from obstructor.complexes import full_simplex",
+        "from obstructor.errors import CertificateError",
+        "vk.pair_intersection_parity = lambda params, cell: 1",
+        "try:",
+        "    vk.is_trivial(full_simplex(5), 2)",
+        "except CertificateError as exc:",
+        "    print('caught:', exc)",
+        "    sys.exit(main(['vk', sys.argv[1], '2']))",
+        "sys.exit('no CertificateError')",
+    ])
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(f)], capture_output=True, text=True, timeout=300
+    )
+    assert "caught: obstruction failed the cocycle condition" in res.stdout, res.stderr
+    assert res.returncode == 4
+    assert res.stderr == "error: obstruction failed the cocycle condition\n"
 
 
 # -- opp -------------------------------------------------------------

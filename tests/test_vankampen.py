@@ -1,17 +1,21 @@
 """The mod-2 obstruction pipeline, from cell pairs to verdicts.
 
-Geometric parities are pinned by hand-placed coordinates (segment
-crossings, a point inside a triangle, interleaved chords of the moment
-curve), so the exact-arithmetic solver is checked against pictures one can
-draw.  Verdict-level cases are the classics: complete and complete
-bipartite graphs fail in the plane, cycles fail on the line, and
-everything planar or collapsible comes out trivial.
+The program reads crossing parity off the vertex order on the moment
+curve.  An exact ``Fraction`` solve of the incidence system, kept here as
+a test-only oracle, is checked against pictures one can draw (segment
+crossings, a point inside a triangle) and then against the interlacing
+rule on random cells of the moment curve.  Verdict-level cases are the
+classics: complete and complete bipartite graphs fail in the plane, cycles
+fail on the line, and everything planar or collapsible comes out trivial.
+Cocycle and certificate bits are pinned, so a change of the parity rule or
+of the seeded parameters cannot pass unnoticed.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,17 +30,13 @@ from obstructor.complexes import (
     path_complex,
     points_complex,
 )
-from obstructor.errors import GenericityError, ResourceLimitError
-from obstructor.gf2 import GF2Vector
+from obstructor.errors import ResourceLimitError
 from obstructor.vankampen import (
     AdosReport,
     CellPair,
-    GeneralPositionMap,
     _disjoint_pairs,
-    _genericity_problem,
-    _moment_point,
+    _seeded_values,
     configuration_space,
-    general_position_map,
     is_trivial,
     obstruction_cocycle,
     pair_intersection_parity,
@@ -101,6 +101,16 @@ def test_configuration_space_validation():
         configuration_space(k33(), 2, max_cells=10)
 
 
+def test_cell_budget_is_enforced_during_enumeration():
+    # Layer 0 alone holds about two million pairs; none of them may be
+    # built past the budget.
+    k = points_complex(2000)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        configuration_space(k, 0, max_cells=10)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_disjoint_pairs_brute_force_oracle():
     k = k33()
     edges = k.faces(1)
@@ -110,81 +120,96 @@ def test_disjoint_pairs_brute_force_oracle():
     assert len(list(_disjoint_pairs(k, 2))) == expected == 18
 
 
-# -- general position maps -------------------------------------------
+# -- the exact oracle for crossing parity -----------------------------
 
 
-def test_map_is_reproducible_per_seed():
-    k = k33()
-    a = general_position_map(k, 2, seed=7)
-    b = general_position_map(k, 2, seed=7)
-    assert a == b
-    c = general_position_map(k, 2, seed=8)
-    assert c.params != a.params
+def incidence_rows(cell: CellPair, coords, n: int) -> list[list[F]]:
+    """The square affine system for conv(sigma) meet conv(tau).
+
+    Unknowns: barycentric weights on sigma then on tau.  Rows: n coordinate
+    balance equations, then one normalization per simplex.
+    """
+    s, t = cell
+    rows = [[F(coords[v][c]) for v in s] + [-F(coords[v][c]) for v in t] for c in range(n)]
+    rows.append([F(1)] * len(s) + [F(0)] * len(t))
+    rows.append([F(0)] * len(s) + [F(1)] * len(t))
+    return rows
 
 
-def test_map_lies_on_moment_curve():
-    gp = general_position_map(cycle_complex(5), 2, seed=0)
-    assert gp.certified and gp.perturbations == 0
-    assert len(set(gp.params)) == 5
-    for v, t in enumerate(gp.params):
-        assert gp.point(v) == (t, t * t)
+def solve_square(rows: list[list[F]], rhs: list[F]) -> list[F]:
+    """Exact solution of a square system; raises if singular."""
+    m = len(rows)
+    work = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(m):
+        sel = next((i for i in range(col, m) if work[i][col] != 0), None)
+        if sel is None:
+            raise AssertionError("singular incidence system")
+        work[col], work[sel] = work[sel], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for i in range(m):
+            if i != col and work[i][col] != 0:
+                c = work[i][col]
+                work[i] = [a - c * b for a, b in zip(work[i], work[col])]
+    return [work[i][m] for i in range(m)]
 
 
-def test_map_rejects_dimension_zero():
-    with pytest.raises(ValueError):
-        general_position_map(cycle_complex(5), 0)
+def exact_parity(coords, cell: CellPair) -> int:
+    """1 iff the simplices cross: every barycentric weight is positive."""
+    n = cell.cell_dim
+    weights = solve_square(incidence_rows(cell, coords, n), [F(0)] * n + [F(1), F(1)])
+    assert all(w != 0 for w in weights), "the points are not in general position"
+    return 1 if all(w > 0 for w in weights) else 0
 
 
-def test_genericity_detector():
-    k4 = SimplicialComplex(list(combinations(range(4), 2)))
-    pairs = tuple(sorted(_disjoint_pairs(k4, 2)))
-    # equally spaced parameters make the chords (0,3) and (1,2) parallel
-    kind, vertex = _genericity_problem(k4, 2, [F(0), F(1), F(2), F(3)], pairs)
-    assert "nonsingularity" in kind and vertex == 0
-    assert _genericity_problem(k4, 2, [F(0), F(1), F(3), F(7)], pairs) is None
-    kind, vertex = _genericity_problem(k4, 2, [F(0), F(1), F(1), F(7)], pairs)
-    assert "distinct" in kind and vertex == 2
-
-
-# -- intersection parities on hand-placed coordinates ----------------
-
-
-def manual_map(n: int, points) -> GeneralPositionMap:
-    coords = tuple(tuple(F(x) for x in p) for p in points)
-    return GeneralPositionMap(n, (F(0),) * len(coords), coords, True, 0)
+def moment_coords(params, n: int) -> list[tuple[F, ...]]:
+    return [tuple(F(t) ** e for e in range(1, n + 1)) for t in params]
 
 
 def test_crossing_segments():
-    gp = manual_map(2, [(0, 0), (1, 1), (1, 0), (0, 1)])
-    assert pair_intersection_parity(gp, CellPair.make((0, 1), (2, 3))) == 1
+    coords = [(0, 0), (1, 1), (1, 0), (0, 1)]
+    assert exact_parity(coords, CellPair.make((0, 1), (2, 3))) == 1
 
 
 def test_point_in_and_out_of_segment():
-    inside = manual_map(1, [(0,), (1,), (2,)])
-    assert pair_intersection_parity(inside, CellPair.make((1,), (0, 2))) == 1
-    outside = manual_map(1, [(0,), (5,), (2,)])
-    assert pair_intersection_parity(outside, CellPair.make((1,), (0, 2))) == 0
+    inside = [(0,), (1,), (2,)]
+    assert exact_parity(inside, CellPair.make((1,), (0, 2))) == 1
+    outside = [(0,), (5,), (2,)]
+    assert exact_parity(outside, CellPair.make((1,), (0, 2))) == 0
 
 
 def test_point_in_and_out_of_triangle():
-    inside = manual_map(2, [(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))])
-    assert pair_intersection_parity(inside, CellPair.make((3,), (0, 1, 2))) == 1
-    outside = manual_map(2, [(0, 0), (1, 0), (0, 1), (2, 2)])
-    assert pair_intersection_parity(outside, CellPair.make((3,), (0, 1, 2))) == 0
+    inside = [(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))]
+    assert exact_parity(inside, CellPair.make((3,), (0, 1, 2))) == 1
+    outside = [(0, 0), (1, 0), (0, 1), (2, 2)]
+    assert exact_parity(outside, CellPair.make((3,), (0, 1, 2))) == 0
 
 
 def test_moment_curve_chords_cross_iff_parameters_interleave():
-    params = tuple(F(t) for t in (0, 1, 3, 7))
-    gp = GeneralPositionMap(2, params, tuple(_moment_point(t, 2) for t in params), True, 0)
-    assert pair_intersection_parity(gp, CellPair.make((0, 2), (1, 3))) == 1
-    assert pair_intersection_parity(gp, CellPair.make((0, 1), (2, 3))) == 0
-    assert pair_intersection_parity(gp, CellPair.make((0, 3), (1, 2))) == 0
+    params = (0, 1, 3, 7)
+    coords = moment_coords(params, 2)
+    for sigma, tau, crossing in (((0, 2), (1, 3), 1), ((0, 1), (2, 3), 0), ((0, 3), (1, 2), 0)):
+        cell = CellPair.make(sigma, tau)
+        assert pair_intersection_parity(params, cell) == exact_parity(coords, cell) == crossing
 
 
-def test_parity_rejects_wrong_dimension():
-    gp = manual_map(2, [(0, 0), (1, 1), (2, 0)])
-    with pytest.raises(ValueError):
-        pair_intersection_parity(gp, CellPair.make((0,), (1,)))
+@st.composite
+def complementary_cells(draw):
+    n = draw(st.integers(1, 5))
+    num_vertices = draw(st.integers(n + 2, n + 5))
+    vertices = draw(st.permutations(range(num_vertices)))[: n + 2]
+    split = draw(st.integers(1, n + 1))
+    cell = CellPair.make(tuple(sorted(vertices[:split])), tuple(sorted(vertices[split:])))
+    return num_vertices, cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(complementary_cells(), st.integers(0, 1 << 32))
+def test_interlacing_matches_the_exact_solve(drawn, seed):
+    num_vertices, cell = drawn
+    params = _seeded_values(seed, num_vertices)
+    coords = moment_coords(params, cell.cell_dim)
+    assert pair_intersection_parity(params, cell) == exact_parity(coords, cell)
 
 
 # -- cocycles and verdicts -------------------------------------------
@@ -202,11 +227,20 @@ def test_k33_cocycle_has_odd_total_parity():
 def test_cocycle_accepts_precomputed_pieces():
     k = k33()
     cfg = configuration_space(k, 3)
-    gp = general_position_map(k, 2, seed=3)
     a = obstruction_cocycle(k, 2, seed=3)
-    b = obstruction_cocycle(k, 2, seed=3, space=cfg, gp_map=gp)
-    c = obstruction_cocycle(k, 2, seed=3, threads=4)
-    assert a.values == b.values == c.values
+    b = obstruction_cocycle(k, 2, seed=3, space=cfg)
+    assert a.values == b.values
+
+
+def test_map_is_reproducible_per_seed():
+    k = k33()
+    assert obstruction_cocycle(k, 2, seed=7) == obstruction_cocycle(k, 2, seed=7)
+    assert obstruction_cocycle(k, 2, seed=7) != obstruction_cocycle(k, 2, seed=8)
+
+
+def test_map_rejects_dimension_zero():
+    with pytest.raises(ValueError):
+        is_trivial(cycle_complex(5), 0)
 
 
 def test_nonplanar_graphs_are_caught():
@@ -227,6 +261,43 @@ def test_certificates_verify_by_substitution():
     cfg5 = configuration_space(cycle_complex(5), 3)
     image = cfg5.boundary_or_zero(2).transpose().apply(t.certificate)
     assert image == t.cocycle.values
+
+
+def octahedral_sphere() -> SimplicialComplex:
+    return octahedralize(full_simplex(3))
+
+
+def doubled_octahedral_sphere() -> SimplicialComplex:
+    sphere = octahedral_sphere()
+    return double_over(sphere, sphere.facets[0])
+
+
+# (complex, n, seed, cocycle bits, certificate bits), recorded from the
+# exact Fraction solve that the interlacing rule replaced.
+PINNED = [
+    (k33, 2, 0, 0xBA00, 0x3FFFF),
+    (k33, 2, 1, 0x1305, 0x3FFFF),
+    (k33, 2, 17, 0xB005, 0x3FFFF),
+    (k5, 2, 0, 0x202E, 0x7FFF),
+    (k5, 2, 1, 0x2198, 0x7FFF),
+    (k5, 2, 17, 0x2198, 0x7FFF),
+    (lambda: cycle_complex(5), 2, 0, 0x2, 0x4),
+    (lambda: cycle_complex(5), 2, 1, 0x0, 0x0),
+    (lambda: cycle_complex(5), 2, 17, 0x0, 0x0),
+    (octahedral_sphere, 2, 0, 0x130C0E00000190, 0x6224448F),
+    (octahedral_sphere, 2, 1, 0x10042380050130, 0x6224448F),
+    (octahedral_sphere, 2, 17, 0x130C0000050130, 0x6224448F),
+    (doubled_octahedral_sphere, 4, 0, 0x88004050000044000000FF0000, (1 << 108) - 1),
+    (doubled_octahedral_sphere, 4, 1, 0x8009000000000000002130, (1 << 108) - 1),
+    (doubled_octahedral_sphere, 4, 17, 0x2000000AA0A000000000021, (1 << 108) - 1),
+]
+
+
+@pytest.mark.parametrize("make, n, seed, cocycle, certificate", PINNED)
+def test_cocycle_and_certificate_bits_are_pinned(make, n, seed, cocycle, certificate):
+    v = is_trivial(make(), n, seed)
+    assert v.cocycle.values.bits == cocycle
+    assert v.certificate.bits == certificate
 
 
 def test_cycles_do_not_embed_in_the_line():
