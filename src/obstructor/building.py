@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .complexes import Simplex, SimplicialComplex
 from .coxeter import symmetric
-from .errors import ResourceLimitError
+from .errors import CertificateError, ResourceLimitError
 
 __all__ = [
     "Subspace",
@@ -177,7 +177,8 @@ class Subspace:
                 v = [(a + c * x) % self.q for a, x in zip(v, row)]
             vectors.append(v)
         out = Subspace.span(self.q, self.n, vectors)
-        assert out.dim == self.intersection_dim(other), "kernel method disagrees with rank count"
+        if out.dim != self.intersection_dim(other):
+            raise CertificateError("kernel method disagrees with rank count")
         return out
 
     def label(self) -> str:
@@ -194,7 +195,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (k - i) - 1
     out, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise CertificateError(f"Gaussian binomial [{n} choose {k}]_{q} is not an integer")
     return out
 
 
@@ -309,7 +311,8 @@ class Building:
         self.chamber_index = {c: i for i, c in enumerate(self.chambers)}
         labels = tuple(s.label() for s in self.vertices)
         self.complex = SimplicialComplex(self.chambers, labels=labels, num_vertices=len(self.vertices))
-        assert self.complex.facets == self.chambers
+        if self.complex.facets != self.chambers:
+            raise CertificateError("chambers are not the facets of the building")
         self._adjacency: Optional[tuple[tuple[int, ...], ...]] = None
 
     def subspace(self, vertex: int) -> Subspace:
@@ -367,7 +370,8 @@ class Building:
                         dist[nb] = dist[c] + 1
                         nxt.append(nb)
             frontier = nxt
-        assert all(d >= 0 for d in dist), "chamber graph must be connected"
+        if min(dist) < 0:
+            raise CertificateError("chamber graph is not connected")
         return dist
 
     def __repr__(self) -> str:
@@ -461,7 +465,8 @@ def opp_complex(b: Building, c: ChamberLike) -> SimplicialComplex:
             keep.append(v)
     sub = b.complex.full_subcomplex(keep)
     lifted = {tuple(keep[i] for i in f) for f in sub.facets}
-    assert lifted == set(opposite_chambers(b, ci)), "Opp(C) is not the union of opposite chambers"
+    if lifted != set(opposite_chambers(b, ci)):
+        raise CertificateError("Opp(C) is not the union of opposite chambers")
     return sub
 
 
@@ -511,7 +516,8 @@ class Apartment:
                     building.n,
                     [row for i in subset for row in frame.lines[i].rows],
                 )
-                assert span.dim == size, "frame lines must be independent"
+                if span.dim != size:
+                    raise CertificateError("frame lines are not independent")
                 self.vertex_of_subset[frozenset(subset)] = building.vertex_ids[span]
         self.subset_of_vertex = {v: s for s, v in self.vertex_of_subset.items()}
 

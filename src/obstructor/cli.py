@@ -5,7 +5,7 @@ numbers of a complex file), ``opp`` (opposition complex of a building
 chamber), ``vk`` (obstruction verdict for a complex file), and ``verify``
 (built-in consistency suites).  Exit codes: 0 success, 1 a verification
 suite failed, 2 usage or parse error, 3 resource limit exceeded, 4 a
-self-check on the verdict path failed (a program fault, not an input one).
+run-time self-check failed (a program fault, not an input one).
 
 Reports are plain lines by default or a single JSON object with ``--json``;
 for fixed inputs and seed the result fields are byte-identical across runs

@@ -23,6 +23,7 @@ from itertools import permutations
 from typing import Iterator, Union
 
 from .complexes import Simplex, SimplicialComplex, full_simplex, octahedralize
+from .errors import CertificateError
 
 __all__ = [
     "CoxeterSystem",
@@ -192,14 +193,15 @@ class CoxeterSystem:
         """Chambers at maximal distance: u^{-1} v is the longest element.
 
         Computed two ways -- algebraically, and by checking that every
-        reflection wall separates the two chambers -- and cross-asserted.
+        reflection wall separates the two chambers -- and cross-checked.
         """
         algebraic = self.multiply(self.inverse(u), v) == self.longest_element()
         by_walls = all(
             self.reflection_separates(u, t) != self.reflection_separates(v, t)
             for t in self.reflections()
         )
-        assert algebraic == by_walls, f"opposition criteria disagree on {u!r}, {v!r}"
+        if algebraic != by_walls:
+            raise CertificateError(f"opposition criteria disagree on {u!r}, {v!r}")
         return algebraic
 
     def bending_image(self, targets: frozenset[int] | set[int]) -> list[Element]:
@@ -272,7 +274,8 @@ def _symmetric_complex(system: CoxeterSystem) -> CoxeterComplex:
             verts.append(vid[frozenset(prefix)])
         chamber_of[w] = tuple(sorted(verts))
     cx = SimplicialComplex(chamber_of.values(), labels=labels, num_vertices=len(subsets))
-    assert len(cx.facets) == system.order(), "chambers must be in bijection with the group"
+    if len(cx.facets) != system.order():
+        raise CertificateError("chambers are not in bijection with the group")
 
     element_of = {c: w for w, c in chamber_of.items()}
     walls: dict[Reflection, tuple[Simplex, ...]] = {}
@@ -304,7 +307,8 @@ def _rightangled_complex(system: CoxeterSystem) -> CoxeterComplex:
     chamber_of: dict[Element, Simplex] = {}
     for w in system.elements():
         chamber_of[w] = tuple(2 * i + ((w >> i) & 1) for i in range(r))  # type: ignore[operator]
-    assert set(chamber_of.values()) == set(cx.facets)
+    if set(chamber_of.values()) != set(cx.facets):
+        raise CertificateError("chambers are not the facets of the octahedral sphere")
     element_of = {c: w for w, c in chamber_of.items()}
     walls: dict[Reflection, tuple[Simplex, ...]] = {}
     panels = cx.faces(r - 2) if r >= 2 else ()

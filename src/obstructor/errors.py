@@ -3,8 +3,8 @@
 Contract violations (bad vertex ids, non-faces, malformed files) raise plain
 ``ValueError`` at the offending call site.  The two classes below cover the
 remaining failure modes that callers are expected to catch and report: a
-budget that an enumeration would exceed, and a run-time self-check on the
-verdict path that failed, which means the program, not the input, is wrong.
+budget that an enumeration would exceed, and a run-time self-check that
+failed, which means the program, not the input, is wrong.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ class ResourceLimitError(RuntimeError):
 
 
 class CertificateError(RuntimeError):
-    """A self-check on the verdict path failed.
+    """A run-time self-check failed.
 
     Raised when the boundary of a boundary is nonzero, the obstruction
-    fails the cocycle condition, or a certificate does not substitute.
+    fails the cocycle condition, a certificate does not substitute, or two
+    independent computations in a building or Coxeter complex disagree.
     These are explicit checks, so they also run under ``python -O``.
     """
 

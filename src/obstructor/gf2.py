@@ -4,10 +4,18 @@ A matrix row is a single Python int; bit ``j`` is the entry in column ``j``.
 Row reduction is then a handful of XORs on machine words, which is fast
 enough for every chain complex this package produces and stays exact.
 
-Elimination is deterministic: pivot columns are chosen left to right (the
-lowest set bit of each row), and kernel vectors are emitted in increasing
-order of their free column.  Two runs on equal matrices give identical
-output, which the obstruction certificates rely on.
+Rank, kernel, solve and row reduction all read one forward elimination per
+matrix, with no back-substitution: each row is reduced at its lowest set
+bit until it vanishes or founds a pivot row.  The rows that found one are
+the basis rows, and each pivot row carries a tag, the basis rows it sums.
+A kernel vector or a particular solution is then one triangular back-solve.
+
+The output is canonical.  The pivot columns and the basis rows are those
+not in the span of the columns (rows) before them, whatever the order of
+elimination, and each answer is the one vector they pin down: the kernel
+vector that is 1 on one free column and 0 on the others, the solution that
+is 0 on every free column.  Its bits are those a reduced echelon form
+gives, which the obstruction certificates rely on.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ class GF2Vector:
 class GF2Matrix:
     """An immutable rows x cols matrix over GF(2)."""
 
-    __slots__ = ("rows", "cols", "row_bits", "_rank", "_rref")
+    __slots__ = ("rows", "cols", "row_bits", "_echelon")
 
     def __init__(self, rows: int, cols: int, row_bits: Sequence[int]) -> None:
         if rows < 0 or cols < 0:
@@ -98,8 +106,7 @@ class GF2Matrix:
         self.rows = rows
         self.cols = cols
         self.row_bits = tuple(row_bits)
-        self._rank: Optional[int] = None
-        self._rref: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+        self._echelon: Optional[tuple[dict[int, int], tuple[int, ...], tuple[int, ...]]] = None
 
     # -- constructors -------------------------------------------------
 
@@ -153,9 +160,6 @@ class GF2Matrix:
             raise IndexError((i, j))
         return (self.row_bits[i] >> j) & 1
 
-    def row(self, i: int) -> GF2Vector:
-        return GF2Vector(self.cols, self.row_bits[i])
-
     def column(self, j: int) -> GF2Vector:
         if not 0 <= j < self.cols:
             raise IndexError(j)
@@ -182,6 +186,15 @@ class GF2Matrix:
             bits |= ((r & v.bits).bit_count() & 1) << i
         return GF2Vector(self.rows, bits)
 
+    def apply_transpose(self, y: GF2Vector) -> GF2Vector:
+        """y^T M, the sum of the rows that y selects, with no transpose built."""
+        if y.length != self.rows:
+            raise ValueError(f"vector length {y.length} != rows {self.rows}")
+        bits = 0
+        for i in y.support():
+            bits ^= self.row_bits[i]
+        return GF2Vector(self.cols, bits)
+
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} != {other.rows}")
@@ -205,93 +218,86 @@ class GF2Matrix:
 
     # -- elimination --------------------------------------------------
 
-    def _reduced_echelon(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Reduced row echelon form: (nonzero rows, their pivot columns).
+    def _eliminate(self) -> tuple[dict[int, int], tuple[int, ...], tuple[int, ...]]:
+        """Forward elimination, once per matrix: ({pivot column: pivot row},
+        the pivot columns ascending, the basis rows).  A pivot row carries
+        its tag above bit ``cols``; tag bit k stands for row ``basis[k]``."""
+        if self._echelon is None:
+            width = (1 << self.cols) - 1
+            pivot_rows: dict[int, int] = {}
+            basis: list[int] = []
+            for i, r in enumerate(self.row_bits):
+                r |= 1 << (self.cols + len(basis))
+                while r & width:
+                    low = (r & -r).bit_length() - 1
+                    pivot = pivot_rows.get(low)
+                    if pivot is None:
+                        pivot_rows[low] = r
+                        basis.append(i)
+                        break
+                    r ^= pivot
+            self._echelon = (pivot_rows, tuple(sorted(pivot_rows)), tuple(basis))
+        return self._echelon
 
-        Pivot columns come out strictly increasing; each row's pivot is the
-        leftmost set bit and the only set bit in its column.
-        """
-        if self._rref is not None:
-            return self._rref
-        pivot_rows: dict[int, int] = {}  # pivot column -> current row value
-        for r in self.row_bits:
-            while r:
-                low = (r & -r).bit_length() - 1
-                existing = pivot_rows.get(low)
-                if existing is None:
-                    pivot_rows[low] = r
-                    break
-                r ^= existing
-        # Back-substitution: clear pivot columns from all other rows.
-        for col in sorted(pivot_rows, reverse=True):
-            r = pivot_rows[col]
-            mask = 1 << col
-            for other_col, other in pivot_rows.items():
-                if other_col != col and other & mask:
-                    pivot_rows[other_col] = other ^ r
-        pivots = tuple(sorted(pivot_rows))
-        rows = tuple(pivot_rows[c] for c in pivots)
-        self._rref = (rows, pivots)
-        self._rank = len(pivots)
-        return self._rref
+    def _back_solve(self, x: int, rhs: int = 0) -> int:
+        """Set x's pivot coordinates, highest first, so that each pivot row
+        has row . x = tag . rhs (one ``rhs`` bit per basis row); a pivot row
+        has no bit below its pivot, so it fixes that coordinate alone."""
+        pivot_rows, pivots, _ = self._eliminate()
+        z = x | rhs << self.cols
+        for col in reversed(pivots):
+            if (pivot_rows[col] & z).bit_count() & 1:
+                z |= 1 << col
+        return z & ((1 << self.cols) - 1)
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._reduced_echelon()
-        assert self._rank is not None
-        return self._rank
+        return len(self._eliminate()[2])
+
+    def kernel_vector(self, free: int) -> GF2Vector:
+        """The one kernel vector that is 1 on free column ``free`` and 0 on
+        every other free column."""
+        if not 0 <= free < self.cols or free in self._eliminate()[0]:
+            raise ValueError(f"column {free} is not a free column")
+        return GF2Vector(self.cols, self._back_solve(1 << free))
 
     def kernel_basis(self) -> list[GF2Vector]:
-        """Basis of {x : Mx = 0}, one vector per free column, ascending.
-
-        Each basis vector has a 1 in its own free column and in no other
-        free column, so the list is echelonized and deterministic.
-        """
-        rows, pivots = self._reduced_echelon()
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            bits = 1 << free
-            for r, p in zip(rows, pivots):
-                if (r >> free) & 1:
-                    bits |= 1 << p
-            basis.append(GF2Vector(self.cols, bits))
-        return basis
+        """Basis of {x : Mx = 0}: ``kernel_vector`` of each free column,
+        ascending, the same vectors a reduced echelon form gives."""
+        pivot_rows = self._eliminate()[0]
+        return [self.kernel_vector(f) for f in range(self.cols) if f not in pivot_rows]
 
     def solve(self, b: GF2Vector) -> Optional[GF2Vector]:
-        """One solution of Mx = b (free variables zero), or None.
+        """The solution of Mx = b that is 0 on every free column, or None.
 
-        The particular solution is the deterministic one with zeros in all
-        free columns; combine with ``kernel_basis`` for the full set.
+        The back-solve satisfies the basis rows' equations.  The other rows
+        are sums of basis rows, so substitution decides consistency, and a
+        basis row that does not substitute is a fault of the elimination.
         """
         if b.length != self.rows:
             raise ValueError(f"rhs length {b.length} != rows {self.rows}")
-        aug_col = self.cols
-        pivot_rows: dict[int, int] = {}
-        for i, r in enumerate(self.row_bits):
-            r |= ((b.bits >> i) & 1) << aug_col
-            while r:
-                low = (r & -r).bit_length() - 1
-                existing = pivot_rows.get(low)
-                if existing is None:
-                    pivot_rows[low] = r
-                    break
-                r ^= existing
-        if aug_col in pivot_rows:
-            return None  # a row reduced to 0 = 1
-        for col in sorted(pivot_rows, reverse=True):
-            r = pivot_rows[col]
-            mask = 1 << col
-            for other_col, other in pivot_rows.items():
-                if other_col != col and other & mask:
-                    pivot_rows[other_col] = other ^ r
-        bits = 0
-        for col, r in pivot_rows.items():
-            if (r >> aug_col) & 1:
-                bits |= 1 << col
-        x = GF2Vector(self.cols, bits)
-        if self.apply(x).bits != b.bits:
-            raise CertificateError("solution does not substitute into the system")
-        return x
+        basis = self._eliminate()[2]
+        rhs = sum(((b.bits >> i) & 1) << k for k, i in enumerate(basis))
+        x = GF2Vector(self.cols, self._back_solve(0, rhs))
+        miss = self.apply(x).bits ^ b.bits
+        if any((miss >> i) & 1 for i in basis):
+            raise CertificateError("solution does not substitute into the basis rows")
+        return None if miss else x
+
+    def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
+        """Split v = residue + y^T M by reducing v against the pivot rows in
+        ascending order.  The residue is 0 on every pivot column, so a kernel
+        vector pairs with it as with v; if it is 0, y is the one sum of
+        basis rows that equals v."""
+        if v.length != self.cols:
+            raise ValueError(f"vector length {v.length} != cols {self.cols}")
+        pivot_rows, _, basis = self._eliminate()
+        rest, residue, width = v.bits, 0, (1 << self.cols) - 1
+        while rest & width:
+            low = rest & -rest
+            pivot = pivot_rows.get(low.bit_length() - 1)
+            if pivot is None:
+                residue |= low
+                pivot = low
+            rest ^= pivot
+        y = sum(((rest >> (self.cols + k)) & 1) << i for k, i in enumerate(basis))
+        return GF2Vector(self.cols, residue), GF2Vector(self.rows, y)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import Simplex, SimplicialComplex
+from .errors import CertificateError
 from .gf2 import GF2Matrix, GF2Vector
 
 __all__ = ["ChainComplexF2", "chain_complex", "betti", "betti_numbers", "cycle_basis"]
@@ -74,7 +75,8 @@ def chain_complex(k: SimplicialComplex) -> ChainComplexF2:
                 ones.append((index[d - 1][facet], col))
         maps.append(GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones))
     for d in range(1, dim):
-        assert (maps[d] @ maps[d + 1]).is_zero(), f"d o d != 0 between dims {d + 1} and {d}"
+        if not (maps[d] @ maps[d + 1]).is_zero():
+            raise CertificateError(f"boundary of boundary is nonzero in dimension {d + 1}")
     return ChainComplexF2(cells, tuple(maps))
 
 

@@ -85,30 +85,20 @@ class ConfigurationSpace:
 
 def _disjoint_pairs(k: SimplicialComplex, cell_dim: int) -> Iterator[CellPair]:
     """All disjoint unordered pairs with dim sigma + dim tau = cell_dim."""
-    masks: dict[Simplex, int] = {}
-
-    def mask(s: Simplex) -> int:
-        m = masks.get(s)
-        if m is None:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            masks[s] = m
-        return m
-
+    mask = {s: sum(1 << v for v in s) for d in range(min(cell_dim, k.dimension) + 1) for s in k.faces(d)}
     for a in range(cell_dim // 2 + 1):
         b = cell_dim - a
         if a > k.dimension or b > k.dimension:
             continue
         if a == b:
             for s, t in combinations(k.faces(a), 2):
-                if not mask(s) & mask(t):
+                if not mask[s] & mask[t]:
                     yield CellPair.make(s, t)
         else:
             for s in k.faces(a):
-                ms = mask(s)
+                ms = mask[s]
                 for t in k.faces(b):
-                    if not ms & mask(t):
+                    if not ms & mask[t]:
                         yield CellPair.make(s, t)
 
 
@@ -221,7 +211,7 @@ def obstruction_cocycle(
     params = _seeded_values(seed, k.num_vertices)
     n_cells = cfg.cells[n] if n <= cfg.top_dimension else ()
     values = GF2Vector.from_list([pair_intersection_parity(params, c) for c in n_cells])
-    if not cfg.boundary_or_zero(n + 1).transpose().apply(values).is_zero():
+    if not cfg.boundary_or_zero(n + 1).apply_transpose(values).is_zero():
         raise CertificateError("obstruction failed the cocycle condition")
     return ObstructionCocycle(n, values)
 
@@ -264,16 +254,16 @@ def is_trivial(
     cfg = configuration_space(k, n + 1, max_cells=max_cells)
     cocycle = obstruction_cocycle(k, n, seed, space=cfg)
     boundary_n = cfg.boundary_or_zero(n)
-    for cycle in boundary_n.kernel_basis():
-        if cycle.dot(cocycle.values) == 1:
-            if not boundary_n.apply(cycle).is_zero():
-                raise CertificateError("certificate is not a cycle")
-            return ObstructionVerdict(n, True, cycle, "cycle", cocycle, seed)
-    coboundary = boundary_n.transpose()
-    primitive = coboundary.solve(cocycle.values)
-    if primitive is None:
-        raise CertificateError("cocycle pairs to zero with all cycles yet has no primitive")
-    if coboundary.apply(primitive) != cocycle.values:
+    residue, primitive = boundary_n.row_reduce(cocycle.values)
+    if residue.bits:
+        # Cycles vanish on the row space, so the cycle of free column f pairs
+        # with the cocycle as the residue does at f: the lowest residue bit
+        # names the first cycle of the kernel basis that pairs to 1.
+        cycle = boundary_n.kernel_vector((residue.bits & -residue.bits).bit_length() - 1)
+        if not boundary_n.apply(cycle).is_zero() or cycle.dot(cocycle.values) != 1:
+            raise CertificateError("certificate is not a cycle pairing to 1")
+        return ObstructionVerdict(n, True, cycle, "cycle", cocycle, seed)
+    if boundary_n.apply_transpose(primitive) != cocycle.values:
         raise CertificateError("primitive substitution failed")
     return ObstructionVerdict(n, False, primitive, "cochain", cocycle, seed)
 

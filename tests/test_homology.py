@@ -9,6 +9,9 @@ algebra) through two unrelated code paths.
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
 from itertools import combinations
 
 from hypothesis import given, strategies as st
@@ -158,3 +161,33 @@ def test_cycle_bases_are_cycles(k):
     for d in range(cc.top_dimension + 1):
         for v in cc.cycle_basis(d):
             assert cc.boundary_or_zero(d).apply(v).is_zero()
+
+
+def test_boundary_check_survives_optimize(tmp_path):
+    """A boundary map with d o d != 0 is caught with asserts stripped, and
+    the CLI reports it with exit code 4.  Each triangle here loses one edge
+    from its boundary, so d(0,1,2) = (0,2) + (1,2) and dd(0,1,2) = v0 + v1."""
+    f = tmp_path / "triangle.json"
+    f.write_text(json.dumps({"facets": [[0, 1, 2]]}))
+    script = "\n".join([
+        "import sys",
+        "assert False, 'asserts are not stripped'",
+        "from obstructor import homology",
+        "from obstructor.cli import main",
+        "from obstructor.complexes import full_simplex",
+        "from obstructor.errors import CertificateError",
+        "real = homology.combinations",
+        "homology.combinations = lambda s, d: list(real(s, d))[d == 2:]",
+        "try:",
+        "    homology.betti(full_simplex(3), 1)",
+        "except CertificateError as exc:",
+        "    print('caught:', exc)",
+        "    sys.exit(main(['homology', sys.argv[1]]))",
+        "sys.exit('no CertificateError')",
+    ])
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(f)], capture_output=True, text=True, timeout=300
+    )
+    assert "caught: boundary of boundary is nonzero in dimension 2" in res.stdout, res.stderr
+    assert res.returncode == 4
+    assert res.stderr == "error: boundary of boundary is nonzero in dimension 2\n"

@@ -31,6 +31,7 @@ from obstructor.complexes import (
     points_complex,
 )
 from obstructor.errors import ResourceLimitError
+from test_gf2 import rref_kernel_basis, rref_solve
 from obstructor.vankampen import (
     AdosReport,
     CellPair,
@@ -300,6 +301,62 @@ def test_cocycle_and_certificate_bits_are_pinned(make, n, seed, cocycle, certifi
     assert v.certificate.bits == certificate
 
 
+def assert_certificate_matches_the_rref_oracle(k: SimplicialComplex, n: int, seed: int) -> None:
+    """The certificate is the first kernel vector of the reduced echelon
+    form of the boundary that pairs to 1, else the free-variables-zero
+    solution of the coboundary system."""
+    cfg = configuration_space(k, n + 1)
+    cocycle = obstruction_cocycle(k, n, seed, space=cfg).values
+    boundary = cfg.boundary_or_zero(n)
+    expected = next((z for z in rref_kernel_basis(boundary) if z.dot(cocycle)), None)
+    kind = "cycle"
+    if expected is None:
+        expected, kind = rref_solve(boundary.transpose(), cocycle), "cochain"
+    v = is_trivial(k, n, seed)
+    assert (v.certificate_kind, v.certificate) == (kind, expected)
+    assert v.cocycle.values == cocycle
+
+
+@st.composite
+def small_graphs(draw):
+    v = draw(st.integers(2, 7))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(v), 2))), min_size=1, unique=True))
+    return SimplicialComplex(edges, num_vertices=v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.sampled_from([1, 2]), st.integers(0, 1 << 16))
+def test_graph_certificates_match_the_rref_oracle(graph, n, seed):
+    assert_certificate_matches_the_rref_oracle(graph, n, seed)
+
+
+def _octahedral(m: int) -> SimplicialComplex:
+    return octahedralize(full_simplex(m))
+
+
+# Complexes with a known answer in R^4: the first three do not embed.
+RP2_6 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+TORUS_7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+KNOWN_R4 = {
+    "skeleton_2_of_6_simplex": (lambda: SimplicialComplex(combinations(range(7), 3)), True),
+    "K_3_3_3": (lambda: join(join(points_complex(3), points_complex(3)), points_complex(3)), True),
+    "doubled_octahedral_2_sphere": (doubled_octahedral_sphere, True),
+    "RP2_6": (lambda: SimplicialComplex(RP2_6), False),
+    "torus_7": (lambda: SimplicialComplex(TORUS_7), False),
+    "octahedral_2_sphere": (octahedral_sphere, False),
+    "octahedral_3_sphere": (lambda: _octahedral(4), False),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("name", KNOWN_R4)
+def test_known_r4_certificates_match_the_rref_oracle(name, seed):
+    make, nontrivial = KNOWN_R4[name]
+    k = make()
+    assert is_trivial(k, 4, seed).nontrivial == nontrivial
+    assert_certificate_matches_the_rref_oracle(k, 4, seed)
+
+
 def test_cycles_do_not_embed_in_the_line():
     for m in (3, 4, 6):
         v = is_trivial(cycle_complex(m), 1)
@@ -456,3 +513,18 @@ def test_doubled_graph_obstructs_exactly_when_nonplanar():
                 assert verify_ados(graph, edge, 1).lhs == (not planar), (graph.facets, edge)
                 checked += 1
     assert checked == 250
+
+
+def test_plane_verdict_is_planarity_on_the_graph_atlas():
+    """Hanani-Tutte: a graph embeds in the plane iff its mod-2 van Kampen
+    obstruction vanishes.  Every graph of the atlas (all graphs on at most
+    7 vertices, up to isomorphism) with an edge."""
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for g in nx.graph_atlas_g():
+        if g.number_of_edges() == 0:
+            continue
+        k = SimplicialComplex(g.edges(), num_vertices=g.number_of_nodes())
+        assert is_trivial(k, 2).trivial == nx.check_planarity(g)[0], sorted(g.edges())
+        checked += 1
+    assert checked == 1245
