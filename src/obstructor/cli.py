@@ -250,10 +250,8 @@ def cmd_vk(args: argparse.Namespace) -> int:
         f"seed: {args.seed}",
     ]
     if args.certificate:
-        support = list(verdict.certificate.support())
-        cells = vk.configuration_space(k, args.n + 1, max_cells=args.max_cells).cells
-        layer = cells[args.n] if verdict.certificate_kind == "cycle" else cells[args.n - 1]
-        named = [[list(layer[i].sigma), list(layer[i].tau)] for i in support]
+        layer = verdict.certificate_cells
+        named = [[list(layer[i].sigma), list(layer[i].tau)] for i in verdict.certificate.support()]
         payload["certificate"] = {"kind": verdict.certificate_kind, "cells": named}
         lines.append(f"certificate ({verdict.certificate_kind}): {len(named)} cells")
         for pair in named:

@@ -64,12 +64,18 @@ class SimplicialComplex:
         num_vertices: Optional[int] = None,
     ) -> None:
         cleaned = sorted({_canonical_simplex(f) for f in facets if tuple(f) != ()})
-        # Drop faces nested inside other input faces.
-        maximal = [
-            f
-            for f in cleaned
-            if not any(g != f and set(f) <= set(g) for g in cleaned)
-        ]
+        # Drop faces nested inside other input faces.  Every superset of a
+        # face contains its least-shared vertex, so only the longer faces
+        # listed under that vertex are tested.
+        under: dict[int, list[frozenset[int]]] = {}
+        for g in map(frozenset, cleaned):
+            for v in g:
+                under.setdefault(v, []).append(g)
+        maximal = []
+        for f in cleaned:
+            rarest = min(f, key=lambda v: len(under[v]))
+            if not any(len(g) > len(f) and g.issuperset(f) for g in under[rarest]):
+                maximal.append(f)
         seen = {v for f in maximal for v in f}
         top = max(seen) + 1 if seen else 0
         if num_vertices is None:

@@ -1,11 +1,12 @@
 """The Z/2 van Kampen obstruction, computed exactly.
 
-Pipeline: build the configuration space of unordered disjoint simplex
-pairs, place the vertices on the moment curve in R^n at seeded distinct
-parameters, count (mod 2) the intersections of every complementary
-disjoint pair, and decide whether the resulting cocycle is a coboundary.
-A nonzero pairing with an explicit cycle certifies that the complex does
-not embed in R^n.
+Pipeline: build the three layers of the configuration space of unordered
+disjoint simplex pairs that a decision in R^n reads (dimensions n-1, n
+and n+1), place the vertices on the moment curve in R^n at seeded
+distinct parameters, count (mod 2) the intersections of every
+complementary disjoint pair, and decide whether the resulting cocycle is
+a coboundary.  A nonzero pairing with an explicit cycle certifies that
+the complex does not embed in R^n.
 
 No coordinates are computed.  Points on the moment curve with distinct
 parameters are in general position, and two complementary simplices cross
@@ -17,7 +18,7 @@ time and raise ``CertificateError``, also under ``python -O``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -59,28 +60,20 @@ class CellPair(NamedTuple):
 
 @dataclass(frozen=True)
 class ConfigurationSpace:
-    """Disjoint-pair cells of a complex, with GF(2) boundary matrices.
+    """The window of disjoint-pair cells that a decision in R^n reads.
 
-    ``cells[d]`` lists the d-cells in lexicographic order;
-    ``boundary[d]`` maps d-chains to (d-1)-chains, and the boundary of
-    {sigma, tau} is the sum of {sigma', tau} over facets sigma' of sigma
-    plus {sigma, tau'} over facets tau' of tau.
+    ``cells[d]`` lists the d-cells in lexicographic order for d = n-1, n
+    and n+1: the n-cells carry the cocycle, the (n-1)-cells index a cochain
+    certificate and the (n+1)-cells give the cocycle check.
+    ``boundary[d]`` maps d-chains to (d-1)-chains for d = n and n+1; the
+    boundary of {sigma, tau} is the sum of {sigma', tau} over facets
+    sigma' of sigma plus {sigma, tau'} over facets tau' of tau.
     """
 
     source: SimplicialComplex
-    cells: tuple[tuple[CellPair, ...], ...]
-    boundary: tuple[GF2Matrix, ...]
-
-    @property
-    def top_dimension(self) -> int:
-        return len(self.cells) - 1
-
-    def boundary_or_zero(self, d: int) -> GF2Matrix:
-        if 0 <= d <= self.top_dimension:
-            return self.boundary[d]
-        if d == self.top_dimension + 1:
-            return GF2Matrix.zero(len(self.cells[-1]), 0)
-        return GF2Matrix.zero(0, 0)
+    n: int
+    cells: dict[int, tuple[CellPair, ...]]
+    boundary: dict[int, GF2Matrix]
 
 
 def _disjoint_pairs(k: SimplicialComplex, cell_dim: int) -> Iterator[CellPair]:
@@ -103,15 +96,19 @@ def _disjoint_pairs(k: SimplicialComplex, cell_dim: int) -> Iterator[CellPair]:
 
 
 def configuration_space(
-    k: SimplicialComplex, up_to: int, max_cells: Optional[int] = None
+    k: SimplicialComplex, n: int, max_cells: Optional[int] = None
 ) -> ConfigurationSpace:
-    """Assemble all cells of dimension <= up_to and their boundary maps."""
-    if up_to < 0:
-        raise ValueError(f"negative dimension {up_to}")
+    """The cells of dimension n-1, n and n+1 and the boundary maps between them.
+
+    ``max_cells`` caps the cells of these three layers together; the one
+    product of the window, boundary[n] @ boundary[n+1], is checked to vanish.
+    """
+    if n < 1:
+        raise ValueError(f"target dimension must be >= 1, got {n}")
     cap = default_max_cells() if max_cells is None else max_cells
-    cells: list[tuple[CellPair, ...]] = []
+    cells: dict[int, tuple[CellPair, ...]] = {}
     total = 0
-    for d in range(up_to + 1):
+    for d in (n - 1, n, n + 1):
         # Enumerate one cell past the remaining budget, so an oversized
         # layer is refused without being built.
         layer = tuple(sorted(islice(_disjoint_pairs(k, d), cap - total + 1)))
@@ -120,19 +117,18 @@ def configuration_space(
             raise ResourceLimitError(
                 f"configuration space exceeds {cap} cells by dimension {d}"
             )
-        cells.append(layer)
-    boundary: list[GF2Matrix] = [GF2Matrix.zero(0, len(cells[0]))]
-    for d in range(1, up_to + 1):
+        cells[d] = layer
+    boundary: dict[int, GF2Matrix] = {}
+    for d in (n, n + 1):
         below = {c: i for i, c in enumerate(cells[d - 1])}
         ones = []
         for col, cell in enumerate(cells[d]):
             for row_cell in _cell_facets(cell):
                 ones.append((below[row_cell], col))
-        boundary.append(GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones))
-    for d in range(1, up_to):
-        if not (boundary[d] @ boundary[d + 1]).is_zero():
-            raise CertificateError(f"boundary of boundary is nonzero in dimension {d + 1}")
-    return ConfigurationSpace(k, tuple(cells), tuple(boundary))
+        boundary[d] = GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones)
+    if not (boundary[n] @ boundary[n + 1]).is_zero():
+        raise CertificateError(f"boundary of boundary is nonzero in dimension {n + 1}")
+    return ConfigurationSpace(k, n, cells, boundary)
 
 
 def _cell_facets(cell: CellPair) -> Iterator[CellPair]:
@@ -192,26 +188,13 @@ class ObstructionCocycle:
     values: GF2Vector
 
 
-def obstruction_cocycle(
-    k: SimplicialComplex,
-    n: int,
-    seed: int = 0,
-    *,
-    space: Optional[ConfigurationSpace] = None,
-    max_cells: Optional[int] = None,
-) -> ObstructionCocycle:
-    """Evaluate all n-cell parities; the cocycle condition is checked.
-
-    ``space`` must hold layers up to n+1 for the check to cover every
-    (n+1)-cell; by default it is built here.
-    """
-    if n < 1:
-        raise ValueError(f"target dimension must be >= 1, got {n}")
-    cfg = space if space is not None else configuration_space(k, n + 1, max_cells=max_cells)
-    params = _seeded_values(seed, k.num_vertices)
-    n_cells = cfg.cells[n] if n <= cfg.top_dimension else ()
-    values = GF2Vector.from_list([pair_intersection_parity(params, c) for c in n_cells])
-    if not cfg.boundary_or_zero(n + 1).apply_transpose(values).is_zero():
+def obstruction_cocycle(space: ConfigurationSpace, seed: int = 0) -> ObstructionCocycle:
+    """Evaluate the parity of every n-cell of ``space``; the cocycle
+    condition is checked on its (n+1)-cells."""
+    n = space.n
+    params = _seeded_values(seed, space.source.num_vertices)
+    values = GF2Vector.from_list([pair_intersection_parity(params, c) for c in space.cells[n]])
+    if not space.boundary[n + 1].apply_transpose(values).is_zero():
         raise CertificateError("obstruction failed the cocycle condition")
     return ObstructionCocycle(n, values)
 
@@ -221,8 +204,10 @@ class ObstructionVerdict:
     """Triviality decision with a substitution-checked certificate.
 
     Nontrivial: ``certificate`` is a cycle (kernel vector of the boundary)
-    whose pairing with the cocycle is 1.  Trivial: ``certificate`` is a
-    cochain on (n-1)-cells whose coboundary equals the cocycle.
+    whose pairing with the cocycle is 1, and ``certificate_cells`` are the
+    n-cells it indexes.  Trivial: ``certificate`` is a cochain whose
+    coboundary equals the cocycle, and ``certificate_cells`` are the
+    (n-1)-cells it indexes.
     """
 
     n: int
@@ -231,6 +216,7 @@ class ObstructionVerdict:
     certificate_kind: str  # "cycle" | "cochain"
     cocycle: ObstructionCocycle
     seed: int
+    certificate_cells: tuple[CellPair, ...] = field(repr=False)
 
     @property
     def trivial(self) -> bool:
@@ -251,9 +237,9 @@ def is_trivial(
     primitive for the cocycle) is re-verified by direct substitution before
     being returned.
     """
-    cfg = configuration_space(k, n + 1, max_cells=max_cells)
-    cocycle = obstruction_cocycle(k, n, seed, space=cfg)
-    boundary_n = cfg.boundary_or_zero(n)
+    cfg = configuration_space(k, n, max_cells=max_cells)
+    cocycle = obstruction_cocycle(cfg, seed)
+    boundary_n = cfg.boundary[n]
     residue, primitive = boundary_n.row_reduce(cocycle.values)
     if residue.bits:
         # Cycles vanish on the row space, so the cycle of free column f pairs
@@ -262,10 +248,10 @@ def is_trivial(
         cycle = boundary_n.kernel_vector((residue.bits & -residue.bits).bit_length() - 1)
         if not boundary_n.apply(cycle).is_zero() or cycle.dot(cocycle.values) != 1:
             raise CertificateError("certificate is not a cycle pairing to 1")
-        return ObstructionVerdict(n, True, cycle, "cycle", cocycle, seed)
+        return ObstructionVerdict(n, True, cycle, "cycle", cocycle, seed, cfg.cells[n])
     if boundary_n.apply_transpose(primitive) != cocycle.values:
         raise CertificateError("primitive substitution failed")
-    return ObstructionVerdict(n, False, primitive, "cochain", cocycle, seed)
+    return ObstructionVerdict(n, False, primitive, "cochain", cocycle, seed, cfg.cells[n - 1])
 
 
 # -- doubled-complex criterion ---------------------------------------

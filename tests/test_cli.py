@@ -8,8 +8,10 @@ way a shell user would hit them.
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -199,6 +201,27 @@ def test_vk_resource_cap(k33_file):
     res = run("vk", k33_file, "2", "--max-cells", "3")
     assert res.returncode == 3
     assert "error:" in res.stderr
+
+
+def large_facets(kind: str) -> list[list[int]]:
+    """A 20,000-edge path, or 20,000 random triangles on 3,000 vertices."""
+    if kind == "path":
+        return [[i, i + 1] for i in range(20_000)]
+    rng = random.Random(0)
+    return [rng.sample(range(3_000), 3) for _ in range(20_000)]
+
+
+@pytest.mark.parametrize("kind", ["path", "triangles"])
+def test_vk_refuses_a_large_input_quickly(tmp_path, kind):
+    """Loading 20,000 facets and refusing a small cell budget takes seconds,
+    not the minutes of a quadratic facet scan."""
+    f = tmp_path / "large.json"
+    f.write_text(json.dumps({"facets": large_facets(kind)}))
+    started = time.perf_counter()
+    res = run("vk", str(f), "2", "--max-cells", "1000")
+    assert time.perf_counter() - started < 10.0
+    assert res.returncode == 3, res.stderr
+    assert "exceeds 1000 cells" in res.stderr
 
 
 def test_vk_is_unchanged_under_optimize(k33_file):

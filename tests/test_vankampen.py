@@ -72,43 +72,50 @@ def test_cell_pair_canonical_order():
 
 def test_configuration_space_of_two_disjoint_edges():
     k = SimplicialComplex([(0, 1), (2, 3)])
-    cfg = configuration_space(k, 2)
-    assert [len(c) for c in cfg.cells] == [6, 4, 1]
+    cfg = configuration_space(k, 1)
+    assert {d: len(c) for d, c in cfg.cells.items()} == {0: 6, 1: 4, 2: 1}
     assert cfg.cells[2] == (CellPair((0, 1), (2, 3)),)
     # the single square cell has four boundary edges
     assert cfg.boundary[2].column(0).weight() == 4
     assert (cfg.boundary[1] @ cfg.boundary[2]).is_zero()
 
 
+def layer_sizes(k: SimplicialComplex, n: int) -> dict[int, int]:
+    return {d: len(c) for d, c in configuration_space(k, n).cells.items()}
+
+
 def test_configuration_space_cell_counts():
-    assert [len(c) for c in configuration_space(k33(), 2).cells] == [15, 36, 18]
-    assert [len(c) for c in configuration_space(cycle_complex(5), 2).cells] == [10, 15, 5]
-    assert [len(c) for c in configuration_space(k5(), 3).cells] == [10, 30, 15, 0]
+    assert layer_sizes(k33(), 1) == {0: 15, 1: 36, 2: 18}
+    assert layer_sizes(k33(), 2) == {1: 36, 2: 18, 3: 0}
+    assert layer_sizes(cycle_complex(5), 1) == {0: 10, 1: 15, 2: 5}
+    assert layer_sizes(k5(), 1) == {0: 10, 1: 30, 2: 15}
+    assert layer_sizes(k5(), 2) == {1: 30, 2: 15, 3: 0}
 
 
 def test_configuration_space_deterministic_and_sorted():
-    a = configuration_space(k33(), 2)
-    b = configuration_space(k33(), 2)
+    a = configuration_space(k33(), 1)
+    b = configuration_space(k33(), 1)
     assert a.cells == b.cells
     assert a.boundary[2].row_bits == b.boundary[2].row_bits
-    for layer in a.cells:
+    for layer in a.cells.values():
         assert list(layer) == sorted(layer)
 
 
 def test_configuration_space_validation():
-    with pytest.raises(ValueError):
-        configuration_space(k33(), -1)
+    for n in (-1, 0):
+        with pytest.raises(ValueError):
+            configuration_space(k33(), n)
     with pytest.raises(ResourceLimitError):
         configuration_space(k33(), 2, max_cells=10)
 
 
 def test_cell_budget_is_enforced_during_enumeration():
-    # Layer 0 alone holds about two million pairs; none of them may be
-    # built past the budget.
+    # Layer 0, the lowest layer of the window in R^1, alone holds about
+    # two million pairs; none of them may be built past the budget.
     k = points_complex(2000)
     started = time.perf_counter()
     with pytest.raises(ResourceLimitError):
-        configuration_space(k, 0, max_cells=10)
+        configuration_space(k, 1, max_cells=10)
     assert time.perf_counter() - started < 1.0
 
 
@@ -119,6 +126,46 @@ def test_disjoint_pairs_brute_force_oracle():
         1 for e, f in combinations(edges, 2) if not set(e) & set(f)
     )
     assert len(list(_disjoint_pairs(k, 2))) == expected == 18
+
+
+def brute_force_cells(k: SimplicialComplex) -> dict[int, list[CellPair]]:
+    """Every disjoint pair of faces, by cell dimension, in sorted order."""
+    faces = list(k.all_faces())
+    out: dict[int, list[CellPair]] = {}
+    for s, t in combinations(faces, 2):
+        if not set(s) & set(t):
+            cell = CellPair.make(s, t)
+            out.setdefault(cell.cell_dim, []).append(cell)
+    return {d: sorted(cells) for d, cells in out.items()}
+
+
+def is_cell_facet(lower: CellPair, upper: CellPair) -> bool:
+    a, b = map(set, lower)
+    s, t = map(set, upper)
+    return lower.cell_dim + 1 == upper.cell_dim and (a <= s and b <= t or a <= t and b <= s)
+
+
+@st.composite
+def small_complexes(draw):
+    v = draw(st.integers(2, 7))
+    face = st.lists(st.integers(0, v - 1), min_size=1, max_size=4, unique=True)
+    faces = draw(st.lists(face, min_size=1, max_size=10))
+    return SimplicialComplex(faces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.integers(1, 4))
+def test_window_is_three_layers_of_the_brute_force_enumeration(k, n):
+    cfg = configuration_space(k, n)
+    brute = brute_force_cells(k)
+    assert cfg.n == n and cfg.source is k
+    assert {d: list(c) for d, c in cfg.cells.items()} == {d: brute.get(d, []) for d in (n - 1, n, n + 1)}
+    assert set(cfg.boundary) == {n, n + 1}
+    for d, matrix in cfg.boundary.items():
+        assert (matrix.rows, matrix.cols) == (len(cfg.cells[d - 1]), len(cfg.cells[d]))
+        for i, lower in enumerate(cfg.cells[d - 1]):
+            for j, upper in enumerate(cfg.cells[d]):
+                assert matrix.entry(i, j) == is_cell_facet(lower, upper)
 
 
 # -- the exact oracle for crossing parity -----------------------------
@@ -218,25 +265,18 @@ def test_interlacing_matches_the_exact_solve(drawn, seed):
 
 def test_k33_cocycle_has_odd_total_parity():
     # every generic drawing of this graph crosses an odd number of times
-    cocycle = obstruction_cocycle(k33(), 2)
+    cfg = configuration_space(k33(), 2)
+    cocycle = obstruction_cocycle(cfg)
     assert cocycle.values.length == 18
     assert cocycle.values.weight() % 2 == 1
     for seed in (1, 2, 17):
-        assert obstruction_cocycle(k33(), 2, seed).values.weight() % 2 == 1
-
-
-def test_cocycle_accepts_precomputed_pieces():
-    k = k33()
-    cfg = configuration_space(k, 3)
-    a = obstruction_cocycle(k, 2, seed=3)
-    b = obstruction_cocycle(k, 2, seed=3, space=cfg)
-    assert a.values == b.values
+        assert obstruction_cocycle(cfg, seed).values.weight() % 2 == 1
 
 
 def test_map_is_reproducible_per_seed():
-    k = k33()
-    assert obstruction_cocycle(k, 2, seed=7) == obstruction_cocycle(k, 2, seed=7)
-    assert obstruction_cocycle(k, 2, seed=7) != obstruction_cocycle(k, 2, seed=8)
+    cfg = configuration_space(k33(), 2)
+    assert obstruction_cocycle(cfg, seed=7) == obstruction_cocycle(cfg, seed=7)
+    assert obstruction_cocycle(cfg, seed=7) != obstruction_cocycle(cfg, seed=8)
 
 
 def test_map_rejects_dimension_zero():
@@ -254,13 +294,13 @@ def test_nonplanar_graphs_are_caught():
 
 
 def test_certificates_verify_by_substitution():
-    cfg = configuration_space(k33(), 3)
+    cfg = configuration_space(k33(), 2)
     v = is_trivial(k33(), 2)
-    assert cfg.boundary_or_zero(2).apply(v.certificate).is_zero()
+    assert cfg.boundary[2].apply(v.certificate).is_zero()
     t = is_trivial(cycle_complex(5), 2)
     assert t.trivial and t.certificate_kind == "cochain"
-    cfg5 = configuration_space(cycle_complex(5), 3)
-    image = cfg5.boundary_or_zero(2).transpose().apply(t.certificate)
+    cfg5 = configuration_space(cycle_complex(5), 2)
+    image = cfg5.boundary[2].transpose().apply(t.certificate)
     assert image == t.cocycle.values
 
 
@@ -304,17 +344,19 @@ def test_cocycle_and_certificate_bits_are_pinned(make, n, seed, cocycle, certifi
 def assert_certificate_matches_the_rref_oracle(k: SimplicialComplex, n: int, seed: int) -> None:
     """The certificate is the first kernel vector of the reduced echelon
     form of the boundary that pairs to 1, else the free-variables-zero
-    solution of the coboundary system."""
-    cfg = configuration_space(k, n + 1)
-    cocycle = obstruction_cocycle(k, n, seed, space=cfg).values
-    boundary = cfg.boundary_or_zero(n)
+    solution of the coboundary system.  The verdict carries the layer
+    its certificate indexes."""
+    cfg = configuration_space(k, n)
+    cocycle = obstruction_cocycle(cfg, seed).values
+    boundary = cfg.boundary[n]
     expected = next((z for z in rref_kernel_basis(boundary) if z.dot(cocycle)), None)
-    kind = "cycle"
+    kind, layer = "cycle", cfg.cells[n]
     if expected is None:
-        expected, kind = rref_solve(boundary.transpose(), cocycle), "cochain"
+        expected, kind, layer = rref_solve(boundary.transpose(), cocycle), "cochain", cfg.cells[n - 1]
     v = is_trivial(k, n, seed)
     assert (v.certificate_kind, v.certificate) == (kind, expected)
     assert v.cocycle.values == cocycle
+    assert v.certificate_cells == layer
 
 
 @st.composite
@@ -400,6 +442,12 @@ def test_verdict_is_relabeling_invariant(perm):
 def test_is_trivial_resource_cap():
     with pytest.raises(ResourceLimitError):
         is_trivial(k33(), 2, max_cells=5)
+    # In the plane the window of K33 holds 36 + 18 + 0 = 54 cells; its 15
+    # cells of dimension 0 are neither built nor counted.
+    assert is_trivial(k33(), 2, max_cells=60).nontrivial
+    assert is_trivial(k33(), 2, max_cells=54).nontrivial
+    with pytest.raises(ResourceLimitError):
+        is_trivial(k33(), 2, max_cells=53)
 
 
 # -- doubled-complex criterion ---------------------------------------
