@@ -20,7 +20,7 @@ from .complexes import (
 )
 from .errors import CertificateError, ResourceLimitError
 from .gf2 import GF2Matrix, GF2Vector
-from .homology import betti, betti_numbers, chain_complex, cycle_basis
+from .homology import betti, betti_numbers, cycle_basis
 from .vankampen import is_trivial, obstruction_cocycle, verify_ados
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "ResourceLimitError",
     "betti",
     "betti_numbers",
-    "chain_complex",
     "cycle_basis",
     "cycle_complex",
     "double_over",

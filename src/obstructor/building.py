@@ -3,12 +3,11 @@
 Vertices are the proper nonzero subspaces of F_q^n (q prime), kept in
 reduced row echelon form so equality is structural; simplices are chains
 under inclusion and chambers are complete flags.  On top of the complex
-this module provides the opposition machinery: opposite chambers
-(pairwise-transversal flags), the opposition complex Opp(C), the unique
-apartment through two opposite chambers, convex hulls as intersections of
-half-apartments, the chamber sets swept out by bending an octahedralized
-chamber inside an apartment, and a greedy gallery search for a chamber
-opposite to a whole apartment.
+this module provides what the paper's constructions use: opposite
+chambers (pairwise-transversal flags), the opposition complex Opp(C), the
+unique apartment through two opposite chambers and its coordinates by
+the symmetric group, and the check that bending the doubled opposition
+complex into apartments never makes two disjoint cells collide.
 
 Everything is exact integer arithmetic mod q; no floating point anywhere.
 """
@@ -34,15 +33,11 @@ __all__ = [
     "enumerate_subspaces",
     "build",
     "is_opposite",
-    "opposite_simplices",
     "opposite_chambers",
     "opp_complex",
     "unique_apartment",
     "Apartment",
-    "convex_hull",
-    "bending_chamber_sets",
     "verify_dbl_embedding",
-    "find_opposite_to_apartment",
     "standard_flag",
     "reversed_flag",
     "coordinate_frame",
@@ -313,7 +308,6 @@ class Building:
         self.complex = SimplicialComplex(self.chambers, labels=labels, num_vertices=len(self.vertices))
         if self.complex.facets != self.chambers:
             raise CertificateError("chambers are not the facets of the building")
-        self._adjacency: Optional[tuple[tuple[int, ...], ...]] = None
 
     def subspace(self, vertex: int) -> Subspace:
         return self.vertices[vertex]
@@ -341,38 +335,6 @@ class Building:
     def panels_of(self, chamber: Simplex) -> Iterator[Simplex]:
         for i in range(len(chamber)):
             yield chamber[:i] + chamber[i + 1 :]
-
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Chamber adjacency (shared panel), deterministic neighbour order."""
-        if self._adjacency is None:
-            by_panel: dict[Simplex, list[int]] = {}
-            for i, c in enumerate(self.chambers):
-                for p in self.panels_of(c):
-                    by_panel.setdefault(p, []).append(i)
-            nbrs: list[set[int]] = [set() for _ in self.chambers]
-            for members in by_panel.values():
-                for i in members:
-                    nbrs[i].update(m for m in members if m != i)
-            self._adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-        return self._adjacency
-
-    def gallery_distances(self, start: int) -> list[int]:
-        """BFS distance from one chamber to every chamber."""
-        adj = self.adjacency()
-        dist = [-1] * len(self.chambers)
-        dist[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for nb in adj[c]:
-                    if dist[nb] < 0:
-                        dist[nb] = dist[c] + 1
-                        nxt.append(nb)
-            frontier = nxt
-        if min(dist) < 0:
-            raise CertificateError("chamber graph is not connected")
-        return dist
 
     def __repr__(self) -> str:
         return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={len(self.chambers)})"
@@ -424,22 +386,6 @@ def is_opposite(b: Building, c: ChamberLike, d: ChamberLike) -> bool:
     di = b.chamber_ids(d)
     return all(
         _transversal(b.subspace(u), b.subspace(v)) for u in ci for v in di
-    )
-
-
-def opposite_simplices(b: Building, alpha: Iterable[int], beta: Iterable[int]) -> bool:
-    """Equal-type partial flags in pairwise general position.
-
-    Partial flags whose dimension type sets differ are never considered
-    opposite here; in particular a vertex is "opposite" exactly the vertices
-    of its own dimension that it meets transversally.
-    """
-    ai = b.simplex_ids(alpha)
-    bi = b.simplex_ids(beta)
-    if {b.vertex_dims[v] for v in ai} != {b.vertex_dims[v] for v in bi}:
-        return False
-    return all(
-        _transversal(b.subspace(u), b.subspace(v)) for u in ai for v in bi
     )
 
 
@@ -519,7 +465,6 @@ class Apartment:
                 if span.dim != size:
                     raise CertificateError("frame lines are not independent")
                 self.vertex_of_subset[frozenset(subset)] = building.vertex_ids[span]
-        self.subset_of_vertex = {v: s for s, v in self.vertex_of_subset.items()}
 
     def chamber_of_perm(self, w: Sequence[int]) -> Simplex:
         prefix: set[int] = set()
@@ -535,90 +480,19 @@ class Apartment:
     def vertex_ids(self) -> frozenset[int]:
         return frozenset(self.vertex_of_subset.values())
 
-    def simplices(self) -> frozenset[Simplex]:
-        """Every simplex of the apartment subcomplex."""
-        out: set[Simplex] = set()
-        for c in set(self.chambers()):
-            for size in range(1, len(c) + 1):
-                out.update(combinations(c, size))
-        return frozenset(out)
-
-
-def convex_hull(
-    b: Building, frame: Frame, alpha: Iterable[int], beta: Iterable[int]
-) -> frozenset[Simplex]:
-    """Intersection of all roots (half-apartments) containing both simplices.
-
-    Returned as the set of apartment simplices whose vertices survive every
-    such root; with no constraining root (e.g. opposite chambers) this is
-    the whole apartment.
-    """
-    apt = Apartment(b, frame)
-    ai = tuple(sorted(int(v) for v in alpha))
-    bi = tuple(sorted(int(v) for v in beta))
-    known = apt.vertex_ids()
-    for v in ai + bi:
-        if v not in known:
-            raise ValueError(f"vertex {v} is not in the apartment of this frame")
-    a_subsets = [apt.subset_of_vertex[v] for v in ai]
-    b_subsets = [apt.subset_of_vertex[v] for v in bi]
-
-    def side(subset: frozenset[int], pos: int, neg: int) -> int:
-        # +1 on the positive side of the (pos, neg) wall, -1 negative, 0 on it
-        if pos in subset and neg not in subset:
-            return 1
-        if neg in subset and pos not in subset:
-            return -1
-        return 0
-
-    allowed = set(apt.vertex_of_subset)
-    for pos in range(b.n):
-        for neg in range(b.n):
-            if pos == neg:
-                continue
-            # the root of all subsets not strictly on the negative side
-            if all(side(s, pos, neg) >= 0 for s in a_subsets) and all(
-                side(s, pos, neg) >= 0 for s in b_subsets
-            ):
-                allowed = {s for s in allowed if side(s, pos, neg) >= 0}
-    allowed_ids = {apt.vertex_of_subset[s] for s in allowed}
-    return frozenset(
-        s for s in apt.simplices() if all(v in allowed_ids for v in s)
-    )
-
-
 # -- bending ---------------------------------------------------------
 
 
-def bending_chamber_sets(
-    b: Building,
-    delta_plus: ChamberLike,
-    sigma: ChamberLike,
-    v_alpha: Iterable[int],
-) -> frozenset[Simplex]:
-    """Chambers a bent octahedron cell covers inside the joint apartment.
-
-    ``v_alpha`` is a set of flag levels (subspace dimensions, 1..n-1).  The
-    apartment through ``delta_plus`` and ``sigma`` is coordinatized by the
-    symmetric group with ``delta_plus`` as identity chamber; the result is
-    the set of chambers whose permutation w has the right-descent set of
-    w^{-1} equal to ``v_alpha`` (levels shifted to generator indices).
-    """
-    dp = b.chamber_ids(delta_plus)
-    si = b.chamber_ids(sigma)
-    levels = frozenset(int(x) for x in v_alpha)
-    if not levels <= set(range(1, b.n)):
-        raise ValueError(f"levels {sorted(levels)} outside 1..{b.n - 1}")
-    frame = unique_apartment(b, dp, si)
-    apt = Apartment(b, frame)
-    system = symmetric(b.n)
-    generators = frozenset(d - 1 for d in levels)
-    out = {apt.chamber_of_perm(w) for w in system.bending_image(generators)}
-    return frozenset(out)
-
-
 def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[int], frozenset[Simplex]]:
-    """All bending chamber sets of one opposite pair, keyed by level set."""
+    """The chambers a bent octahedron cell covers, for every level set.
+
+    The apartment through ``dp`` and ``sigma`` is coordinatized by the
+    symmetric group with ``dp`` as identity chamber.  A level set (flag
+    levels, i.e. subspace dimensions 1..n-1) maps to the chambers whose
+    permutation w has the right-descent set of w^{-1} equal to it, shifted
+    to generator indices.  Every level set appears, and the sets partition
+    the apartment.
+    """
     frame = unique_apartment(b, dp, sigma)
     apt = Apartment(b, frame)
     system = symmetric(b.n)
@@ -704,55 +578,6 @@ def verify_dbl_embedding(b: Building, delta_plus: ChamberLike) -> EmbeddingRepor
 
 def _signed_cell(minus: frozenset[int], plus: frozenset[int]) -> Simplex:
     return tuple(sorted([2 * v for v in minus] + [2 * v + 1 for v in plus]))
-
-
-# -- gallery search --------------------------------------------------
-
-
-def find_opposite_to_apartment(b: Building, frame: Frame) -> Optional[FlagChamber]:
-    """Greedy gallery search for a chamber opposite to a whole apartment.
-
-    From each start chamber in turn: while some apartment chamber is not
-    yet opposite, move across a panel to a neighbour strictly farther from
-    every non-opposite apartment chamber and no closer to the rest.  The
-    total distance strictly grows, so each walk terminates; a walk that
-    stalls falls through to the next start.  Returns None when every start
-    stalls -- at small thickness no opposite chamber may exist at all.
-    """
-    apt = Apartment(b, frame)
-    targets = tuple(dict.fromkeys(apt.chambers()))
-    target_idx = [b.chamber_index[t] for t in targets]
-    dists = [b.gallery_distances(i) for i in target_idx]
-    adj = b.adjacency()
-
-    def opposite_flags(c: int) -> list[bool]:
-        return [is_opposite(b, b.chambers[c], t) for t in targets]
-
-    max_steps = len(targets) * (b.n * (b.n - 1) // 2) + 1
-    for start in range(len(b.chambers)):
-        c = start
-        for _ in range(max_steps):
-            flags = opposite_flags(c)
-            if all(flags):
-                return b.flag(b.chambers[c])
-            move = None
-            for nb in adj[c]:
-                good = all(
-                    dists[k][nb] > dists[k][c]
-                    for k, opp in enumerate(flags)
-                    if not opp
-                ) and all(
-                    dists[k][nb] >= dists[k][c]
-                    for k, opp in enumerate(flags)
-                    if opp
-                )
-                if good:
-                    move = nb
-                    break
-            if move is None:
-                break
-            c = move
-    return None
 
 
 # -- convenience constructors ----------------------------------------

@@ -1,92 +1,71 @@
-"""Simplicial chain complexes and homology with Z/2 coefficients.
+"""Boundary maps over GF(2), and simplicial homology with Z/2 coefficients.
 
-Betti numbers here are unreduced: a point has b_0 = 1.  Everything is
-computed by exact rank/kernel arithmetic on bit-packed boundary matrices,
-so results are deterministic and independent of cell ordering quirks.
+``boundary_maps`` builds the boundary matrices of any chain complex whose
+cells are given layer by layer, with a facet function, and checks that
+consecutive maps compose to zero.  The configuration space of
+``vankampen`` and the simplicial chains here both use it.
+
+Betti numbers are unreduced: a point has b_0 = 1.  ``betti`` and
+``cycle_basis`` build only the layers they read, with each layer in the
+lexicographic order of ``SimplicialComplex.faces``, so indices are stable
+across calls.  Ranks and kernels are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import CertificateError
 from .gf2 import GF2Matrix, GF2Vector
 
-__all__ = ["ChainComplexF2", "chain_complex", "betti", "betti_numbers", "cycle_basis"]
+__all__ = ["boundary_maps", "betti", "betti_numbers", "cycle_basis"]
 
 
-@dataclass(frozen=True)
-class ChainComplexF2:
-    """Cells per dimension plus boundary maps over GF(2).
+def boundary_maps(
+    cells: Mapping[int, Sequence[Hashable]], facets: Callable[[Hashable], Iterable[Hashable]]
+) -> dict[int, GF2Matrix]:
+    """The boundary maps between consecutive layers of ``cells``.
 
-    ``boundary[d]`` sends d-chains to (d-1)-chains: shape is
-    ``len(cells[d-1]) x len(cells[d])``, and ``boundary[0]`` is the zero map
-    to the trivial group (0 rows).
+    ``cells[d]`` lists the d-cells; ``boundary[d]`` is built for every d
+    whose layer d-1 is given, with shape ``len(cells[d-1]) x len(cells[d])``
+    and a one at (facet, cell) for each cell and each of its ``facets``.
+    Every product ``boundary[d-1] @ boundary[d]`` of two built maps is
+    checked to vanish, and a nonzero one raises ``CertificateError``.
     """
-
-    cells: tuple[tuple[Simplex, ...], ...]
-    boundary: tuple[GF2Matrix, ...]
-
-    @property
-    def top_dimension(self) -> int:
-        return len(self.cells) - 1
-
-    def boundary_or_zero(self, d: int) -> GF2Matrix:
-        """The boundary map in dimension d, zero-shaped outside range."""
-        if 0 <= d <= self.top_dimension:
-            return self.boundary[d]
-        if d == self.top_dimension + 1:
-            return GF2Matrix.zero(len(self.cells[-1]), 0)
-        return GF2Matrix.zero(0, 0)
-
-    def betti(self, k: int) -> int:
-        if k < 0 or k > self.top_dimension:
-            return 0
-        cycles = len(self.cells[k]) - self.boundary_or_zero(k).rank()
-        return cycles - self.boundary_or_zero(k + 1).rank()
-
-    def betti_numbers(self) -> tuple[int, ...]:
-        return tuple(self.betti(k) for k in range(self.top_dimension + 1))
-
-    def cycle_basis(self, k: int) -> list[GF2Vector]:
-        if k < 0 or k > self.top_dimension:
-            return []
-        return self.boundary_or_zero(k).kernel_basis()
+    boundary: dict[int, GF2Matrix] = {}
+    for d in sorted(cells):
+        if d - 1 not in cells:
+            continue
+        below = {c: i for i, c in enumerate(cells[d - 1])}
+        ones = [(below[f], col) for col, c in enumerate(cells[d]) for f in facets(c)]
+        boundary[d] = GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones)
+        if d - 1 in boundary and not (boundary[d - 1] @ boundary[d]).is_zero():
+            raise CertificateError(f"boundary of boundary is nonzero in dimension {d}")
+    return boundary
 
 
-def chain_complex(k: SimplicialComplex) -> ChainComplexF2:
-    """Build the F2 chain complex of a simplicial complex.
+def _simplex_facets(s: Simplex) -> Iterable[Simplex]:
+    # Unreduced homology: a vertex has no facet, so boundary[0] is zero.
+    return combinations(s, len(s) - 1) if len(s) > 1 else ()
 
-    Cells in each dimension are the faces in lexicographic order, matching
-    ``SimplicialComplex.faces`` so indices are stable across calls.
-    """
-    dim = k.dimension
-    if k.num_vertices == 0:
-        return ChainComplexF2(((),), (GF2Matrix.zero(0, 0),))
-    cells = tuple(k.faces(d) for d in range(dim + 1))
-    index = [{s: i for i, s in enumerate(cs)} for cs in cells]
-    maps = [GF2Matrix.zero(0, len(cells[0]))]
-    for d in range(1, dim + 1):
-        ones = []
-        for col, s in enumerate(cells[d]):
-            for facet in combinations(s, d):
-                ones.append((index[d - 1][facet], col))
-        maps.append(GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones))
-    for d in range(1, dim):
-        if not (maps[d] @ maps[d + 1]).is_zero():
-            raise CertificateError(f"boundary of boundary is nonzero in dimension {d + 1}")
-    return ChainComplexF2(cells, tuple(maps))
+
+def _boundaries(k: SimplicialComplex, low: int, high: int) -> dict[int, GF2Matrix]:
+    """Boundary maps of the faces of dimension ``low`` to ``high``."""
+    return boundary_maps({d: k.faces(d) for d in range(low, high + 1)}, _simplex_facets)
 
 
 def betti(k: SimplicialComplex, dim: int) -> int:
-    return chain_complex(k).betti(dim)
+    boundary = _boundaries(k, dim - 1, dim + 1)
+    return len(k.faces(dim)) - boundary[dim].rank() - boundary[dim + 1].rank()
 
 
 def betti_numbers(k: SimplicialComplex) -> tuple[int, ...]:
-    return chain_complex(k).betti_numbers()
+    top = max(k.dimension, 0)
+    boundary = _boundaries(k, -1, top + 1)
+    return tuple(len(k.faces(d)) - boundary[d].rank() - boundary[d + 1].rank() for d in range(top + 1))
 
 
 def cycle_basis(k: SimplicialComplex, dim: int) -> list[GF2Vector]:
-    return chain_complex(k).cycle_basis(dim)
+    return _boundaries(k, dim - 1, dim)[dim].kernel_basis()

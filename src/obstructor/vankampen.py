@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .complexes import Simplex, SimplicialComplex, double_over
 from .errors import CertificateError, ResourceLimitError, default_max_cells
 from .gf2 import GF2Matrix, GF2Vector
-from .homology import betti
+from .homology import betti, boundary_maps
 
 __all__ = [
     "CellPair",
@@ -118,27 +118,21 @@ def configuration_space(
                 f"configuration space exceeds {cap} cells by dimension {d}"
             )
         cells[d] = layer
-    boundary: dict[int, GF2Matrix] = {}
-    for d in (n, n + 1):
-        below = {c: i for i, c in enumerate(cells[d - 1])}
-        ones = []
-        for col, cell in enumerate(cells[d]):
-            for row_cell in _cell_facets(cell):
-                ones.append((below[row_cell], col))
-        boundary[d] = GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones)
-    if not (boundary[n] @ boundary[n + 1]).is_zero():
-        raise CertificateError(f"boundary of boundary is nonzero in dimension {n + 1}")
-    return ConfigurationSpace(k, n, cells, boundary)
+    return ConfigurationSpace(k, n, cells, boundary_maps(cells, _cell_facets))
 
 
 def _cell_facets(cell: CellPair) -> Iterator[CellPair]:
+    # A face of a disjoint pair is disjoint, so only the order can change,
+    # and only when sigma shrinks: s < t with s, t disjoint means
+    # s[0] < t[0], and a facet of t starts at t[0] or later.
     s, t = cell
     if len(s) > 1:
         for drop in range(len(s)):
-            yield CellPair.make(s[:drop] + s[drop + 1 :], t)
+            f = s[:drop] + s[drop + 1 :]
+            yield CellPair(f, t) if f < t else CellPair(t, f)
     if len(t) > 1:
         for drop in range(len(t)):
-            yield CellPair.make(s, t[:drop] + t[drop + 1 :])
+            yield CellPair(s, t[:drop] + t[drop + 1 :])
 
 
 # -- crossing parity on the moment curve -----------------------------

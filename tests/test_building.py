@@ -9,7 +9,7 @@ None of those paths touch the enumeration code under test.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import pytest
 
@@ -19,12 +19,10 @@ from obstructor.building import (
     FlagChamber,
     Frame,
     Subspace,
-    bending_chamber_sets,
+    _bending_table,
     build,
-    convex_hull,
     coordinate_frame,
     enumerate_subspaces,
-    find_opposite_to_apartment,
     fq_kernel,
     fq_rank,
     fq_rref,
@@ -32,7 +30,6 @@ from obstructor.building import (
     is_opposite,
     opp_complex,
     opposite_chambers,
-    opposite_simplices,
     reversed_flag,
     standard_flag,
     unique_apartment,
@@ -250,26 +247,6 @@ def test_opposite_chamber_counts(b23, b33, b24):
     assert len(opposite_chambers(b24, c24)) == 2**6
 
 
-def test_opposite_simplices_on_vertices(b23):
-    lines = [v for v in range(len(b23.vertices)) if b23.vertex_dims[v] == 1]
-    planes = [v for v in range(len(b23.vertices)) if b23.vertex_dims[v] == 2]
-    # distinct lines are opposite, a line is not opposite itself
-    assert opposite_simplices(b23, (lines[0],), (lines[1],))
-    assert not opposite_simplices(b23, (lines[0],), (lines[0],))
-    # mixed types are never opposite, containment or not
-    line = b23.subspace(lines[0])
-    containing = [p for p in planes if b23.subspace(p).contains(line)]
-    avoiding = [p for p in planes if not b23.subspace(p).contains(line)]
-    assert containing and avoiding
-    assert not opposite_simplices(b23, (lines[0],), (containing[0],))
-    assert not opposite_simplices(b23, (lines[0],), (avoiding[0],))
-
-
-def test_opposite_simplices_on_chambers_agrees(b23):
-    for c, d in product(b23.chambers, repeat=2):
-        assert opposite_simplices(b23, c, d) == is_opposite(b23, c, d)
-
-
 def graph_betti(k) -> tuple[int, int]:
     """(components, independent cycles) of a 1-complex by BFS, no linear algebra."""
     assert k.dimension <= 1
@@ -388,79 +365,23 @@ def test_apartment_rejects_foreign_frame(b23):
         Apartment(b23, coordinate_frame(3, 3))
 
 
-def test_gallery_distance_between_opposite_chambers(b23):
-    c = b23.chamber_index[b23.chamber_ids(standard_flag(2, 3))]
-    d = b23.chamber_index[b23.chamber_ids(reversed_flag(2, 3))]
-    dist = b23.gallery_distances(c)
-    assert dist[d] == 3  # length of the longest element of S_3
-    assert max(dist) == 3
-
-
-# -- convex hulls ----------------------------------------------------
-
-
-def test_convex_hull_of_chamber_with_itself(b23):
-    frame = coordinate_frame(2, 3)
-    c = b23.chamber_ids(standard_flag(2, 3))
-    hull = convex_hull(b23, frame, c, c)
-    expected = {s for r in range(1, 3) for s in combinations(c, r)}
-    assert hull == frozenset(expected)
-
-
-def test_convex_hull_of_opposite_chambers_is_the_apartment(b23):
-    frame = coordinate_frame(2, 3)
-    c = b23.chamber_ids(standard_flag(2, 3))
-    d = b23.chamber_ids(reversed_flag(2, 3))
-    assert convex_hull(b23, frame, c, d) == Apartment(b23, frame).simplices()
-
-
-def test_convex_hull_of_antipodal_vertices(b23):
-    # derived by listing all six half-apartment conditions by hand: the only
-    # roots containing both <e0> and <e1,e2> cut everything else away
-    frame = coordinate_frame(2, 3)
-    apt = Apartment(b23, frame)
-    v = apt.vertex_of_subset[frozenset({0})]
-    w = apt.vertex_of_subset[frozenset({1, 2})]
-    assert convex_hull(b23, frame, (v,), (w,)) == frozenset({(v,), (w,)})
-
-
-def test_convex_hull_of_incident_vertices_is_their_edge(b23):
-    frame = coordinate_frame(2, 3)
-    apt = Apartment(b23, frame)
-    v = apt.vertex_of_subset[frozenset({0})]
-    w = apt.vertex_of_subset[frozenset({0, 1})]
-    edge = tuple(sorted((v, w)))
-    assert convex_hull(b23, frame, (v,), (w,)) == frozenset({(v,), (w,), edge})
-
-
-def test_convex_hull_rejects_outside_vertices(b23):
-    frame = coordinate_frame(2, 3)
-    apt_vertices = Apartment(b23, frame).vertex_ids()
-    outside = next(v for v in range(14) if v not in apt_vertices)
-    with pytest.raises(ValueError):
-        convex_hull(b23, frame, (outside,), (outside,))
-
-
 # -- bending ---------------------------------------------------------
 
 
 def test_bending_extreme_level_sets(b23):
     dp = b23.chamber_ids(standard_flag(2, 3))
     sigma = b23.chamber_ids(reversed_flag(2, 3))
-    assert bending_chamber_sets(b23, dp, sigma, ()) == frozenset({dp})
-    assert bending_chamber_sets(b23, dp, sigma, (1, 2)) == frozenset({sigma})
+    table = _bending_table(b23, dp, sigma)
+    assert table[frozenset()] == frozenset({dp})
+    assert table[frozenset({1, 2})] == frozenset({sigma})
 
 
 def test_bending_partitions_the_apartment(b23):
     dp = b23.chamber_ids(standard_flag(2, 3))
     sigma = b23.chamber_ids(reversed_flag(2, 3))
-    seen: list = []
-    sizes = {}
-    for r in range(3):
-        for levels in combinations((1, 2), r):
-            cells = bending_chamber_sets(b23, dp, sigma, levels)
-            sizes[frozenset(levels)] = len(cells)
-            seen.extend(cells)
+    table = _bending_table(b23, dp, sigma)
+    seen = [c for cells in table.values() for c in cells]
+    sizes = {levels: len(cells) for levels, cells in table.items()}
     assert len(seen) == len(set(seen)) == 6
     assert set(seen) == set(Apartment(b23, unique_apartment(b23, dp, sigma)).chambers())
     assert sizes == {
@@ -471,53 +392,9 @@ def test_bending_partitions_the_apartment(b23):
     }
 
 
-def test_bending_rejects_bad_levels(b23):
-    dp = b23.chamber_ids(standard_flag(2, 3))
-    sigma = b23.chamber_ids(reversed_flag(2, 3))
-    with pytest.raises(ValueError):
-        bending_chamber_sets(b23, dp, sigma, (0,))
-    with pytest.raises(ValueError):
-        bending_chamber_sets(b23, dp, sigma, (3,))
-
-
 def test_doubled_opposition_complex_embeds(b23, b33):
     report = verify_dbl_embedding(b23, b23.chambers[0])
     assert report.ok and report.witness is None
     assert report.pairs_checked > 0
     report33 = verify_dbl_embedding(b33, b33.chamber_ids(standard_flag(3, 3)))
     assert report33.ok
-
-
-# -- searching for a chamber opposite a whole apartment ---------------
-
-
-def test_no_chamber_opposite_coordinate_apartment_at_q2(b23):
-    frame = coordinate_frame(2, 3)
-    assert find_opposite_to_apartment(b23, frame) is None
-    # exhaustive confirmation: every chamber fails against some apartment chamber
-    apt_chambers = set(Apartment(b23, frame).chambers())
-    for c in b23.chambers:
-        assert not all(is_opposite(b23, c, t) for t in apt_chambers)
-
-
-def test_opposite_to_apartment_found_at_q3(b33):
-    frame = coordinate_frame(3, 3)
-    found = find_opposite_to_apartment(b33, frame)
-    assert found is not None
-    ids = b33.chamber_ids(found)
-    apt = Apartment(b33, frame)
-    for t in set(apt.chambers()):
-        assert is_opposite(b33, ids, t)
-    assert ids not in set(apt.chambers())
-    # deterministic: the greedy walk repeats itself exactly
-    assert find_opposite_to_apartment(b33, frame) == found
-
-
-def test_opposite_to_apartment_found_at_q5():
-    b = build(5, 3)
-    frame = coordinate_frame(5, 3)
-    found = find_opposite_to_apartment(b, frame)
-    assert found is not None
-    ids = b.chamber_ids(found)
-    for t in set(Apartment(b, frame).chambers()):
-        assert is_opposite(b, ids, t)

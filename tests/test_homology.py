@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, strategies as st
@@ -25,7 +26,7 @@ from obstructor.complexes import (
     path_complex,
     points_complex,
 )
-from obstructor.homology import betti, betti_numbers, chain_complex, cycle_basis
+from obstructor.homology import betti, betti_numbers, boundary_maps, cycle_basis
 
 
 def sphere_via_boundary(n: int) -> SimplicialComplex:
@@ -114,17 +115,19 @@ def test_empty_complex():
     assert betti_numbers(SimplicialComplex([])) == (0,)
 
 
-# -- chain complex internals -----------------------------------------
+# -- boundary maps ---------------------------------------------------
 
 
 def test_boundary_shapes_and_composition():
-    cc = chain_complex(octahedralize(full_simplex(3)))
-    assert [len(c) for c in cc.cells] == [6, 12, 8]
-    assert (cc.boundary[1].rows, cc.boundary[1].cols) == (6, 12)
-    assert (cc.boundary[2].rows, cc.boundary[2].cols) == (12, 8)
-    assert (cc.boundary[1] @ cc.boundary[2]).is_zero()
-    assert cc.boundary_or_zero(3).cols == 0
-    assert cc.boundary_or_zero(9).rows == 0
+    k = octahedralize(full_simplex(3))
+    cells = {d: k.faces(d) for d in range(4)}
+    assert [len(c) for c in cells.values()] == [6, 12, 8, 0]
+    boundary = boundary_maps(cells, lambda s: combinations(s, len(s) - 1))
+    assert sorted(boundary) == [1, 2, 3]  # no layer -1, so no map in dimension 0
+    assert (boundary[1].rows, boundary[1].cols) == (6, 12)
+    assert (boundary[2].rows, boundary[2].cols) == (12, 8)
+    assert (boundary[3].rows, boundary[3].cols) == (8, 0)
+    assert (boundary[1] @ boundary[2]).is_zero()
 
 
 def test_five_cycle_cycle_space():
@@ -134,9 +137,13 @@ def test_five_cycle_cycle_space():
 
 
 def test_cells_are_lexicographic():
-    cc = chain_complex(SimplicialComplex([(0, 1, 2), (1, 2, 3)]))
-    assert cc.cells[2] == ((0, 1, 2), (1, 2, 3))
-    assert cc.cells[1][0] == (0, 1)
+    k = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
+    assert k.faces(2) == ((0, 1, 2), (1, 2, 3))
+    assert k.faces(1)[0] == (0, 1)
+    # cycle vectors are indexed by faces(d): a square with a pendant edge
+    square = SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+    (cycle,) = cycle_basis(square, 1)
+    assert [square.faces(1)[i] for i in cycle.support()] == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
 
 # -- structural properties -------------------------------------------
@@ -157,10 +164,20 @@ def test_cone_kills_all_homology(k):
 
 @given(small_complexes())
 def test_cycle_bases_are_cycles(k):
-    cc = chain_complex(k)
-    for d in range(cc.top_dimension + 1):
-        for v in cc.cycle_basis(d):
-            assert cc.boundary_or_zero(d).apply(v).is_zero()
+    """Each basis vector's d-faces cover every (d-1)-face an even number
+    of times, counted directly from the vertex tuples."""
+    assert len(cycle_basis(k, 0)) == len(k.faces(0))
+    for d in range(1, k.dimension + 1):
+        for v in cycle_basis(k, d):
+            covered = Counter(f for i in v.support() for f in combinations(k.faces(d)[i], d))
+            assert all(c % 2 == 0 for c in covered.values())
+
+
+@given(small_complexes())
+def test_betti_reads_its_own_window(k):
+    full = betti_numbers(k)
+    for d in range(-1, k.dimension + 2):
+        assert betti(k, d) == (full[d] if 0 <= d < len(full) else 0)
 
 
 def test_boundary_check_survives_optimize(tmp_path):

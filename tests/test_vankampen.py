@@ -13,6 +13,9 @@ of the seeded parameters cannot pass unnoticed.
 
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from itertools import combinations
@@ -31,6 +34,7 @@ from obstructor.complexes import (
     points_complex,
 )
 from obstructor.errors import ResourceLimitError
+from obstructor.homology import cycle_basis
 from test_gf2 import rref_kernel_basis, rref_solve
 from obstructor.vankampen import (
     AdosReport,
@@ -450,6 +454,37 @@ def test_is_trivial_resource_cap():
         is_trivial(k33(), 2, max_cells=53)
 
 
+def test_configuration_boundary_check_survives_optimize(tmp_path):
+    """The configuration space's d o d check is the one homology uses, and
+    it holds with asserts stripped: each 3-cell here loses its first facet,
+    so d_2 d_3 != 0 in the window of the 4-simplex in R^2, and the CLI
+    reports it with exit code 4."""
+    f = tmp_path / "simplex.json"
+    f.write_text(json.dumps({"facets": [[0, 1, 2, 3, 4]]}))
+    script = "\n".join([
+        "import sys",
+        "assert False, 'asserts are not stripped'",
+        "from obstructor import vankampen",
+        "from obstructor.cli import main",
+        "from obstructor.complexes import full_simplex",
+        "from obstructor.errors import CertificateError",
+        "real = vankampen._cell_facets",
+        "vankampen._cell_facets = lambda c: list(real(c))[c.cell_dim == 3:]",
+        "try:",
+        "    vankampen.is_trivial(full_simplex(5), 2)",
+        "except CertificateError as exc:",
+        "    print('caught:', exc)",
+        "    sys.exit(main(['vk', sys.argv[1], '2']))",
+        "sys.exit('no CertificateError')",
+    ])
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(f)], capture_output=True, text=True, timeout=300
+    )
+    assert "caught: boundary of boundary is nonzero in dimension 3" in res.stdout, res.stderr
+    assert res.returncode == 4
+    assert res.stderr == "error: boundary of boundary is nonzero in dimension 3\n"
+
+
 # -- doubled-complex criterion ---------------------------------------
 
 
@@ -529,16 +564,13 @@ def test_cycle_membership_of_the_doubled_edge_is_not_sharp_either():
     the pendant.  The doubled vertex clone completes a K33, so the
     obstruction is nontrivial although the doubled edge lies on no cycle.
     The sharp law for graphs is planarity of the double itself."""
-    from obstructor.homology import chain_complex
-
     graph = SimplicialComplex(
         [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (0, 5)]
     )
     report = verify_ados(graph, (0, 5), 1)
     assert report.lhs and report.rhs and report.agree
-    cc = chain_complex(graph)
-    spot = cc.cells[1].index((0, 5))
-    assert all(v[spot] == 0 for v in cc.cycle_basis(1))
+    spot = graph.faces(1).index((0, 5))
+    assert all(v[spot] == 0 for v in cycle_basis(graph, 1))
 
 
 def test_doubled_graph_obstructs_exactly_when_nonplanar():
