@@ -365,6 +365,35 @@ def test_apartment_rejects_foreign_frame(b23):
         Apartment(b23, coordinate_frame(3, 3))
 
 
+def gallery_distances(b: Building, start: int) -> list[int]:
+    """Gallery distance from chamber ``start`` by BFS over shared panels."""
+    by_panel: dict = {}
+    for i, c in enumerate(b.chambers):
+        for p in b.panels_of(c):
+            by_panel.setdefault(p, []).append(i)
+    dist = [-1] * len(b.chambers)
+    dist[start] = 0
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for p in b.panels_of(b.chambers[i]):
+                for j in by_panel[p]:
+                    if dist[j] < 0:
+                        dist[j] = dist[i] + 1
+                        nxt.append(j)
+        frontier = nxt
+    return dist
+
+
+def test_gallery_distance_between_opposite_chambers(b23):
+    c = b23.chamber_index[b23.chamber_ids(standard_flag(2, 3))]
+    d = b23.chamber_index[b23.chamber_ids(reversed_flag(2, 3))]
+    dist = gallery_distances(b23, c)
+    assert dist[d] == 3  # length of the longest element of S_3
+    assert max(dist) == 3
+
+
 # -- bending ---------------------------------------------------------
 
 
@@ -398,3 +427,44 @@ def test_doubled_opposition_complex_embeds(b23, b33):
     assert report.pairs_checked > 0
     report33 = verify_dbl_embedding(b33, b33.chamber_ids(standard_flag(3, 3)))
     assert report33.ok
+
+
+# -- chambers opposite a whole apartment -----------------------------
+
+
+def chambers_opposite_apartment(b: Building, frame: Frame) -> set:
+    """Every chamber opposite all chambers of the apartment, exhaustively."""
+    found = set(b.chambers)
+    for t in set(Apartment(b, frame).chambers()):
+        found &= set(opposite_chambers(b, t))
+    return found
+
+
+def test_no_chamber_opposite_coordinate_apartment_at_q2(b23):
+    frame = coordinate_frame(2, 3)
+    assert chambers_opposite_apartment(b23, frame) == set()
+    # exhaustive confirmation: every chamber fails against some apartment chamber
+    apt_chambers = set(Apartment(b23, frame).chambers())
+    for c in b23.chambers:
+        assert not all(is_opposite(b23, c, t) for t in apt_chambers)
+
+
+def test_opposite_to_apartment_found_at_q3(b33):
+    frame = coordinate_frame(3, 3)
+    found = chambers_opposite_apartment(b33, frame)
+    assert found
+    apt = Apartment(b33, frame)
+    for ids in found:
+        for t in set(apt.chambers()):
+            assert is_opposite(b33, ids, t)
+        assert ids not in set(apt.chambers())
+
+
+def test_opposite_to_apartment_found_at_q5():
+    b = build(5, 3)
+    frame = coordinate_frame(5, 3)
+    found = chambers_opposite_apartment(b, frame)
+    assert found
+    for ids in found:
+        for t in set(Apartment(b, frame).chambers()):
+            assert is_opposite(b, ids, t)
