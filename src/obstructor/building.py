@@ -2,12 +2,14 @@
 
 Vertices are the proper nonzero subspaces of F_q^n (q prime), kept in
 reduced row echelon form so equality is structural; simplices are chains
-under inclusion and chambers are complete flags.  On top of the complex
-this module provides what the paper's constructions use: opposite
-chambers (pairwise-transversal flags), the opposition complex Opp(C), the
-unique apartment through two opposite chambers and its coordinates by
-the symmetric group, and the check that bending the doubled opposition
-complex into apartments never makes two disjoint cells collide.
+under inclusion and chambers are complete flags.  A chamber is named by
+its sorted tuple of vertex ids, and ``b.vertices[v]`` is the subspace of
+vertex ``v``.  On top of the complex this module provides what the
+paper's constructions use: opposite chambers (pairwise-transversal
+flags), the opposition complex Opp(C), the unique apartment through two
+opposite chambers and its coordinates by the symmetric group, and the
+check that bending the doubled opposition complex into apartments never
+makes two disjoint cells collide.
 
 Everything is exact integer arithmetic mod q; no floating point anywhere.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .coxeter import symmetric
@@ -24,7 +26,6 @@ from .errors import CertificateError, ResourceLimitError
 
 __all__ = [
     "Subspace",
-    "FlagChamber",
     "Frame",
     "Building",
     "EmbeddingReport",
@@ -123,10 +124,6 @@ class Subspace:
     def span(cls, q: int, n: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
         rref, _ = fq_rref(vectors, q, n)
         return cls(q, n, rref)
-
-    @classmethod
-    def zero(cls, q: int, n: int) -> "Subspace":
-        return cls(q, n, ())
 
     @classmethod
     def full(cls, q: int, n: int) -> "Subspace":
@@ -234,34 +231,6 @@ def enumerate_subspaces(q: int, n: int, k: int) -> list[Subspace]:
 
 
 @dataclass(frozen=True)
-class FlagChamber:
-    """A complete flag V_1 < V_2 < ... < V_{n-1} of proper subspaces."""
-
-    subspaces: tuple[Subspace, ...]
-
-    def __post_init__(self) -> None:
-        if not self.subspaces:
-            raise ValueError("empty flag")
-        n = self.subspaces[0].n
-        for i, s in enumerate(self.subspaces, start=1):
-            if s.dim != i:
-                raise ValueError(f"flag level {i} has dimension {s.dim}")
-        if len(self.subspaces) != n - 1:
-            raise ValueError(f"flag has {len(self.subspaces)} levels, expected {n - 1}")
-        for a, b in zip(self.subspaces, self.subspaces[1:]):
-            if not b.contains(a):
-                raise ValueError("flag levels are not nested")
-
-    @property
-    def q(self) -> int:
-        return self.subspaces[0].q
-
-    @property
-    def n(self) -> int:
-        return self.subspaces[0].n
-
-
-@dataclass(frozen=True)
 class Frame:
     """n lines in direct sum; ordered, so it also fixes apartment coordinates."""
 
@@ -290,9 +259,6 @@ class Frame:
         return self.lines[0].n
 
 
-ChamberLike = Union[FlagChamber, Sequence[int]]
-
-
 class Building:
     """The flag complex of proper nonzero subspaces of F_q^n."""
 
@@ -309,32 +275,12 @@ class Building:
         if self.complex.facets != self.chambers:
             raise CertificateError("chambers are not the facets of the building")
 
-    def subspace(self, vertex: int) -> Subspace:
-        return self.vertices[vertex]
-
-    def chamber_ids(self, chamber: ChamberLike) -> Simplex:
-        """Coerce a FlagChamber or raw vertex tuple to a chamber of this building."""
-        if isinstance(chamber, FlagChamber):
-            ids = tuple(sorted(self.vertex_ids[s] for s in chamber.subspaces))
-        else:
-            ids = tuple(sorted(int(v) for v in chamber))
+    def chamber_ids(self, chamber: Iterable[int]) -> Simplex:
+        """The sorted vertex ids of a chamber of this building, in any order."""
+        ids = tuple(sorted(int(v) for v in chamber))
         if ids not in self.chamber_index:
             raise ValueError(f"{ids} is not a chamber of this building")
         return ids
-
-    def flag(self, chamber: ChamberLike) -> FlagChamber:
-        ids = self.chamber_ids(chamber)
-        return FlagChamber(tuple(sorted((self.vertices[v] for v in ids), key=lambda s: s.dim)))
-
-    def simplex_ids(self, simplex: Iterable[int]) -> Simplex:
-        ids = tuple(sorted(int(v) for v in simplex))
-        if not self.complex.has_face(ids):
-            raise ValueError(f"{ids} is not a simplex of this building")
-        return ids
-
-    def panels_of(self, chamber: Simplex) -> Iterator[Simplex]:
-        for i in range(len(chamber)):
-            yield chamber[:i] + chamber[i + 1 :]
 
     def __repr__(self) -> str:
         return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={len(self.chambers)})"
@@ -380,21 +326,19 @@ def _transversal(a: Subspace, b: Subspace) -> bool:
     return a.intersection_dim(b) == max(0, a.dim + b.dim - a.n)
 
 
-def is_opposite(b: Building, c: ChamberLike, d: ChamberLike) -> bool:
+def is_opposite(b: Building, c: Iterable[int], d: Iterable[int]) -> bool:
     """Chambers whose flags are pairwise in general position."""
     ci = b.chamber_ids(c)
     di = b.chamber_ids(d)
-    return all(
-        _transversal(b.subspace(u), b.subspace(v)) for u in ci for v in di
-    )
+    return all(_transversal(b.vertices[u], b.vertices[v]) for u in ci for v in di)
 
 
-def opposite_chambers(b: Building, c: ChamberLike) -> tuple[Simplex, ...]:
+def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
     ci = b.chamber_ids(c)
     return tuple(d for d in b.chambers if is_opposite(b, ci, d))
 
 
-def opp_complex(b: Building, c: ChamberLike) -> SimplicialComplex:
+def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
     """The opposition complex Opp(C), relabeled to its own vertex ids.
 
     A vertex V of dimension k survives iff it is transversal to the
@@ -403,11 +347,11 @@ def opp_complex(b: Building, c: ChamberLike) -> SimplicialComplex:
     opposite to C (so it is a full -- hence flag -- subcomplex).
     """
     ci = b.chamber_ids(c)
-    level = {b.vertex_dims[v]: b.subspace(v) for v in ci}
+    level = {b.vertex_dims[v]: b.vertices[v] for v in ci}
     keep = []
     for v in range(len(b.vertices)):
         k = b.vertex_dims[v]
-        if b.subspace(v).intersection_dim(level[b.n - k]) == 0:
+        if b.vertices[v].intersection_dim(level[b.n - k]) == 0:
             keep.append(v)
     sub = b.complex.full_subcomplex(keep)
     lifted = {tuple(keep[i] for i in f) for f in sub.facets}
@@ -419,7 +363,7 @@ def opp_complex(b: Building, c: ChamberLike) -> SimplicialComplex:
 # -- apartments ------------------------------------------------------
 
 
-def unique_apartment(b: Building, c: ChamberLike, d: ChamberLike) -> Frame:
+def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> Frame:
     """The frame spanning the unique apartment through opposite chambers.
 
     Line i (0-based) is V_{i+1} of C intersected with W_{n-i-1} of D (with
@@ -431,8 +375,8 @@ def unique_apartment(b: Building, c: ChamberLike, d: ChamberLike) -> Frame:
     if not is_opposite(b, ci, di):
         raise ValueError("chambers are not opposite; no unique apartment")
     full = Subspace.full(b.q, b.n)
-    cs = [None] + [b.subspace(v) for v in ci] + [full]  # cs[i] has dim i
-    ds = [None] + [b.subspace(v) for v in di] + [full]
+    cs = [None] + [b.vertices[v] for v in ci] + [full]  # cs[i] has dim i
+    ds = [None] + [b.vertices[v] for v in di] + [full]
     lines = []
     for i in range(1, b.n + 1):
         lines.append(cs[i].intersection(ds[b.n + 1 - i]))  # type: ignore[union-attr]
@@ -522,7 +466,11 @@ class EmbeddingReport:
     pairs_checked: int
 
 
-def verify_dbl_embedding(b: Building, delta_plus: ChamberLike) -> EmbeddingReport:
+#: A top cell of the doubled complex: (minus part, plus part, bent chambers).
+_BentCell = tuple[frozenset[int], frozenset[int], frozenset[Simplex]]
+
+
+def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingReport:
     """Check that bending the doubled opposition complex never collides.
 
     For every choice of doubling chamber Delta among the chambers opposite
@@ -535,33 +483,33 @@ def verify_dbl_embedding(b: Building, delta_plus: ChamberLike) -> EmbeddingRepor
     dp = b.chamber_ids(delta_plus)
     opp = opposite_chambers(b, dp)
     tables = {sigma: _bending_table(b, dp, sigma) for sigma in opp}
-    levels_of = lambda vs: frozenset(b.vertex_dims[v] for v in vs)  # noqa: E731
     checked = 0
     for delta in opp:
         dset = set(delta)
         # Top cells of O(sigma) that survive the doubling over delta: any
         # subset of sigma's delta-vertices may switch to its doubled copy.
-        cells_by_chamber: dict[Simplex, list[tuple[frozenset[int], frozenset[int]]]] = {}
+        # Each cell carries the chambers it bends onto, read off the level
+        # set of its minus part.
+        cells_by_chamber: dict[Simplex, list[_BentCell]] = {}
         for sigma in opp:
             shared = sorted(set(sigma) & dset)
             cells = []
             for r in range(len(shared) + 1):
                 for plus in combinations(shared, r):
                     minus = frozenset(set(sigma) - set(plus))
-                    cells.append((minus, frozenset(plus)))
+                    bent = tables[sigma][frozenset(b.vertex_dims[v] for v in minus)]
+                    cells.append((minus, frozenset(plus), bent))
             cells_by_chamber[sigma] = cells
         for i, sigma in enumerate(opp):
             for tau in opp[i:]:
                 cells_a = cells_by_chamber[sigma]
                 cells_b = cells_by_chamber[tau]
-                for ia, (minus_a, plus_a) in enumerate(cells_a):
+                for ia, (minus_a, plus_a, set_a) in enumerate(cells_a):
                     start = ia + 1 if sigma == tau else 0
-                    for minus_b, plus_b in cells_b[start:]:
+                    for minus_b, plus_b, set_b in cells_b[start:]:
                         if (minus_a & minus_b) or (plus_a & plus_b):
                             continue  # cells share a vertex of the doubled complex
                         checked += 1
-                        set_a = tables[sigma][levels_of(minus_a)]
-                        set_b = tables[tau][levels_of(minus_b)]
                         common = set_a & set_b
                         if common:
                             witness = EmbeddingWitness(
@@ -587,24 +535,22 @@ def _unit(q: int, n: int, i: int) -> Subspace:
     return Subspace.span(q, n, [[1 if j == i else 0 for j in range(n)]])
 
 
-def standard_flag(q: int, n: int) -> FlagChamber:
-    """Coordinate flag spanned by growing prefixes of the standard basis."""
-    subs = [
-        Subspace.span(q, n, [[1 if j == i else 0 for j in range(n)] for i in range(k)])
-        for k in range(1, n)
-    ]
-    return FlagChamber(tuple(subs))
+def _basis_flag(b: Building, order: Sequence[int]) -> Simplex:
+    """The chamber whose level-k subspace is spanned by the first k unit
+    vectors taken in ``order``."""
+    units = [[1 if j == i else 0 for j in range(b.n)] for i in order]
+    return b.chamber_ids(b.vertex_ids[Subspace.span(b.q, b.n, units[:k])] for k in range(1, b.n))
 
 
-def reversed_flag(q: int, n: int) -> FlagChamber:
-    """Coordinate flag built from the standard basis taken backwards."""
-    subs = [
-        Subspace.span(
-            q, n, [[1 if j == n - 1 - i else 0 for j in range(n)] for i in range(k)]
-        )
-        for k in range(1, n)
-    ]
-    return FlagChamber(tuple(subs))
+def standard_flag(b: Building) -> Simplex:
+    """The coordinate chamber spanned by growing prefixes of the standard basis."""
+    return _basis_flag(b, range(b.n))
+
+
+def reversed_flag(b: Building) -> Simplex:
+    """The coordinate chamber built from the standard basis taken backwards;
+    it is opposite ``standard_flag(b)``."""
+    return _basis_flag(b, range(b.n - 1, -1, -1))
 
 
 def coordinate_frame(q: int, n: int) -> Frame:

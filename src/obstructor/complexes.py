@@ -23,10 +23,6 @@ from .errors import DEFAULT_MAX_VERTICES, ResourceLimitError
 __all__ = [
     "Simplex",
     "SimplicialComplex",
-    "minus_vertex",
-    "plus_vertex",
-    "base_vertex",
-    "is_plus",
     "signed_label",
     "octahedralize",
     "double_over",
@@ -210,22 +206,6 @@ def _maximal_cliques(adj: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
 
 
 # -- signed vertex encoding ------------------------------------------
-
-
-def minus_vertex(v: int) -> int:
-    return 2 * v
-
-
-def plus_vertex(v: int) -> int:
-    return 2 * v + 1
-
-
-def base_vertex(sv: int) -> int:
-    return sv // 2
-
-
-def is_plus(sv: int) -> bool:
-    return bool(sv & 1)
 
 
 def signed_label(base: str, sv: int) -> str:

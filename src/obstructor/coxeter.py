@@ -13,13 +13,16 @@ The associated chamber complexes: the symmetric system yields the
 barycentric subdivision of the boundary of a simplex (vertices are proper
 nonempty subsets of ``{0..n-1}``, a chamber is the chain of prefix sets of a
 permutation); the right-angled system yields the octahedron obtained by
-doubling every vertex of a solid simplex.
+doubling every vertex of a solid simplex.  A chamber complex carries only
+the map from group elements to chambers.  Walls enter through
+``reflection_separates``, and ``opposite_in_apartment`` decides
+opposition both algebraically and by walls and cross-checks the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator, Union
 
 from .complexes import Simplex, SimplicialComplex, full_simplex, octahedralize
@@ -66,14 +69,6 @@ class CoxeterSystem:
     @property
     def generators(self) -> tuple[int, ...]:
         return tuple(range(self.num_generators))
-
-    def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
-        k = self.num_generators
-        braid = 3 if self.family == "symmetric" else 2
-        return tuple(
-            tuple(1 if i == j else (braid if abs(i - j) == 1 else 2) for j in range(k))
-            for i in range(k)
-        )
 
     # -- elements -----------------------------------------------------
 
@@ -230,18 +225,15 @@ def rightangled(r: int) -> CoxeterSystem:
 
 @dataclass(frozen=True)
 class CoxeterComplex:
-    """The chamber complex of a finite system, with its combinatorics exposed.
+    """The chamber complex of a finite system.
 
-    ``chamber_of`` maps each group element to the facet it labels;
-    ``wall_panels`` maps each reflection to the codimension-one faces lying
-    on its fixed wall (empty for rank < 2 where walls miss the skeleton).
+    ``chamber_of`` maps each group element to the facet it labels, a
+    bijection onto the facets of ``complex``.
     """
 
     system: CoxeterSystem
     complex: SimplicialComplex
     chamber_of: dict[Element, Simplex] = field(repr=False)
-    element_of: dict[Simplex, Element] = field(repr=False)
-    wall_panels: dict[Reflection, tuple[Simplex, ...]] = field(repr=False)
 
 
 def coxeter_complex(system: CoxeterSystem) -> CoxeterComplex:
@@ -276,29 +268,12 @@ def _symmetric_complex(system: CoxeterSystem) -> CoxeterComplex:
     cx = SimplicialComplex(chamber_of.values(), labels=labels, num_vertices=len(subsets))
     if len(cx.facets) != system.order():
         raise CertificateError("chambers are not in bijection with the group")
-
-    element_of = {c: w for w, c in chamber_of.items()}
-    walls: dict[Reflection, tuple[Simplex, ...]] = {}
-    panels = cx.faces(n - 3) if n >= 3 else ()
-    for t in system.reflections():
-        a, b = t  # type: ignore[misc]
-        fixed = []
-        for p in panels:
-            if all(_subset_respects_wall(subsets[v], a, b) for v in p):
-                fixed.append(p)
-        walls[t] = tuple(fixed)
-    return CoxeterComplex(system, cx, chamber_of, element_of, walls)
+    return CoxeterComplex(system, cx, chamber_of)
 
 
 def _subsets_of_size(n: int, size: int) -> Iterator[frozenset[int]]:
-    from itertools import combinations
-
     for c in combinations(range(n), size):
         yield frozenset(c)
-
-
-def _subset_respects_wall(t: frozenset[int], a: int, b: int) -> bool:
-    return (a in t) == (b in t)
 
 
 def _rightangled_complex(system: CoxeterSystem) -> CoxeterComplex:
@@ -309,9 +284,4 @@ def _rightangled_complex(system: CoxeterSystem) -> CoxeterComplex:
         chamber_of[w] = tuple(2 * i + ((w >> i) & 1) for i in range(r))  # type: ignore[operator]
     if set(chamber_of.values()) != set(cx.facets):
         raise CertificateError("chambers are not the facets of the octahedral sphere")
-    element_of = {c: w for w, c in chamber_of.items()}
-    walls: dict[Reflection, tuple[Simplex, ...]] = {}
-    panels = cx.faces(r - 2) if r >= 2 else ()
-    for s in range(r):
-        walls[s] = tuple(p for p in panels if all(v // 2 != s for v in p))
-    return CoxeterComplex(system, cx, chamber_of, element_of, walls)
+    return CoxeterComplex(system, cx, chamber_of)

@@ -4,26 +4,25 @@ A matrix row is a single Python int; bit ``j`` is the entry in column ``j``.
 Row reduction is then a handful of XORs on machine words, which is fast
 enough for every chain complex this package produces and stays exact.
 
-Rank, kernel, solve and row reduction all read one forward elimination per
+Rank, kernel and row reduction all read one forward elimination per
 matrix, with no back-substitution: each row is reduced at its lowest set
 bit until it vanishes or founds a pivot row.  The rows that found one are
 the basis rows, and each pivot row carries a tag, the basis rows it sums.
-A kernel vector or a particular solution is then one triangular back-solve.
+A kernel vector is then one triangular back-solve, and reducing a vector
+against the pivot rows splits it into a residue and a sum of basis rows.
 
 The output is canonical.  The pivot columns and the basis rows are those
 not in the span of the columns (rows) before them, whatever the order of
 elimination, and each answer is the one vector they pin down: the kernel
-vector that is 1 on one free column and 0 on the others, the solution that
-is 0 on every free column.  Its bits are those a reduced echelon form
-gives, which the obstruction certificates rely on.
+vector that is 1 on one free column and 0 on the others, the one sum of
+basis rows that equals a vector of the row space.  Its bits are those a
+reduced echelon form gives, which the obstruction certificates rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
-
-from .errors import CertificateError
 
 __all__ = ["GF2Vector", "GF2Matrix"]
 
@@ -239,16 +238,15 @@ class GF2Matrix:
             self._echelon = (pivot_rows, tuple(sorted(pivot_rows)), tuple(basis))
         return self._echelon
 
-    def _back_solve(self, x: int, rhs: int = 0) -> int:
-        """Set x's pivot coordinates, highest first, so that each pivot row
-        has row . x = tag . rhs (one ``rhs`` bit per basis row); a pivot row
-        has no bit below its pivot, so it fixes that coordinate alone."""
+    def _back_solve(self, x: int) -> int:
+        """Set x's pivot coordinates, highest first, so that every pivot row
+        has row . x = 0; a pivot row has no bit below its pivot, so it fixes
+        that coordinate alone."""
         pivot_rows, pivots, _ = self._eliminate()
-        z = x | rhs << self.cols
         for col in reversed(pivots):
-            if (pivot_rows[col] & z).bit_count() & 1:
-                z |= 1 << col
-        return z & ((1 << self.cols) - 1)
+            if (pivot_rows[col] & x).bit_count() & 1:
+                x |= 1 << col
+        return x
 
     def rank(self) -> int:
         return len(self._eliminate()[2])
@@ -265,23 +263,6 @@ class GF2Matrix:
         ascending, the same vectors a reduced echelon form gives."""
         pivot_rows = self._eliminate()[0]
         return [self.kernel_vector(f) for f in range(self.cols) if f not in pivot_rows]
-
-    def solve(self, b: GF2Vector) -> Optional[GF2Vector]:
-        """The solution of Mx = b that is 0 on every free column, or None.
-
-        The back-solve satisfies the basis rows' equations.  The other rows
-        are sums of basis rows, so substitution decides consistency, and a
-        basis row that does not substitute is a fault of the elimination.
-        """
-        if b.length != self.rows:
-            raise ValueError(f"rhs length {b.length} != rows {self.rows}")
-        basis = self._eliminate()[2]
-        rhs = sum(((b.bits >> i) & 1) << k for k, i in enumerate(basis))
-        x = GF2Vector(self.cols, self._back_solve(0, rhs))
-        miss = self.apply(x).bits ^ b.bits
-        if any((miss >> i) & 1 for i in basis):
-            raise CertificateError("solution does not substitute into the basis rows")
-        return None if miss else x
 
     def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
         """Split v = residue + y^T M by reducing v against the pivot rows in

@@ -23,7 +23,7 @@ from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
-from .errors import CertificateError, ResourceLimitError, default_max_cells
+from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
 from .gf2 import GF2Matrix, GF2Vector
 from .homology import betti, boundary_maps
 
@@ -83,16 +83,18 @@ def _disjoint_pairs(k: SimplicialComplex, cell_dim: int) -> Iterator[CellPair]:
         b = cell_dim - a
         if a > k.dimension or b > k.dimension:
             continue
+        # The masks prove disjointness, so only the order is left to fix,
+        # and faces of one dimension already come in lexicographic order.
         if a == b:
             for s, t in combinations(k.faces(a), 2):
                 if not mask[s] & mask[t]:
-                    yield CellPair.make(s, t)
+                    yield CellPair(s, t)
         else:
             for s in k.faces(a):
                 ms = mask[s]
                 for t in k.faces(b):
                     if not ms & mask[t]:
-                        yield CellPair.make(s, t)
+                        yield CellPair(s, t) if s < t else CellPair(t, s)
 
 
 def configuration_space(
@@ -100,12 +102,15 @@ def configuration_space(
 ) -> ConfigurationSpace:
     """The cells of dimension n-1, n and n+1 and the boundary maps between them.
 
-    ``max_cells`` caps the cells of these three layers together; the one
-    product of the window, boundary[n] @ boundary[n+1], is checked to vanish.
+    ``max_cells`` (default ``DEFAULT_MAX_CELLS``) caps the cells of these
+    three layers together and must be positive; the one product of the
+    window, boundary[n] @ boundary[n+1], is checked to vanish.
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
-    cap = default_max_cells() if max_cells is None else max_cells
+    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
+    if cap < 1:
+        raise ValueError(f"max_cells must be positive, got {cap}")
     cells: dict[int, tuple[CellPair, ...]] = {}
     total = 0
     for d in (n - 1, n, n + 1):

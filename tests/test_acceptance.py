@@ -267,7 +267,7 @@ def test_criterion_4_stretch_rank_three_building(capsys):
     b = build(2, 4)
     from obstructor.building import opp_complex
 
-    opp = opp_complex(b, b.chamber_ids(standard_flag(2, 4)))
+    opp = opp_complex(b, standard_flag(b))
     b2 = betti(opp, 2)
     rep = verify_ados(opp, opp.facets[0], 2)
     elapsed = time.perf_counter() - start
@@ -459,10 +459,10 @@ def test_criterion_9_counting_oracles(capsys):
         if len(opposite_chambers(b23, c)) != 2**3:
             ok = False
     b33 = build(3, 3)
-    if len(opposite_chambers(b33, b33.chamber_ids(standard_flag(3, 3)))) != 3**3:
+    if len(opposite_chambers(b33, standard_flag(b33))) != 3**3:
         ok = False
     b24 = build(2, 4)
-    if len(opposite_chambers(b24, b24.chamber_ids(standard_flag(2, 4)))) != 2**6:
+    if len(opposite_chambers(b24, standard_flag(b24))) != 2**6:
         ok = False
     if len(b23.chambers) != 21 or len(b24.chambers) != 315:
         ok = False

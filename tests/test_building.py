@@ -16,7 +16,6 @@ import pytest
 from obstructor.building import (
     Apartment,
     Building,
-    FlagChamber,
     Frame,
     Subspace,
     _bending_table,
@@ -94,7 +93,7 @@ def test_subspace_membership():
     assert not s.contains_vector([0, 0, 0, 1])
     assert s.contains(Subspace.span(2, 4, [[1, 1, 0, 0]]))
     assert Subspace.full(2, 4).contains(s)
-    assert s.contains(Subspace.zero(2, 4))
+    assert s.contains(Subspace(2, 4, ()))
 
 
 def test_intersection_is_largest_common_subspace():
@@ -187,40 +186,37 @@ def test_building_vertices_sorted_by_dimension(b24):
 
 def test_chambers_are_complete_flags(b23):
     for c in b23.chambers:
-        flag = b23.flag(c)
-        assert [s.dim for s in flag.subspaces] == [1, 2]
-        assert flag.subspaces[1].contains(flag.subspaces[0])
+        line, plane = (b23.vertices[v] for v in c)
+        assert (line.dim, plane.dim) == (1, 2)
+        assert plane.contains(line)
 
 
 def test_thickness_every_panel_in_q_plus_one_chambers(b23, b33, b24):
     for b in (b23, b33, b24):
         count: dict[tuple, int] = {}
         for c in b.chambers:
-            for p in b.panels_of(c):
+            for p in combinations(c, len(c) - 1):
                 count[p] = count.get(p, 0) + 1
         assert set(count.values()) == {b.q + 1}
 
 
 def test_chamber_coercion(b23):
-    flag = standard_flag(2, 3)
-    ids = b23.chamber_ids(flag)
-    assert b23.flag(ids) == flag
+    ids = standard_flag(b23)
+    assert [b23.vertices[v].rows for v in ids] == [((1, 0, 0),), ((1, 0, 0), (0, 1, 0))]
     assert b23.chamber_ids(ids) == ids
+    assert b23.chamber_ids(reversed(ids)) == ids  # id order does not matter
     with pytest.raises(ValueError):
         b23.chamber_ids((0, 1))  # two lines do not form a chamber
-    with pytest.raises(ValueError):
-        b23.simplex_ids((0, 1))
-    assert b23.simplex_ids((0,)) == (0,)
 
 
-def test_flag_and_frame_validation():
+def test_flag_and_frame_validation(b23):
     q, n = 2, 3
     line = Subspace.span(q, n, [[1, 0, 0]])
     plane = Subspace.span(q, n, [[0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
-        FlagChamber((line, plane))  # line not inside plane
+        b23.chamber_ids((b23.vertex_ids[line], b23.vertex_ids[plane]))  # line not inside plane
     with pytest.raises(ValueError):
-        FlagChamber((line,))  # too few levels for n=3
+        b23.chamber_ids((b23.vertex_ids[line],))  # too few levels for n=3
     with pytest.raises(ValueError):
         Frame((line, line, Subspace.span(q, n, [[0, 0, 1]])))  # repeated line
 
@@ -230,8 +226,8 @@ def test_flag_and_frame_validation():
 
 def test_standard_and_reversed_flags_are_opposite(b23, b24):
     for b in (b23, b24):
-        c = b.chamber_ids(standard_flag(b.q, b.n))
-        d = b.chamber_ids(reversed_flag(b.q, b.n))
+        c = standard_flag(b)
+        d = reversed_flag(b)
         assert is_opposite(b, c, d)
         assert is_opposite(b, d, c)
         assert not is_opposite(b, c, c)
@@ -241,9 +237,9 @@ def test_opposite_chamber_counts(b23, b33, b24):
     # q^(number of positive roots) chambers opposite any fixed chamber
     for c in b23.chambers:
         assert len(opposite_chambers(b23, c)) == 2**3
-    c33 = b33.chamber_ids(standard_flag(3, 3))
+    c33 = standard_flag(b33)
     assert len(opposite_chambers(b33, c33)) == 3**3
-    c24 = b24.chamber_ids(standard_flag(2, 4))
+    c24 = standard_flag(b24)
     assert len(opposite_chambers(b24, c24)) == 2**6
 
 
@@ -289,7 +285,7 @@ def test_opposition_complex_of_fano_building_is_an_octagon(b23):
 
 
 def test_opposition_complex_q3(b33):
-    opp = opp_complex(b33, b33.chamber_ids(standard_flag(3, 3)))
+    opp = opp_complex(b33, standard_flag(b33))
     assert opp.face_counts() == (18, 27)
     comps, cycles = graph_betti(opp)
     assert (comps, cycles) == (1, 10)
@@ -297,7 +293,7 @@ def test_opposition_complex_q3(b33):
 
 
 def test_opposition_complex_q2_n4(b24):
-    opp = opp_complex(b24, b24.chamber_ids(standard_flag(2, 4)))
+    opp = opp_complex(b24, standard_flag(b24))
     # vertices: 8 lines avoiding the 3-space, 2^(2*2) = 16 planes
     # complementary to the plane, 8 hyperplanes avoiding the line
     assert opp.face_counts() == (32, 96, 64)
@@ -318,11 +314,11 @@ def test_opp_complex_carries_labels(b23):
 
 def test_unique_apartment_of_coordinate_flags(b23, b24):
     for b in (b23, b24):
-        c = standard_flag(b.q, b.n)
-        d = reversed_flag(b.q, b.n)
+        c = standard_flag(b)
+        d = reversed_flag(b)
         assert unique_apartment(b, c, d) == coordinate_frame(b.q, b.n)
     with pytest.raises(ValueError):
-        unique_apartment(b23, standard_flag(2, 3), standard_flag(2, 3))
+        unique_apartment(b23, standard_flag(b23), standard_flag(b23))
 
 
 def test_apartment_shape(b24):
@@ -331,8 +327,8 @@ def test_apartment_shape(b24):
     chambers = apt.chambers()
     assert len(set(chambers)) == 24
     # identity gives the standard flag, reversal the reversed flag
-    assert apt.chamber_of_perm((0, 1, 2, 3)) == b24.chamber_ids(standard_flag(2, 4))
-    assert apt.chamber_of_perm((3, 2, 1, 0)) == b24.chamber_ids(reversed_flag(2, 4))
+    assert apt.chamber_of_perm((0, 1, 2, 3)) == standard_flag(b24)
+    assert apt.chamber_of_perm((3, 2, 1, 0)) == reversed_flag(b24)
 
 
 def test_apartment_is_a_coxeter_complex(b24):
@@ -369,7 +365,7 @@ def gallery_distances(b: Building, start: int) -> list[int]:
     """Gallery distance from chamber ``start`` by BFS over shared panels."""
     by_panel: dict = {}
     for i, c in enumerate(b.chambers):
-        for p in b.panels_of(c):
+        for p in combinations(c, len(c) - 1):
             by_panel.setdefault(p, []).append(i)
     dist = [-1] * len(b.chambers)
     dist[start] = 0
@@ -377,7 +373,7 @@ def gallery_distances(b: Building, start: int) -> list[int]:
     while frontier:
         nxt = []
         for i in frontier:
-            for p in b.panels_of(b.chambers[i]):
+            for p in combinations(b.chambers[i], len(b.chambers[i]) - 1):
                 for j in by_panel[p]:
                     if dist[j] < 0:
                         dist[j] = dist[i] + 1
@@ -387,8 +383,8 @@ def gallery_distances(b: Building, start: int) -> list[int]:
 
 
 def test_gallery_distance_between_opposite_chambers(b23):
-    c = b23.chamber_index[b23.chamber_ids(standard_flag(2, 3))]
-    d = b23.chamber_index[b23.chamber_ids(reversed_flag(2, 3))]
+    c = b23.chamber_index[standard_flag(b23)]
+    d = b23.chamber_index[reversed_flag(b23)]
     dist = gallery_distances(b23, c)
     assert dist[d] == 3  # length of the longest element of S_3
     assert max(dist) == 3
@@ -398,16 +394,16 @@ def test_gallery_distance_between_opposite_chambers(b23):
 
 
 def test_bending_extreme_level_sets(b23):
-    dp = b23.chamber_ids(standard_flag(2, 3))
-    sigma = b23.chamber_ids(reversed_flag(2, 3))
+    dp = standard_flag(b23)
+    sigma = reversed_flag(b23)
     table = _bending_table(b23, dp, sigma)
     assert table[frozenset()] == frozenset({dp})
     assert table[frozenset({1, 2})] == frozenset({sigma})
 
 
 def test_bending_partitions_the_apartment(b23):
-    dp = b23.chamber_ids(standard_flag(2, 3))
-    sigma = b23.chamber_ids(reversed_flag(2, 3))
+    dp = standard_flag(b23)
+    sigma = reversed_flag(b23)
     table = _bending_table(b23, dp, sigma)
     seen = [c for cells in table.values() for c in cells]
     sizes = {levels: len(cells) for levels, cells in table.items()}
@@ -425,8 +421,39 @@ def test_doubled_opposition_complex_embeds(b23, b33):
     report = verify_dbl_embedding(b23, b23.chambers[0])
     assert report.ok and report.witness is None
     assert report.pairs_checked > 0
-    report33 = verify_dbl_embedding(b33, b33.chamber_ids(standard_flag(3, 3)))
+    report33 = verify_dbl_embedding(b33, standard_flag(b33))
     assert report33.ok
+
+
+def test_collision_returns_a_decodable_witness(b23, monkeypatch):
+    """With a bending table under which two cells collide exactly when
+    their minus parts have equal level sets, the witness names two disjoint
+    cells of the doubled complex and the shared marker chamber."""
+
+    def marked(b, dp, sigma):
+        levels = range(1, b.n)
+        return {frozenset(s): frozenset({s}) for r in range(b.n) for s in combinations(levels, r)}
+
+    monkeypatch.setattr("obstructor.building._bending_table", marked)
+    dp = standard_flag(b23)
+    report = verify_dbl_embedding(b23, dp)
+    assert report.ok is False and report.pairs_checked >= 1
+    w = report.witness
+    assert {w.doubling_chamber, w.sigma, w.tau} <= set(opposite_chambers(b23, dp))
+
+    def split(signed, chamber):
+        minus = {v // 2 for v in signed if v % 2 == 0}
+        plus = {v // 2 for v in signed if v % 2 == 1}
+        assert minus | plus == set(chamber) and not minus & plus
+        assert plus <= set(w.doubling_chamber)
+        return minus
+
+    minus_a = split(w.alpha, w.sigma)
+    minus_b = split(w.beta, w.tau)
+    assert not set(w.alpha) & set(w.beta)  # disjoint cells of the doubled complex
+    level_a = tuple(sorted(b23.vertex_dims[v] for v in minus_a))
+    assert level_a == tuple(sorted(b23.vertex_dims[v] for v in minus_b))
+    assert w.overlap == (level_a,)
 
 
 # -- chambers opposite a whole apartment -----------------------------

@@ -203,6 +203,13 @@ def test_vk_resource_cap(k33_file):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_vk_refuses_a_nonpositive_cell_budget(k33_file, cap):
+    res = run("vk", k33_file, "2", "--max-cells", cap)
+    assert res.returncode == 2
+    assert res.stderr == f"error: max_cells must be positive, got {cap}\n"
+
+
 def large_facets(kind: str) -> list[list[int]]:
     """A 20,000-edge path, or 20,000 random triangles on 3,000 vertices."""
     if kind == "path":

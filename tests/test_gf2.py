@@ -4,8 +4,8 @@ The independent rank oracle enumerates the whole row space (2^rank
 elements) instead of eliminating, so it shares no code path with the
 implementation under test.  A second oracle is the reduced row echelon
 form, back-substitution included, which the package eliminated with until
-it went forward-only: rank, kernel basis and solve must equal what it
-reads off, bit for bit.
+it went forward-only: rank, kernel basis and row reduction must equal what
+it reads off, bit for bit.
 """
 
 from __future__ import annotations
@@ -120,15 +120,6 @@ def test_kernel_of_single_parity_row():
     assert [v.to_list() for v in basis] == [[1, 1]]
 
 
-def test_solve_unique_and_missing():
-    m = GF2Matrix.from_rows([[1, 0], [1, 1]])
-    x = m.solve(GF2Vector.from_list([1, 0]))
-    assert x is not None and m.apply(x).to_list() == [1, 0]
-    # inconsistent: rows sum to b impossible
-    m2 = GF2Matrix.from_rows([[1, 1], [1, 1]])
-    assert m2.solve(GF2Vector.from_list([1, 0])) is None
-
-
 def test_matmul_and_transpose_shapes():
     a = GF2Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
     b = GF2Matrix.from_rows([[1, 0], [1, 1], [0, 1]])
@@ -190,39 +181,10 @@ def test_rank_invariant_under_transpose(m):
     assert m.rank() == m.transpose().rank()
 
 
-@given(matrices(), st.integers(0, (1 << 6) - 1))
-def test_solve_round_trip(m, xbits):
-    x = GF2Vector(m.cols, xbits & ((1 << m.cols) - 1))
-    b = m.apply(x)
-    got = m.solve(b)
-    assert got is not None
-    assert m.apply(got).bits == b.bits
-
-
-@given(matrices(), st.integers(0, (1 << 6) - 1))
-def test_solve_none_means_inconsistent(m, bbits):
-    b = GF2Vector(m.rows, bbits & ((1 << m.rows) - 1))
-    got = m.solve(b)
-    if got is None:
-        augmented = GF2Matrix(
-            m.rows, m.cols + 1,
-            [r | (((b.bits >> i) & 1) << m.cols) for i, r in enumerate(m.row_bits)],
-        )
-        assert augmented.rank() == m.rank() + 1
-    else:
-        assert m.apply(got).bits == b.bits
-
-
 @given(matrices())
 def test_rank_and_kernel_match_the_rref_oracle(m):
     assert m.rank() == len(rref(m)[1])
     assert m.kernel_basis() == rref_kernel_basis(m)
-
-
-@given(matrices(), st.integers(0, (1 << 6) - 1))
-def test_solve_matches_the_rref_oracle(m, bbits):
-    b = GF2Vector(m.rows, bbits & ((1 << m.rows) - 1))
-    assert m.solve(b) == rref_solve(m, b)
 
 
 @given(matrices(max_dim=8), st.integers(0, (1 << 8) - 1))
@@ -258,22 +220,29 @@ def test_edge_shapes_match_the_rref_oracle(name):
     assert m.rank() == len(rref(m)[1])
     assert m.kernel_basis() == rref_kernel_basis(m)
     assert len(m.kernel_basis()) == m.cols - m.rank()
-    for bbits in range(1 << m.rows):
-        b = GF2Vector(m.rows, bbits)
-        assert m.solve(b) == rref_solve(m, b)
+    for vbits in range(1 << m.cols):
+        v = GF2Vector(m.cols, vbits)
+        residue, y = m.row_reduce(v)
+        assert residue ^ m.apply_transpose(y) == v
+        expected = rref_solve(m.transpose(), v)
+        assert residue.is_zero() == (expected is not None)
+        if expected is not None:
+            assert y == expected
 
 
 def test_edge_shape_answers():
     assert EDGE_SHAPES["no rows"].kernel_basis() == [GF2Vector(3, 1 << i) for i in range(3)]
-    assert EDGE_SHAPES["no rows"].solve(GF2Vector(0, 0)) == GF2Vector(3, 0)
-    assert EDGE_SHAPES["no columns"].solve(GF2Vector(3, 0)) == GF2Vector(0, 0)
-    assert EDGE_SHAPES["no columns"].solve(GF2Vector(3, 0b100)) is None
-    assert EDGE_SHAPES["rank 0"].solve(GF2Vector(2, 0b01)) is None
+    # no rows: only 0 lies in the row space, so every vector is its own residue
+    assert EDGE_SHAPES["no rows"].row_reduce(GF2Vector(3, 0b101)) == (GF2Vector(3, 0b101), GF2Vector(0, 0))
+    assert EDGE_SHAPES["no columns"].row_reduce(GF2Vector(0, 0)) == (GF2Vector(0, 0), GF2Vector(3, 0))
     assert EDGE_SHAPES["full rank"].kernel_basis() == []
-    assert EDGE_SHAPES["full rank"].solve(GF2Vector(4, 0b1011)) == GF2Vector(4, 0b1011)
-    # inconsistent: the two equal rows ask for different values
-    assert EDGE_SHAPES["repeated rows"].solve(GF2Vector(3, 0b001)) is None
-    assert EDGE_SHAPES["repeated rows"].solve(GF2Vector(3, 0b011)) == GF2Vector(3, 0b011)
+    assert EDGE_SHAPES["full rank"].row_reduce(GF2Vector(4, 0b1011)) == (GF2Vector(4, 0), GF2Vector(4, 0b1011))
+    # rows 0 and 1 are equal, so row 1 is no basis row and never named
+    repeated = EDGE_SHAPES["repeated rows"]
+    assert repeated.row_reduce(GF2Vector(3, 0b110)) == (GF2Vector(3, 0), GF2Vector(3, 0b001))
+    assert repeated.row_reduce(GF2Vector(3, 0b101)) == (GF2Vector(3, 0), GF2Vector(3, 0b101))
+    # 001 = 011 + 110 + 100: the residue sits on the free column 2
+    assert repeated.row_reduce(GF2Vector(3, 0b001)) == (GF2Vector(3, 0b100), GF2Vector(3, 0b101))
 
 
 def test_kernel_vector_refuses_pivot_columns():

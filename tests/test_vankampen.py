@@ -454,6 +454,17 @@ def test_is_trivial_resource_cap():
         is_trivial(k33(), 2, max_cells=53)
 
 
+@pytest.mark.parametrize("cap", [0, -1, -5])
+def test_cell_budget_must_be_positive(cap):
+    with pytest.raises(ValueError, match=f"max_cells must be positive, got {cap}"):
+        is_trivial(k33(), 2, max_cells=cap)
+    # refused before anything is enumerated: two million pairs are not built
+    started = time.perf_counter()
+    with pytest.raises(ValueError):
+        configuration_space(points_complex(2000), 1, max_cells=cap)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_configuration_boundary_check_survives_optimize(tmp_path):
     """The configuration space's d o d check is the one homology uses, and
     it holds with asserts stripped: each 3-cell here loses its first facet,
