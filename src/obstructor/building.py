@@ -11,12 +11,21 @@ opposite chambers and its coordinates by the symmetric group, and the
 check that bending the doubled opposition complex into apartments never
 makes two disjoint cells collide.
 
+Incidence runs on line masks.  Lines come first among the vertices, so
+line vertex ``l`` is vertex id ``l``, and ``b.masks[v]`` is the integer
+whose bit ``l`` is set iff line ``l`` lies in subspace ``v``.  A
+d-dimensional subspace holds ``(q^d - 1) / (q - 1)`` lines, so the
+dimension of an intersection is read off the popcount of an AND, and
+containment is ``mA & mB == mA``.  Row reduction over F_q is left for
+building the subspaces, spanning apartment vertices and checking frames.
+
 Everything is exact integer arithmetic mod q; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
@@ -87,22 +96,6 @@ def fq_rank(rows: Iterable[Sequence[int]], q: int, width: int) -> int:
     return len(fq_rref(rows, q, width)[0])
 
 
-def fq_kernel(rows: Sequence[Sequence[int]], q: int, width: int) -> list[Vector]:
-    """Basis of the right kernel {v : M v = 0}, one vector per free column."""
-    rref, pivots = fq_rref(rows, q, width)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        v = [0] * width
-        v[free] = 1
-        for r, p in zip(rref, pivots):
-            v[p] = (-r[free]) % q
-        basis.append(tuple(v))
-    return basis
-
-
 # -- subspaces -------------------------------------------------------
 
 
@@ -125,53 +118,9 @@ class Subspace:
         rref, _ = fq_rref(vectors, q, n)
         return cls(q, n, rref)
 
-    @classmethod
-    def full(cls, q: int, n: int) -> "Subspace":
-        return cls(q, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains_vector(self, v: Sequence[int]) -> bool:
-        residue = [x % self.q for x in v]
-        for row in self.rows:
-            p = next(j for j, x in enumerate(row) if x)
-            if residue[p]:
-                c = residue[p]
-                residue = [(a - c * b) % self.q for a, b in zip(residue, row)]
-        return not any(residue)
-
-    def contains(self, other: "Subspace") -> bool:
-        self._same_ambient(other)
-        return all(self.contains_vector(r) for r in other.rows)
-
-    def _same_ambient(self, other: "Subspace") -> None:
-        if (self.q, self.n) != (other.q, other.n):
-            raise ValueError(f"ambient mismatch: F_{self.q}^{self.n} vs F_{other.q}^{other.n}")
-
-    def sum_dim(self, other: "Subspace") -> int:
-        self._same_ambient(other)
-        return fq_rank(self.rows + other.rows, self.q, self.n)
-
-    def intersection_dim(self, other: "Subspace") -> int:
-        return self.dim + other.dim - self.sum_dim(other)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Computed via the left kernel of the stacked basis matrix."""
-        self._same_ambient(other)
-        stacked = self.rows + other.rows
-        transpose = [[r[i] for r in stacked] for i in range(self.n)]
-        vectors = []
-        for coeffs in fq_kernel(transpose, self.q, len(stacked)):
-            v = [0] * self.n
-            for c, row in zip(coeffs[: self.dim], self.rows):
-                v = [(a + c * x) % self.q for a, x in zip(v, row)]
-            vectors.append(v)
-        out = Subspace.span(self.q, self.n, vectors)
-        if out.dim != self.intersection_dim(other):
-            raise CertificateError("kernel method disagrees with rank count")
-        return out
 
     def label(self) -> str:
         body = ",".join("".join(str(x) for x in row) for row in self.rows)
@@ -260,14 +209,36 @@ class Frame:
 
 
 class Building:
-    """The flag complex of proper nonzero subspaces of F_q^n."""
+    """The flag complex of proper nonzero subspaces of F_q^n.
 
-    def __init__(self, q: int, n: int, vertices: Sequence[Subspace], chambers: Sequence[Simplex]) -> None:
+    Vertices are sorted by dimension, so the lines are vertex ids
+    ``0 .. lines_in[n] - 1``.  ``masks[v]`` sets bit ``l`` iff line ``l``
+    lies in vertex ``v``, and ``lines_in[d]`` counts the lines of a
+    d-dimensional subspace.
+    """
+
+    def __init__(
+        self,
+        q: int,
+        n: int,
+        vertices: Sequence[Subspace],
+        chambers: Sequence[Simplex],
+        masks: Sequence[int],
+    ) -> None:
         self.q = q
         self.n = n
         self.vertices = tuple(vertices)
         self.vertex_ids = {s: i for i, s in enumerate(self.vertices)}
+        self.vertex_of_rows = {s.rows: i for i, s in enumerate(self.vertices)}
         self.vertex_dims = tuple(s.dim for s in self.vertices)
+        self.lines_in = tuple((q**d - 1) // (q - 1) for d in range(n + 1))
+        self.masks = tuple(masks)
+        if len(self.masks) != len(self.vertices) or any(
+            m.bit_count() != self.lines_in[d] for m, d in zip(self.masks, self.vertex_dims)
+        ):
+            raise CertificateError("line masks disagree with the subspace dimensions")
+        if any(self.masks[line] != 1 << line for line in range(self.lines_in[n])):
+            raise CertificateError("line vertices are not the first vertex ids")
         self.chambers = tuple(chambers)
         self.chamber_index = {c: i for i, c in enumerate(self.chambers)}
         labels = tuple(s.label() for s in self.vertices)
@@ -282,8 +253,36 @@ class Building:
             raise ValueError(f"{ids} is not a chamber of this building")
         return ids
 
+    def transversal(self, u: int, v: int) -> bool:
+        """Vertices ``u`` and ``v`` are in general position: they meet in
+        the least dimension their own dimensions allow."""
+        least = max(0, self.vertex_dims[u] + self.vertex_dims[v] - self.n)
+        return (self.masks[u] & self.masks[v]).bit_count() == self.lines_in[least]
+
     def __repr__(self) -> str:
         return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={len(self.chambers)})"
+
+
+def _line_masks(q: int, n: int, vertices: Sequence[Subspace]) -> list[int]:
+    """Bit ``l`` of mask ``v`` is set iff line vertex ``l`` lies in subspace ``v``.
+
+    A line of an echelon subspace has exactly one normalised vector (first
+    nonzero entry 1): a row plus any combination of the rows below it.
+    Those vectors are line vertices' own rows, so each is looked up as is.
+    """
+    line_of = {s.rows[0]: i for i, s in enumerate(vertices) if s.dim == 1}
+    masks = []
+    for s in vertices:
+        mask = 0
+        below: list[Vector] = [(0,) * n]  # the span of the rows below ``row``
+        for i in range(s.dim - 1, -1, -1):
+            row = s.rows[i]
+            for v in below:
+                mask |= 1 << line_of[tuple((a + b) % q for a, b in zip(row, v))]
+            if i:
+                below = [tuple((c * a + b) % q for a, b in zip(row, v)) for c in range(q) for v in below]
+        masks.append(mask)
+    return masks
 
 
 def build(q: int, n: int) -> Building:
@@ -293,18 +292,20 @@ def build(q: int, n: int) -> Building:
         raise ValueError(f"need ambient dimension >= 2, got {n}")
     if q**n > MAX_FIELD_SIZE:
         raise ResourceLimitError(f"F_{q}^{n} has {q**n} vectors, beyond the desk-scale cap")
-    by_dim = {k: enumerate_subspaces(q, n, k) for k in range(1, n)}
     vertices: list[Subspace] = []
+    ids_of_dim: dict[int, range] = {}
     for k in range(1, n):
-        vertices.extend(by_dim[k])
-    vertex_ids = {s: i for i, s in enumerate(vertices)}
+        start = len(vertices)
+        vertices.extend(enumerate_subspaces(q, n, k))
+        ids_of_dim[k] = range(start, len(vertices))
+    masks = _line_masks(q, n, vertices)
     # covers[v] = ids of (dim+1)-subspaces directly containing vertex v
-    covers: dict[int, list[int]] = {}
+    covers: list[list[int]] = [[] for _ in vertices]
     for k in range(1, n - 1):
-        for small in by_dim[k]:
-            covers[vertex_ids[small]] = [
-                vertex_ids[big] for big in by_dim[k + 1] if big.contains(small)
-            ]
+        bigger = [(w, masks[w]) for w in ids_of_dim[k + 1]]
+        for v in ids_of_dim[k]:
+            m = masks[v]
+            covers[v] = [w for w, mw in bigger if mw & m == m]
     chambers: list[Simplex] = []
 
     def extend(chain: list[int], dim: int) -> None:
@@ -314,45 +315,41 @@ def build(q: int, n: int) -> Building:
         for nxt in covers[chain[-1]]:
             extend(chain + [nxt], dim + 1)
 
-    for line in by_dim[1]:
-        extend([vertex_ids[line]], 1)
-    return Building(q, n, vertices, chambers)
+    for line in ids_of_dim[1]:
+        extend([line], 1)
+    return Building(q, n, vertices, chambers, masks)
 
 
 # -- opposition ------------------------------------------------------
-
-
-def _transversal(a: Subspace, b: Subspace) -> bool:
-    return a.intersection_dim(b) == max(0, a.dim + b.dim - a.n)
 
 
 def is_opposite(b: Building, c: Iterable[int], d: Iterable[int]) -> bool:
     """Chambers whose flags are pairwise in general position."""
     ci = b.chamber_ids(c)
     di = b.chamber_ids(d)
-    return all(_transversal(b.vertices[u], b.vertices[v]) for u in ci for v in di)
+    return all(b.transversal(u, v) for u in ci for v in di)
 
 
 def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
+    """The chambers opposite ``c``: those whose every vertex is transversal
+    to every vertex of ``c``, read off one table over the vertices."""
     ci = b.chamber_ids(c)
-    return tuple(d for d in b.chambers if is_opposite(b, ci, d))
+    general = [all(b.transversal(u, v) for u in ci) for v in range(len(b.vertices))]
+    return tuple(d for d in b.chambers if all(general[v] for v in d))
 
 
 def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
     """The opposition complex Opp(C), relabeled to its own vertex ids.
 
     A vertex V of dimension k survives iff it is transversal to the
-    complementary flag level of C, i.e. V meets C's (n-k)-subspace in 0.
-    The result is cross-checked to be exactly the union of the chambers
-    opposite to C (so it is a full -- hence flag -- subcomplex).
+    complementary flag level of C, i.e. V meets C's (n-k)-subspace in 0,
+    i.e. their line masks share no bit.  The result is cross-checked to be
+    exactly the union of the chambers opposite to C (so it is a full --
+    hence flag -- subcomplex).
     """
     ci = b.chamber_ids(c)
-    level = {b.vertex_dims[v]: b.vertices[v] for v in ci}
-    keep = []
-    for v in range(len(b.vertices)):
-        k = b.vertex_dims[v]
-        if b.vertices[v].intersection_dim(level[b.n - k]) == 0:
-            keep.append(v)
+    level = {b.vertex_dims[v]: b.masks[v] for v in ci}
+    keep = [v for v in range(len(b.vertices)) if not b.masks[v] & level[b.n - b.vertex_dims[v]]]
     sub = b.complex.full_subcomplex(keep)
     lifted = {tuple(keep[i] for i in f) for f in sub.facets}
     if lifted != set(opposite_chambers(b, ci)):
@@ -361,6 +358,25 @@ def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
 
 
 # -- apartments ------------------------------------------------------
+
+
+def _frame_lines(b: Building, c: Simplex, d: Simplex) -> list[int]:
+    """Line vertex ids of the frame through opposite chambers ``c`` and ``d``.
+
+    Line i (1-based) is the one line shared by C_i and D_{n+1-i}, with the
+    whole space standing in at level n: the single set bit of the AND of
+    their masks.
+    """
+    whole = (1 << b.lines_in[b.n]) - 1
+    cs = [b.masks[v] for v in c] + [whole]  # cs[i - 1] has dim i
+    ds = [b.masks[v] for v in d] + [whole]
+    lines = []
+    for i in range(1, b.n + 1):
+        common = cs[i - 1] & ds[b.n - i]
+        if common.bit_count() != 1:
+            raise CertificateError(f"flag levels {i} and {b.n + 1 - i} share {common.bit_count()} lines, not one")
+        lines.append(common.bit_length() - 1)
+    return lines
 
 
 def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> Frame:
@@ -374,13 +390,7 @@ def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> Frame:
     di = b.chamber_ids(d)
     if not is_opposite(b, ci, di):
         raise ValueError("chambers are not opposite; no unique apartment")
-    full = Subspace.full(b.q, b.n)
-    cs = [None] + [b.vertices[v] for v in ci] + [full]  # cs[i] has dim i
-    ds = [None] + [b.vertices[v] for v in di] + [full]
-    lines = []
-    for i in range(1, b.n + 1):
-        lines.append(cs[i].intersection(ds[b.n + 1 - i]))  # type: ignore[union-attr]
-    return Frame(tuple(lines))
+    return Frame(tuple(b.vertices[line] for line in _frame_lines(b, ci, di)))
 
 
 class Apartment:
@@ -401,14 +411,10 @@ class Apartment:
         self.vertex_of_subset: dict[frozenset[int], int] = {}
         for size in range(1, self.n):
             for subset in combinations(range(self.n), size):
-                span = Subspace.span(
-                    building.q,
-                    building.n,
-                    [row for i in subset for row in frame.lines[i].rows],
-                )
-                if span.dim != size:
+                rows, _ = fq_rref([row for i in subset for row in frame.lines[i].rows], building.q, building.n)
+                if len(rows) != size:
                     raise CertificateError("frame lines are not independent")
-                self.vertex_of_subset[frozenset(subset)] = building.vertex_ids[span]
+                self.vertex_of_subset[frozenset(subset)] = building.vertex_of_rows[rows]
 
     def chamber_of_perm(self, w: Sequence[int]) -> Simplex:
         prefix: set[int] = set()
@@ -427,6 +433,14 @@ class Apartment:
 # -- bending ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _level_sets(n: int) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
+    """Every permutation w of S_n with its level set: the right-descent set
+    of w^{-1}, shifted to flag levels 1..n-1."""
+    system = symmetric(n)
+    return tuple((w, frozenset(s + 1 for s in system.in_set_inverse(w))) for w in system.elements())
+
+
 def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[int], frozenset[Simplex]]:
     """The chambers a bent octahedron cell covers, for every level set.
 
@@ -435,14 +449,14 @@ def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[i
     levels, i.e. subspace dimensions 1..n-1) maps to the chambers whose
     permutation w has the right-descent set of w^{-1} equal to it, shifted
     to generator indices.  Every level set appears, and the sets partition
-    the apartment.
+    the apartment.  ``sigma`` must be opposite ``dp`` (it comes from
+    ``opposite_chambers``, so this is not re-tested); otherwise a flag
+    level pair sharing other than one line raises ``CertificateError``, or
+    ``Frame`` refuses lines not in direct sum with ``ValueError``.
     """
-    frame = unique_apartment(b, dp, sigma)
-    apt = Apartment(b, frame)
-    system = symmetric(b.n)
+    apt = Apartment(b, Frame(tuple(b.vertices[line] for line in _frame_lines(b, dp, sigma))))
     table: dict[frozenset[int], set[Simplex]] = {}
-    for w in system.elements():
-        levels = frozenset(s + 1 for s in system.in_set_inverse(w))
+    for w, levels in _level_sets(b.n):
         table.setdefault(levels, set()).add(apt.chamber_of_perm(w))
     return {k: frozenset(v) for k, v in table.items()}
 
@@ -466,8 +480,9 @@ class EmbeddingReport:
     pairs_checked: int
 
 
-#: A top cell of the doubled complex: (minus part, plus part, bent chambers).
-_BentCell = tuple[frozenset[int], frozenset[int], frozenset[Simplex]]
+#: A top cell of the doubled complex: (chamber of Opp(C) below it, minus
+#: part, plus part, bent chambers).
+_BentCell = tuple[Simplex, frozenset[int], frozenset[int], frozenset[Simplex]]
 
 
 def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingReport:
@@ -477,8 +492,15 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
     to ``delta_plus``, every pair of top cells of the doubled complex lying
     over chambers sigma, tau of the opposition complex is examined: if the
     two cells are disjoint (as signed vertex sets) their bending chamber
-    sets must be disjoint too.  The first violation is returned as a
-    witness; ``ok`` means none exists anywhere.
+    sets must be disjoint too.  ``ok`` means no violation exists anywhere.
+
+    The cells over one Delta are numbered in (sigma, cell) order, and each
+    signed vertex and each bent chamber gets the bitset of the cells it
+    lies in.  Cell j then meets all its later partners at once: the later
+    cells outside the union of its vertices' bitsets are disjoint from it
+    (``pairs_checked`` counts them), and those among them inside the union
+    of its chambers' bitsets collide with it.  The witness is the first
+    colliding cell in that order, paired with its earliest later partner.
     """
     dp = b.chamber_ids(delta_plus)
     opp = opposite_chambers(b, dp)
@@ -490,42 +512,49 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
         # subset of sigma's delta-vertices may switch to its doubled copy.
         # Each cell carries the chambers it bends onto, read off the level
         # set of its minus part.
-        cells_by_chamber: dict[Simplex, list[_BentCell]] = {}
+        cells: list[_BentCell] = []
         for sigma in opp:
-            shared = sorted(set(sigma) & dset)
-            cells = []
+            shared = sorted(dset.intersection(sigma))
             for r in range(len(shared) + 1):
                 for plus in combinations(shared, r):
-                    minus = frozenset(set(sigma) - set(plus))
+                    minus = frozenset(sigma).difference(plus)
                     bent = tables[sigma][frozenset(b.vertex_dims[v] for v in minus)]
-                    cells.append((minus, frozenset(plus), bent))
-            cells_by_chamber[sigma] = cells
-        for i, sigma in enumerate(opp):
-            for tau in opp[i:]:
-                cells_a = cells_by_chamber[sigma]
-                cells_b = cells_by_chamber[tau]
-                for ia, (minus_a, plus_a, set_a) in enumerate(cells_a):
-                    start = ia + 1 if sigma == tau else 0
-                    for minus_b, plus_b, set_b in cells_b[start:]:
-                        if (minus_a & minus_b) or (plus_a & plus_b):
-                            continue  # cells share a vertex of the doubled complex
-                        checked += 1
-                        common = set_a & set_b
-                        if common:
-                            witness = EmbeddingWitness(
-                                doubling_chamber=delta,
-                                sigma=sigma,
-                                alpha=_signed_cell(minus_a, plus_a),
-                                tau=tau,
-                                beta=_signed_cell(minus_b, plus_b),
-                                overlap=tuple(sorted(common)),
-                            )
-                            return EmbeddingReport(False, witness, checked)
+                    cells.append((sigma, minus, frozenset(plus), bent))
+        # Bit j of at_vertex[s] / at_chamber[t]: cell j has signed vertex s
+        # (2v for the plain copy of v, 2v+1 for the doubled one) / bends
+        # onto chamber t.
+        signed = [[2 * v for v in minus] + [2 * v + 1 for v in plus] for _, minus, plus, _ in cells]
+        at_vertex: dict[int, int] = {}
+        at_chamber: dict[Simplex, int] = {}
+        for j, (_, _, _, bent) in enumerate(cells):
+            for s in signed[j]:
+                at_vertex[s] = at_vertex.get(s, 0) | 1 << j
+            for chamber in bent:
+                at_chamber[chamber] = at_chamber.get(chamber, 0) | 1 << j
+        every = (1 << len(cells)) - 1
+        for j, (sigma, _, _, bent) in enumerate(cells):
+            touching = 0
+            for s in signed[j]:
+                touching |= at_vertex[s]
+            later = (every ^ touching) >> (j + 1)  # disjoint cells after j
+            checked += later.bit_count()
+            covering = 0
+            for chamber in bent:
+                covering |= at_chamber[chamber]
+            hits = later & (covering >> (j + 1))
+            if hits:
+                k = j + (hits & -hits).bit_length()
+                tau, _, _, bent_b = cells[k]
+                witness = EmbeddingWitness(
+                    doubling_chamber=delta,
+                    sigma=sigma,
+                    alpha=tuple(sorted(signed[j])),
+                    tau=tau,
+                    beta=tuple(sorted(signed[k])),
+                    overlap=tuple(sorted(bent & bent_b)),
+                )
+                return EmbeddingReport(False, witness, checked)
     return EmbeddingReport(True, None, checked)
-
-
-def _signed_cell(minus: frozenset[int], plus: frozenset[int]) -> Simplex:
-    return tuple(sorted([2 * v for v in minus] + [2 * v + 1 for v in plus]))
 
 
 # -- convenience constructors ----------------------------------------

@@ -59,19 +59,30 @@ class SimplicialComplex:
         labels: Optional[Sequence[str]] = None,
         num_vertices: Optional[int] = None,
     ) -> None:
-        cleaned = sorted({_canonical_simplex(f) for f in facets if tuple(f) != ()})
-        # Drop faces nested inside other input faces.  Every superset of a
-        # face contains its least-shared vertex, so only the longer faces
-        # listed under that vertex are tested.
-        under: dict[int, list[frozenset[int]]] = {}
-        for g in map(frozenset, cleaned):
-            for v in g:
-                under.setdefault(v, []).append(g)
-        maximal = []
+        cleaned = {_canonical_simplex(f) for f in facets if tuple(f) != ()}
+        # Drop faces nested inside other input faces.  Faces go longest
+        # first, and a length class is indexed by vertex only once all of it
+        # is tested, so a face meets only strictly longer maximal faces (a
+        # face inside a non-maximal one is inside a maximal one too).  Every
+        # superset of a face contains its least-shared vertex, so only the
+        # faces listed under that vertex are tested.  A pure complex has one
+        # class and so no test at all.
+        by_length: dict[int, list[Simplex]] = {}
         for f in cleaned:
-            rarest = min(f, key=lambda v: len(under[v]))
-            if not any(len(g) > len(f) and g.issuperset(f) for g in under[rarest]):
-                maximal.append(f)
+            by_length.setdefault(len(f), []).append(f)
+        lengths = sorted(by_length, reverse=True)
+        under: dict[int, list[frozenset[int]]] = {}
+        maximal: list[Simplex] = []
+        for i, length in enumerate(lengths):
+            kept = by_length[length]
+            if under:
+                kept = [f for f in kept if not any(g.issuperset(f) for g in min((under.get(v, ()) for v in f), key=len))]
+            maximal += kept
+            if i + 1 < len(lengths):
+                for f in kept:
+                    for v in f:
+                        under.setdefault(v, []).append(frozenset(f))
+        maximal.sort()
         seen = {v for f in maximal for v in f}
         top = max(seen) + 1 if seen else 0
         if num_vertices is None:

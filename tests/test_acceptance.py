@@ -287,7 +287,7 @@ def test_criterion_4_stretch_rank_three_building(capsys):
 def test_criterion_5_embedding_sweeps(capsys):
     start = time.perf_counter()
     ok = True
-    for q, n, limit in ((2, 3, None), (3, 3, None), (2, 4, 1)):
+    for q, n, limit in ((2, 3, None), (3, 3, None), (2, 4, 1), (5, 3, 1)):
         b = build(q, n)
         picks = b.chambers if limit is None else b.chambers[:limit]
         for c in picks:
@@ -298,7 +298,7 @@ def test_criterion_5_embedding_sweeps(capsys):
     report(
         capsys,
         "5",
-        "doubled opposition complexes embed: all chambers of q=2,3 n=3 and one of q=2 n=4",
+        "doubled opposition complexes embed: all chambers of q=2,3 n=3 and one each of q=2 n=4 and q=5 n=3",
         ok,
         elapsed,
     )

@@ -4,25 +4,30 @@ Counting oracles are computed in the tests themselves from first
 principles: subspace counts by spanning and deduplicating raw vector
 tuples, flag counts from the group-order formula |GL_n| / |Borel|, and
 first Betti numbers of graphs from E - V + #components via a plain BFS.
-None of those paths touch the enumeration code under test.
+None of those paths touch the enumeration code under test.  Subspace
+incidence is checked against a rank oracle (row reduction over F_q), and
+the bitset pair check of ``verify_dbl_embedding`` against an explicit
+loop over cell pairs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Sequence
 
 import pytest
 
+import obstructor.building as bldg
 from obstructor.building import (
     Apartment,
     Building,
+    EmbeddingWitness,
     Frame,
     Subspace,
     _bending_table,
     build,
     coordinate_frame,
     enumerate_subspaces,
-    fq_kernel,
     fq_rank,
     fq_rref,
     gaussian_binomial,
@@ -35,7 +40,7 @@ from obstructor.building import (
     verify_dbl_embedding,
 )
 from obstructor.coxeter import coxeter_complex, symmetric
-from obstructor.errors import ResourceLimitError
+from obstructor.errors import CertificateError, ResourceLimitError
 from obstructor.homology import betti_numbers
 
 
@@ -52,6 +57,80 @@ def b33() -> Building:
 @pytest.fixture(scope="module")
 def b24() -> Building:
     return build(2, 4)
+
+
+# -- the rank oracle -------------------------------------------------
+#
+# Incidence of subspaces by row reduction over F_q.  The library reads
+# incidence off line masks; these functions are the independent check.
+
+
+def full(q: int, n: int) -> Subspace:
+    return Subspace(q, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def contains_vector(s: Subspace, v: Sequence[int]) -> bool:
+    residue = [x % s.q for x in v]
+    for row in s.rows:
+        p = next(j for j, x in enumerate(row) if x)
+        if residue[p]:
+            c = residue[p]
+            residue = [(a - c * b) % s.q for a, b in zip(residue, row)]
+    return not any(residue)
+
+
+def same_ambient(a: Subspace, b: Subspace) -> None:
+    if (a.q, a.n) != (b.q, b.n):
+        raise ValueError(f"ambient mismatch: F_{a.q}^{a.n} vs F_{b.q}^{b.n}")
+
+
+def contains(a: Subspace, b: Subspace) -> bool:
+    same_ambient(a, b)
+    return all(contains_vector(a, r) for r in b.rows)
+
+
+def sum_dim(a: Subspace, b: Subspace) -> int:
+    same_ambient(a, b)
+    return fq_rank(a.rows + b.rows, a.q, a.n)
+
+
+def intersection_dim(a: Subspace, b: Subspace) -> int:
+    return a.dim + b.dim - sum_dim(a, b)
+
+
+def fq_kernel(rows: Sequence[Sequence[int]], q: int, width: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel {v : M v = 0}, one vector per free column."""
+    rref, pivots = fq_rref(rows, q, width)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        v = [0] * width
+        v[free] = 1
+        for r, p in zip(rref, pivots):
+            v[p] = (-r[free]) % q
+        basis.append(tuple(v))
+    return basis
+
+
+def intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Computed via the left kernel of the stacked basis matrix."""
+    same_ambient(a, b)
+    stacked = a.rows + b.rows
+    transpose = [[r[i] for r in stacked] for i in range(a.n)]
+    vectors = []
+    for coeffs in fq_kernel(transpose, a.q, len(stacked)):
+        v = [0] * a.n
+        for c, row in zip(coeffs[: a.dim], a.rows):
+            v = [(x + c * y) % a.q for x, y in zip(v, row)]
+        vectors.append(v)
+    out = Subspace.span(a.q, a.n, vectors)
+    assert out.dim == intersection_dim(a, b), "kernel method disagrees with rank count"
+    return out
+
+
+def transversal(a: Subspace, b: Subspace) -> bool:
+    return intersection_dim(a, b) == max(0, a.dim + b.dim - a.n)
 
 
 # -- field arithmetic ------------------------------------------------
@@ -89,26 +168,28 @@ def test_subspace_canonical_form():
 
 def test_subspace_membership():
     s = Subspace.span(2, 4, [[1, 0, 1, 0], [0, 1, 1, 0]])
-    assert s.contains_vector([1, 1, 0, 0])
-    assert not s.contains_vector([0, 0, 0, 1])
-    assert s.contains(Subspace.span(2, 4, [[1, 1, 0, 0]]))
-    assert Subspace.full(2, 4).contains(s)
-    assert s.contains(Subspace(2, 4, ()))
+    assert contains_vector(s, [1, 1, 0, 0])
+    assert not contains_vector(s, [0, 0, 0, 1])
+    assert contains(s, Subspace.span(2, 4, [[1, 1, 0, 0]]))
+    assert contains(full(2, 4), s)
+    assert contains(s, Subspace(2, 4, ()))
+    with pytest.raises(ValueError):
+        contains(s, Subspace.span(3, 4, [[1, 1, 0, 0]]))  # other field
 
 
 def test_intersection_is_largest_common_subspace():
     q = 3
     a = Subspace.span(q, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     b = Subspace.span(q, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    cap = a.intersection(b)
+    cap = intersection(a, b)
     assert cap.dim == 2
-    assert a.contains(cap) and b.contains(cap)
+    assert contains(a, cap) and contains(b, cap)
     # complementary planes in F_2^4 meet only at zero
     u = Subspace.span(2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     v = Subspace.span(2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert u.intersection(v).dim == 0
-    assert u.intersection_dim(v) == 0
-    assert u.sum_dim(v) == 4
+    assert intersection(u, v).dim == 0
+    assert intersection_dim(u, v) == 0
+    assert sum_dim(u, v) == 4
 
 
 def brute_force_subspaces(q: int, n: int, k: int) -> set[Subspace]:
@@ -188,7 +269,7 @@ def test_chambers_are_complete_flags(b23):
     for c in b23.chambers:
         line, plane = (b23.vertices[v] for v in c)
         assert (line.dim, plane.dim) == (1, 2)
-        assert plane.contains(line)
+        assert contains(plane, line)
 
 
 def test_thickness_every_panel_in_q_plus_one_chambers(b23, b33, b24):
@@ -219,6 +300,51 @@ def test_flag_and_frame_validation(b23):
         b23.chamber_ids((b23.vertex_ids[line],))  # too few levels for n=3
     with pytest.raises(ValueError):
         Frame((line, line, Subspace.span(q, n, [[0, 0, 1]])))  # repeated line
+
+
+# -- line masks ------------------------------------------------------
+
+
+def test_masks_match_the_rank_oracle(b23, b33, b24):
+    for b in (b23, b33, b24):
+        for u, a in enumerate(b.vertices):
+            for v, c in enumerate(b.vertices):
+                common = b.masks[u] & b.masks[v]
+                assert common.bit_count() == b.lines_in[intersection_dim(a, c)]
+                assert (common == b.masks[u]) == contains(c, a)
+                assert b.transversal(u, v) == transversal(a, c)
+    for b, c in ((b23, b23.chambers[0]), (b33, standard_flag(b33)), (b24, b24.chambers[7])):
+        by_rank = tuple(
+            d for d in b.chambers
+            if all(transversal(b.vertices[u], b.vertices[v]) for u in c for v in d)
+        )
+        assert opposite_chambers(b, c) == by_rank
+
+
+def test_construction_cross_checks_raise(b23, monkeypatch):
+    b = b23
+    with pytest.raises(CertificateError):  # a chamber that is not a facet
+        Building(b.q, b.n, b.vertices, b.chambers + (b.chambers[0][:1],), b.masks)
+    with pytest.raises(CertificateError):  # a line mask with a bit too many
+        Building(b.q, b.n, b.vertices, b.chambers, (b.masks[0] | 2,) + b.masks[1:])
+    with pytest.raises(CertificateError):  # lines not first among the vertices
+        Building(b.q, b.n, b.vertices, b.chambers, (b.masks[1],) + b.masks[1:])
+    dp = standard_flag(b)
+    with pytest.raises(CertificateError):  # flag levels sharing a plane, not a line
+        _bending_table(b, dp, dp)
+    # An apartment re-checks that its frame lines are independent, also
+    # for a frame that skipped its own direct-sum check.
+    line = b.vertices[0]
+    dependent = object.__new__(Frame)
+    object.__setattr__(dependent, "lines", (line, line, b.vertices[1]))
+    with pytest.raises(CertificateError):
+        Apartment(b, dependent)
+    with pytest.raises(ValueError):
+        Frame(dependent.lines)
+    opp = opposite_chambers(b, dp)
+    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: opp[1:])
+    with pytest.raises(CertificateError):
+        opp_complex(b, dp)
 
 
 # -- opposition ------------------------------------------------------
@@ -454,6 +580,96 @@ def test_collision_returns_a_decodable_witness(b23, monkeypatch):
     level_a = tuple(sorted(b23.vertex_dims[v] for v in minus_a))
     assert level_a == tuple(sorted(b23.vertex_dims[v] for v in minus_b))
     assert w.overlap == (level_a,)
+
+
+def doubled_cells(b: Building, dp, delta) -> list[tuple]:
+    """Top cells of the double over ``delta``, in (sigma, cell) order, as
+    (sigma, minus part, plus part, bent chambers)."""
+    opp = opposite_chambers(b, dp)
+    cells = []
+    for sigma in opp:
+        table = bldg._bending_table(b, dp, sigma)
+        shared = sorted(set(sigma) & set(delta))
+        for r in range(len(shared) + 1):
+            for plus in combinations(shared, r):
+                minus = frozenset(set(sigma) - set(plus))
+                cells.append((sigma, minus, frozenset(plus), table[frozenset(b.vertex_dims[v] for v in minus)]))
+    return cells
+
+
+def brute_force_embedding(b: Building, dp) -> tuple[bool, int]:
+    """(ok, pairs_checked) from an explicit loop over unordered cell pairs.
+
+    Pairs run sigma <= tau in Opp order, then cell by cell, and the loop
+    stops at the first disjoint pair whose bent chamber sets meet.
+    """
+    dp = b.chamber_ids(dp)
+    opp = opposite_chambers(b, dp)
+    checked = 0
+    for delta in opp:
+        cells_by_chamber: dict = {sigma: [] for sigma in opp}
+        for sigma, minus, plus, bent in doubled_cells(b, dp, delta):
+            cells_by_chamber[sigma].append((minus, plus, bent))
+        for i, sigma in enumerate(opp):
+            for tau in opp[i:]:
+                cells_a = cells_by_chamber[sigma]
+                cells_b = cells_by_chamber[tau]
+                for ia, (minus_a, plus_a, set_a) in enumerate(cells_a):
+                    start = ia + 1 if sigma == tau else 0
+                    for minus_b, plus_b, set_b in cells_b[start:]:
+                        if (minus_a & minus_b) or (plus_a & plus_b):
+                            continue
+                        checked += 1
+                        if set_a & set_b:
+                            return False, checked
+    return True, checked
+
+
+def first_collision(b: Building, dp) -> EmbeddingWitness | None:
+    """The first colliding cell in (sigma, cell) order over the first
+    doubling chamber that has one, with its earliest later partner."""
+
+    def signed(minus, plus):
+        return tuple(sorted([2 * v for v in minus] + [2 * v + 1 for v in plus]))
+
+    dp = b.chamber_ids(dp)
+    for delta in opposite_chambers(b, dp):
+        cells = doubled_cells(b, dp, delta)
+        for (sigma, minus_a, plus_a, set_a), (tau, minus_b, plus_b, set_b) in combinations(cells, 2):
+            if not (minus_a & minus_b or plus_a & plus_b) and set_a & set_b:
+                return EmbeddingWitness(
+                    delta, sigma, signed(minus_a, plus_a), tau, signed(minus_b, plus_b), tuple(sorted(set_a & set_b))
+                )
+    return None
+
+
+def test_pairs_checked_is_pinned(b23, b33, b24):
+    """Every chamber of a building checks the same number of disjoint cell
+    pairs (GL_n(F_q) is transitive on chambers)."""
+    for b, chambers, pairs in (
+        (b23, b23.chambers, 448),
+        (b33, b33.chambers, 12_879),
+        (b24, b24.chambers[::150], 203_776),
+    ):
+        for c in chambers:
+            report = verify_dbl_embedding(b, c)
+            assert (report.ok, report.pairs_checked) == (True, pairs)
+
+
+def test_bitset_check_agrees_with_the_pair_loop(b23, monkeypatch):
+    for c in b23.chambers:
+        report = verify_dbl_embedding(b23, c)
+        assert brute_force_embedding(b23, c) == (report.ok, report.pairs_checked)
+
+    def marked(b, dp, sigma):
+        levels = range(1, b.n)
+        return {frozenset(s): frozenset({s}) for r in range(b.n) for s in combinations(levels, r)}
+
+    monkeypatch.setattr("obstructor.building._bending_table", marked)
+    for c in b23.chambers[:3]:
+        report = verify_dbl_embedding(b23, c)
+        assert report.ok is False and brute_force_embedding(b23, c)[0] is False
+        assert report.witness == first_collision(b23, c) is not None
 
 
 # -- chambers opposite a whole apartment -----------------------------
