@@ -228,7 +228,6 @@ class Building:
         self.q = q
         self.n = n
         self.vertices = tuple(vertices)
-        self.vertex_ids = {s: i for i, s in enumerate(self.vertices)}
         self.vertex_of_rows = {s.rows: i for i, s in enumerate(self.vertices)}
         self.vertex_dims = tuple(s.dim for s in self.vertices)
         self.lines_in = tuple((q**d - 1) // (q - 1) for d in range(n + 1))
@@ -568,7 +567,8 @@ def _basis_flag(b: Building, order: Sequence[int]) -> Simplex:
     """The chamber whose level-k subspace is spanned by the first k unit
     vectors taken in ``order``."""
     units = [[1 if j == i else 0 for j in range(b.n)] for i in order]
-    return b.chamber_ids(b.vertex_ids[Subspace.span(b.q, b.n, units[:k])] for k in range(1, b.n))
+    spans = (Subspace.span(b.q, b.n, units[:k]) for k in range(1, b.n))
+    return b.chamber_ids(b.vertex_of_rows[s.rows] for s in spans)
 
 
 def standard_flag(b: Building) -> Simplex:

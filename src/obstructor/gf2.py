@@ -4,19 +4,22 @@ A matrix row is a single Python int; bit ``j`` is the entry in column ``j``.
 Row reduction is then a handful of XORs on machine words, which is fast
 enough for every chain complex this package produces and stays exact.
 
-Rank, kernel and row reduction all read one forward elimination per
-matrix, with no back-substitution: each row is reduced at its lowest set
-bit until it vanishes or founds a pivot row.  The rows that found one are
-the basis rows, and each pivot row carries a tag, the basis rows it sums.
-A kernel vector is then one triangular back-solve, and reducing a vector
-against the pivot rows splits it into a residue and a sum of basis rows.
+Rank, kernel and row reduction all read one column reduction per matrix.
+The columns are reduced left to right, each at its lowest nonzero row
+against the pivots of the columns before it, until it vanishes or founds a
+pivot; each carries a tag, the set of original columns it sums.  A column that
+vanishes is free, and its tag is its kernel vector.  Reducing a vector v
+reads its residue on each free column as v . tag and finds the sum of
+basis rows by one back-substitution over the pivot rows.
 
-The output is canonical.  The pivot columns and the basis rows are those
-not in the span of the columns (rows) before them, whatever the order of
-elimination, and each answer is the one vector they pin down: the kernel
-vector that is 1 on one free column and 0 on the others, the one sum of
-basis rows that equals a vector of the row space.  Its bits are those a
-reduced echelon form gives, which the obstruction certificates rely on.
+The output is canonical.  A column vanishes iff it lies in the span of the
+columns before it, and a pivot row is a row outside the span of the rows
+before it, since column operations keep the rank of every prefix of rows.
+So the free columns, the pivot rows (the basis rows) and each answer are
+pinned down whatever the order of elimination: the kernel vector that is 1
+on one free column and 0 on the others, and the one sum of basis rows that
+leaves a residue 0 on every pivot column.  Its bits are those a reduced
+echelon form gives, which the obstruction certificates rely on.
 """
 
 from __future__ import annotations
@@ -77,7 +80,13 @@ class GF2Vector:
         return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+        # Clearing the top bit shrinks the int, so walk the set bits downward.
+        out, bits = [], self.bits
+        while bits:
+            top = bits.bit_length() - 1
+            out.append(top)
+            bits ^= 1 << top
+        return tuple(reversed(out))
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -92,7 +101,7 @@ class GF2Vector:
 class GF2Matrix:
     """An immutable rows x cols matrix over GF(2)."""
 
-    __slots__ = ("rows", "cols", "row_bits", "_echelon")
+    __slots__ = ("rows", "cols", "row_bits", "_reduced")
 
     def __init__(self, rows: int, cols: int, row_bits: Sequence[int]) -> None:
         if rows < 0 or cols < 0:
@@ -105,7 +114,7 @@ class GF2Matrix:
         self.rows = rows
         self.cols = cols
         self.row_bits = tuple(row_bits)
-        self._echelon: Optional[tuple[dict[int, int], tuple[int, ...], tuple[int, ...]]] = None
+        self._reduced: Optional[tuple[tuple[tuple[int, int], ...], dict[int, int]]] = None
 
     # -- constructors -------------------------------------------------
 
@@ -170,10 +179,11 @@ class GF2Matrix:
     def transpose(self) -> "GF2Matrix":
         out = [0] * self.cols
         for i, r in enumerate(self.row_bits):
+            bit = 1 << i
             while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= 1 << i
-                r ^= low
+                top = r.bit_length() - 1
+                out[top] |= bit
+                r ^= 1 << top
         return GF2Matrix(self.cols, self.rows, out)
 
     def apply(self, v: GF2Vector) -> GF2Vector:
@@ -217,68 +227,71 @@ class GF2Matrix:
 
     # -- elimination --------------------------------------------------
 
-    def _eliminate(self) -> tuple[dict[int, int], tuple[int, ...], tuple[int, ...]]:
-        """Forward elimination, once per matrix: ({pivot column: pivot row},
-        the pivot columns ascending, the basis rows).  A pivot row carries
-        its tag above bit ``cols``; tag bit k stands for row ``basis[k]``."""
-        if self._echelon is None:
-            width = (1 << self.cols) - 1
-            pivot_rows: dict[int, int] = {}
-            basis: list[int] = []
-            for i, r in enumerate(self.row_bits):
-                r |= 1 << (self.cols + len(basis))
-                while r & width:
-                    low = (r & -r).bit_length() - 1
-                    pivot = pivot_rows.get(low)
-                    if pivot is None:
-                        pivot_rows[low] = r
-                        basis.append(i)
-                        break
-                    r ^= pivot
-            self._echelon = (pivot_rows, tuple(sorted(pivot_rows)), tuple(basis))
-        return self._echelon
+    def _eliminate(self) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
+        """Column reduction, once per matrix: (the pivot columns as (top bit,
+        reduced column), highest pivot row first; {free column: tag}).
 
-    def _back_solve(self, x: int) -> int:
-        """Set x's pivot coordinates, highest first, so that every pivot row
-        has row . x = 0; a pivot row has no bit below its pivot, so it fixes
-        that coordinate alone."""
-        pivot_rows, pivots, _ = self._eliminate()
-        for col in reversed(pivots):
-            if (pivot_rows[col] & x).bit_count() & 1:
-                x |= 1 << col
-        return x
+        A reduced column keeps its tag in bits 0..cols-1 and row i at bit
+        cols + rows - 1 - i.  Its lowest row, where it is reduced, is then
+        its top bit: ``bit_length`` finds it at once, and clearing it
+        shrinks the int."""
+        if self._reduced is None:
+            rows, cols = self.rows, self.cols
+            # Transposed bottom row first, a column holds row i at bit rows - 1 - i.
+            columns = list(GF2Matrix(rows, cols, self.row_bits[::-1]).transpose().row_bits)
+            pivots: dict[int, int] = {}  # top bit -> reduced column
+            free: dict[int, int] = {}
+            for j in range(cols):
+                c, columns[j] = columns[j], 0
+                c = c << cols | 1 << j
+                top = c.bit_length() - 1
+                while top >= cols:
+                    pivot = pivots.get(top)
+                    if pivot is None:
+                        pivots[top] = c
+                        break
+                    c ^= pivot
+                    top = c.bit_length() - 1
+                else:
+                    free[j] = c
+            self._reduced = (tuple(sorted(pivots.items())), free)
+        return self._reduced
 
     def rank(self) -> int:
-        return len(self._eliminate()[2])
+        return len(self._eliminate()[0])
 
     def kernel_vector(self, free: int) -> GF2Vector:
         """The one kernel vector that is 1 on free column ``free`` and 0 on
-        every other free column."""
-        if not 0 <= free < self.cols or free in self._eliminate()[0]:
+        every other free column: the tag of that column, which reduced to 0."""
+        tag = self._eliminate()[1].get(free)
+        if tag is None:
             raise ValueError(f"column {free} is not a free column")
-        return GF2Vector(self.cols, self._back_solve(1 << free))
+        return GF2Vector(self.cols, tag)
 
     def kernel_basis(self) -> list[GF2Vector]:
         """Basis of {x : Mx = 0}: ``kernel_vector`` of each free column,
         ascending, the same vectors a reduced echelon form gives."""
-        pivot_rows = self._eliminate()[0]
-        return [self.kernel_vector(f) for f in range(self.cols) if f not in pivot_rows]
+        return [GF2Vector(self.cols, tag) for tag in self._eliminate()[1].values()]
 
     def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
-        """Split v = residue + y^T M by reducing v against the pivot rows in
-        ascending order.  The residue is 0 on every pivot column, so a kernel
-        vector pairs with it as with v; if it is 0, y is the one sum of
-        basis rows that equals v."""
+        """Split v = residue + y^T M.  The residue is 0 on every pivot column
+        and is v . tag on each free column, so a kernel vector pairs with it
+        as with v; y is the one sum of basis rows with y^T M = v + residue,
+        found by back-substitution over the pivot rows, highest first: y
+        pairs with each reduced column as v pairs with its tag."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
-        pivot_rows, _, basis = self._eliminate()
-        rest, residue, width = v.bits, 0, (1 << self.cols) - 1
-        while rest & width:
-            low = rest & -rest
-            pivot = pivot_rows.get(low.bit_length() - 1)
-            if pivot is None:
-                residue |= low
-                pivot = low
-            rest ^= pivot
-        y = sum(((rest >> (self.cols + k)) & 1) << i for k, i in enumerate(basis))
+        pivots, free = self._eliminate()
+        residue = 0
+        for f, tag in free.items():
+            residue |= ((v.bits & tag).bit_count() & 1) << f
+        # x holds v in bits 0..cols-1 and y above them, laid out as the
+        # columns are, so one popcount reads v . tag + y . column.  y is set
+        # so far only on rows after the pivot row, so the pivot row's bit
+        # settles the parity.
+        x, y = v.bits, 0
+        for top, c in pivots:
+            if (x & c).bit_count() & 1:
+                x |= 1 << top
+                y |= 1 << (self.cols + self.rows - 1 - top)
         return GF2Vector(self.cols, residue), GF2Vector(self.rows, y)

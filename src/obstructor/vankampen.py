@@ -47,12 +47,6 @@ class CellPair(NamedTuple):
     sigma: Simplex
     tau: Simplex
 
-    @classmethod
-    def make(cls, a: Simplex, b: Simplex) -> "CellPair":
-        if set(a) & set(b):
-            raise ValueError(f"simplices {a} and {b} share vertices")
-        return cls(a, b) if a < b else cls(b, a)
-
     @property
     def cell_dim(self) -> int:
         return len(self.sigma) + len(self.tau) - 2

@@ -295,9 +295,9 @@ def test_flag_and_frame_validation(b23):
     line = Subspace.span(q, n, [[1, 0, 0]])
     plane = Subspace.span(q, n, [[0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
-        b23.chamber_ids((b23.vertex_ids[line], b23.vertex_ids[plane]))  # line not inside plane
+        b23.chamber_ids((b23.vertex_of_rows[line.rows], b23.vertex_of_rows[plane.rows]))  # line not inside plane
     with pytest.raises(ValueError):
-        b23.chamber_ids((b23.vertex_ids[line],))  # too few levels for n=3
+        b23.chamber_ids((b23.vertex_of_rows[line.rows],))  # too few levels for n=3
     with pytest.raises(ValueError):
         Frame((line, line, Subspace.span(q, n, [[0, 0, 1]])))  # repeated line
 

@@ -2,18 +2,22 @@
 
 The independent rank oracle enumerates the whole row space (2^rank
 elements) instead of eliminating, so it shares no code path with the
-implementation under test.  A second oracle is the reduced row echelon
-form, back-substitution included, which the package eliminated with until
-it went forward-only: rank, kernel basis and row reduction must equal what
-it reads off, bit for bit.
+implementation under test.  Two more oracles are eliminations the package
+once ran: the reduced row echelon form, back-substitution included, and
+the forward row elimination with tagged pivot rows that the column
+reduction replaced.  Rank, kernel basis and row reduction must equal what
+each reads off, bit for bit.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from obstructor.building import build, opp_complex, standard_flag
+from obstructor.complexes import double_over
 from obstructor.gf2 import GF2Matrix, GF2Vector
+from obstructor.vankampen import configuration_space, obstruction_cocycle
 
 
 # -- the reduced row echelon oracle ----------------------------------
@@ -75,6 +79,67 @@ def rref_solve(m: GF2Matrix, b: GF2Vector):
     return GF2Vector(m.cols, bits)
 
 
+class ForwardElimination:
+    """The forward row elimination: each row is reduced at its lowest set
+    bit until it vanishes or founds a pivot row.  A pivot row carries its
+    tag above bit ``cols``; tag bit k stands for row ``basis[k]``."""
+
+    def __init__(self, m: GF2Matrix) -> None:
+        self.m = m
+        self.width = (1 << m.cols) - 1
+        self.pivot_rows: dict[int, int] = {}
+        self.basis: list[int] = []
+        for i, r in enumerate(m.row_bits):
+            r |= 1 << (m.cols + len(self.basis))
+            while r & self.width:
+                low = (r & -r).bit_length() - 1
+                pivot = self.pivot_rows.get(low)
+                if pivot is None:
+                    self.pivot_rows[low] = r
+                    self.basis.append(i)
+                    break
+                r ^= pivot
+
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def kernel_basis(self) -> list[GF2Vector]:
+        """Per free column, a triangular back-solve: set the pivot
+        coordinates, highest first, so that every pivot row has row . x = 0."""
+        basis = []
+        for free in range(self.m.cols):
+            if free in self.pivot_rows:
+                continue
+            x = 1 << free
+            for col in sorted(self.pivot_rows, reverse=True):
+                if (self.pivot_rows[col] & x).bit_count() & 1:
+                    x |= 1 << col
+            basis.append(GF2Vector(self.m.cols, x))
+        return basis
+
+    def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
+        """Reduce v against the pivot rows in ascending order; the tags
+        left over name the basis rows that were summed."""
+        rest, residue = v.bits, 0
+        while rest & self.width:
+            low = rest & -rest
+            pivot = self.pivot_rows.get(low.bit_length() - 1)
+            if pivot is None:
+                residue |= low
+                pivot = low
+            rest ^= pivot
+        y = sum(((rest >> (self.m.cols + k)) & 1) << i for k, i in enumerate(self.basis))
+        return GF2Vector(self.m.cols, residue), GF2Vector(self.m.rows, y)
+
+
+def assert_matches_forward_elimination(m: GF2Matrix, vectors: list[GF2Vector]) -> None:
+    oracle = ForwardElimination(m)
+    assert m.rank() == oracle.rank()
+    assert m.kernel_basis() == oracle.kernel_basis()
+    for v in vectors:
+        assert m.row_reduce(v) == oracle.row_reduce(v)
+
+
 def rank_by_rowspace(m: GF2Matrix) -> int:
     """|{XOR-combinations of rows}| = 2^rank."""
     space = {0}
@@ -129,6 +194,15 @@ def test_matmul_and_transpose_shapes():
     t = a.transpose()
     assert (t.rows, t.cols) == (3, 2)
     assert t.transpose() == a
+
+
+@given(st.integers(0, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+@example((0, 0))
+def test_support_lists_the_set_coordinates_ascending(drawn):
+    length, bits = drawn
+    v = GF2Vector(length, bits)
+    assert v.support() == tuple(i for i in range(length) if v[i])
+    assert GF2Vector.from_support(length, v.support()) == v
 
 
 def test_vector_validation():
@@ -202,6 +276,19 @@ def test_row_reduce_splits_off_the_row_space(m, vbits):
         assert y == rref_solve(m.transpose(), v)
 
 
+@given(matrices(max_dim=8), st.integers(0, (1 << 8) - 1))
+def test_row_reduce_names_the_basis_rows_of_v_minus_residue(m, vbits):
+    """Whatever the residue, y is the oracle's solution of M^T y = v + residue."""
+    v = GF2Vector(m.cols, vbits & ((1 << m.cols) - 1))
+    residue, y = m.row_reduce(v)
+    assert y == rref_solve(m.transpose(), v ^ residue)
+
+
+@given(matrices(max_dim=8), st.lists(st.integers(0, (1 << 8) - 1), max_size=4))
+def test_column_reduction_matches_forward_elimination(m, vbits):
+    assert_matches_forward_elimination(m, [GF2Vector(m.cols, b & ((1 << m.cols) - 1)) for b in vbits])
+
+
 EDGE_SHAPES = {
     "no rows": GF2Matrix.zero(0, 3),
     "no columns": GF2Matrix.zero(3, 0),
@@ -228,6 +315,28 @@ def test_edge_shapes_match_the_rref_oracle(name):
         assert residue.is_zero() == (expected is not None)
         if expected is not None:
             assert y == expected
+
+
+@pytest.mark.parametrize("name", EDGE_SHAPES)
+def test_edge_shapes_match_forward_elimination(name):
+    m = EDGE_SHAPES[name]
+    vectors = [GF2Vector(m.cols, vbits) for vbits in range(1 << m.cols)]
+    assert_matches_forward_elimination(m, vectors)
+    for v in vectors:
+        residue, y = m.row_reduce(v)
+        assert y == rref_solve(m.transpose(), v ^ residue)
+
+
+def test_stretch_boundary_matches_forward_elimination():
+    """The top boundary of the doubled opposition complex of the q=2 n=4
+    building: 9,008 x 3,184 of rank 3,183."""
+    b = build(2, 4)
+    opp = opp_complex(b, standard_flag(b))
+    cfg = configuration_space(double_over(opp, opp.facets[0]), 4)
+    m = cfg.boundary[4]
+    assert (m.rows, m.cols, m.rank()) == (9008, 3184, 3183)
+    cocycle = obstruction_cocycle(cfg, 3).values
+    assert_matches_forward_elimination(m, [cocycle, GF2Vector(m.cols, m.row_bits[0] ^ m.row_bits[-1])])
 
 
 def test_edge_shape_answers():

@@ -57,6 +57,13 @@ def k5() -> SimplicialComplex:
     return SimplicialComplex(list(combinations(range(5), 2)))
 
 
+def cell_pair(a, b) -> CellPair:
+    """The cell of two disjoint simplices, the smaller first."""
+    if set(a) & set(b):
+        raise ValueError(f"simplices {a} and {b} share vertices")
+    return CellPair(a, b) if a < b else CellPair(b, a)
+
+
 def relabel(k: SimplicialComplex, perm) -> SimplicialComplex:
     return SimplicialComplex(
         [tuple(perm[v] for v in f) for f in k.facets], num_vertices=k.num_vertices
@@ -67,11 +74,11 @@ def relabel(k: SimplicialComplex, perm) -> SimplicialComplex:
 
 
 def test_cell_pair_canonical_order():
-    p = CellPair.make((3, 4), (0, 1))
+    p = cell_pair((3, 4), (0, 1))
     assert p == CellPair((0, 1), (3, 4))
     assert p.cell_dim == 2
     with pytest.raises(ValueError):
-        CellPair.make((0, 1), (1, 2))
+        cell_pair((0, 1), (1, 2))
 
 
 def test_configuration_space_of_two_disjoint_edges():
@@ -138,7 +145,7 @@ def brute_force_cells(k: SimplicialComplex) -> dict[int, list[CellPair]]:
     out: dict[int, list[CellPair]] = {}
     for s, t in combinations(faces, 2):
         if not set(s) & set(t):
-            cell = CellPair.make(s, t)
+            cell = cell_pair(s, t)
             out.setdefault(cell.cell_dim, []).append(cell)
     return {d: sorted(cells) for d, cells in out.items()}
 
@@ -220,28 +227,28 @@ def moment_coords(params, n: int) -> list[tuple[F, ...]]:
 
 def test_crossing_segments():
     coords = [(0, 0), (1, 1), (1, 0), (0, 1)]
-    assert exact_parity(coords, CellPair.make((0, 1), (2, 3))) == 1
+    assert exact_parity(coords, cell_pair((0, 1), (2, 3))) == 1
 
 
 def test_point_in_and_out_of_segment():
     inside = [(0,), (1,), (2,)]
-    assert exact_parity(inside, CellPair.make((1,), (0, 2))) == 1
+    assert exact_parity(inside, cell_pair((1,), (0, 2))) == 1
     outside = [(0,), (5,), (2,)]
-    assert exact_parity(outside, CellPair.make((1,), (0, 2))) == 0
+    assert exact_parity(outside, cell_pair((1,), (0, 2))) == 0
 
 
 def test_point_in_and_out_of_triangle():
     inside = [(0, 0), (1, 0), (0, 1), (F(1, 4), F(1, 4))]
-    assert exact_parity(inside, CellPair.make((3,), (0, 1, 2))) == 1
+    assert exact_parity(inside, cell_pair((3,), (0, 1, 2))) == 1
     outside = [(0, 0), (1, 0), (0, 1), (2, 2)]
-    assert exact_parity(outside, CellPair.make((3,), (0, 1, 2))) == 0
+    assert exact_parity(outside, cell_pair((3,), (0, 1, 2))) == 0
 
 
 def test_moment_curve_chords_cross_iff_parameters_interleave():
     params = (0, 1, 3, 7)
     coords = moment_coords(params, 2)
     for sigma, tau, crossing in (((0, 2), (1, 3), 1), ((0, 1), (2, 3), 0), ((0, 3), (1, 2), 0)):
-        cell = CellPair.make(sigma, tau)
+        cell = cell_pair(sigma, tau)
         assert pair_intersection_parity(params, cell) == exact_parity(coords, cell) == crossing
 
 
@@ -251,7 +258,7 @@ def complementary_cells(draw):
     num_vertices = draw(st.integers(n + 2, n + 5))
     vertices = draw(st.permutations(range(num_vertices)))[: n + 2]
     split = draw(st.integers(1, n + 1))
-    cell = CellPair.make(tuple(sorted(vertices[:split])), tuple(sorted(vertices[split:])))
+    cell = cell_pair(tuple(sorted(vertices[:split])), tuple(sorted(vertices[split:])))
     return num_vertices, cell
 
 
