@@ -16,8 +16,9 @@ line vertex ``l`` is vertex id ``l``, and ``b.masks[v]`` is the integer
 whose bit ``l`` is set iff line ``l`` lies in subspace ``v``.  A
 d-dimensional subspace holds ``(q^d - 1) / (q - 1)`` lines, so the
 dimension of an intersection is read off the popcount of an AND, and
-containment is ``mA & mB == mA``.  Row reduction over F_q is left for
-building the subspaces, spanning apartment vertices and checking frames.
+containment is ``mA & mB == mA``.  A frame is the tuple of its line
+vertex ids, and an apartment is read off the same masks.  Row reduction
+over F_q is left for building the subspaces.
 
 Everything is exact integer arithmetic mod q; no floating point anywhere.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex
@@ -35,7 +37,6 @@ from .errors import CertificateError, ResourceLimitError
 
 __all__ = [
     "Subspace",
-    "Frame",
     "Building",
     "EmbeddingReport",
     "EmbeddingWitness",
@@ -61,7 +62,9 @@ Vector = tuple[int, ...]
 
 
 def _require_prime(q: int) -> None:
-    if q < 2 or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+    if q > MAX_FIELD_SIZE:
+        raise ResourceLimitError(f"F_{q} is beyond the desk-scale cap of {MAX_FIELD_SIZE}")
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         raise ValueError(f"q must be prime, got {q}")
 
 
@@ -90,10 +93,6 @@ def fq_rref(rows: Iterable[Sequence[int]], q: int, width: int) -> tuple[tuple[Ve
         pivots.append(col)
         rank += 1
     return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
-
-
-def fq_rank(rows: Iterable[Sequence[int]], q: int, width: int) -> int:
-    return len(fq_rref(rows, q, width)[0])
 
 
 # -- subspaces -------------------------------------------------------
@@ -176,36 +175,7 @@ def enumerate_subspaces(q: int, n: int, k: int) -> list[Subspace]:
     return out
 
 
-# -- flags, frames, the building -------------------------------------
-
-
-@dataclass(frozen=True)
-class Frame:
-    """n lines in direct sum; ordered, so it also fixes apartment coordinates."""
-
-    lines: tuple[Subspace, ...]
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            raise ValueError("empty frame")
-        n = self.lines[0].n
-        if len(self.lines) != n:
-            raise ValueError(f"frame has {len(self.lines)} lines in dimension {n}")
-        for line in self.lines:
-            if line.dim != 1:
-                raise ValueError(f"frame member of dimension {line.dim} is not a line")
-        q = self.lines[0].q
-        stacked = [row for line in self.lines for row in line.rows]
-        if fq_rank(stacked, q, n) != n:
-            raise ValueError("frame lines are not in direct sum")
-
-    @property
-    def q(self) -> int:
-        return self.lines[0].q
-
-    @property
-    def n(self) -> int:
-        return self.lines[0].n
+# -- flags, the building ---------------------------------------------
 
 
 class Building:
@@ -378,8 +348,9 @@ def _frame_lines(b: Building, c: Simplex, d: Simplex) -> list[int]:
     return lines
 
 
-def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> Frame:
-    """The frame spanning the unique apartment through opposite chambers.
+def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> tuple[int, ...]:
+    """The frame spanning the unique apartment through opposite chambers,
+    as line vertex ids.
 
     Line i (0-based) is V_{i+1} of C intersected with W_{n-i-1} of D (with
     the full space standing in at level n), so listing prefixes of the
@@ -389,38 +360,47 @@ def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> Frame:
     di = b.chamber_ids(d)
     if not is_opposite(b, ci, di):
         raise ValueError("chambers are not opposite; no unique apartment")
-    return Frame(tuple(b.vertices[line] for line in _frame_lines(b, ci, di)))
+    return tuple(_frame_lines(b, ci, di))
 
 
 class Apartment:
-    """Coordinates of the apartment an ordered frame spans.
+    """Coordinates of the apartment an ordered frame of n line ids spans.
 
-    Vertices correspond to proper nonempty subsets of frame lines; a
-    permutation w picks the chamber whose level-k subspace is spanned by
-    the first k lines in w's order.  The identity permutation yields the
-    chamber of frame-order prefixes.
+    Vertices correspond to proper nonempty subsets of frame positions,
+    keyed by bitmask (bit i stands for ``lines[i]``).  A permutation w
+    picks the chamber whose level-k subspace is spanned by the first k
+    lines in w's order; the identity yields the frame-order prefixes.
+
+    Vertex v is the span of the frame lines it holds iff it holds as many
+    as its dimension.  The lines are in direct sum iff every proper
+    nonempty key is found: for T minimal dependent and t in T, the span
+    of T - {t} holds line t, so key T - {t} never appears.
     """
 
-    def __init__(self, building: Building, frame: Frame) -> None:
-        if (frame.q, frame.n) != (building.q, building.n):
-            raise ValueError("frame does not live in this building")
+    def __init__(self, building: Building, lines: Sequence[int]) -> None:
+        n = building.n
+        lines = tuple(int(line) for line in lines)
+        if len(lines) != n:
+            raise ValueError(f"frame has {len(lines)} lines in dimension {n}")
+        if any(not 0 <= line < building.lines_in[n] for line in lines):
+            raise ValueError(f"frame {lines} names a vertex that is not a line")
         self.building = building
-        self.frame = frame
-        self.n = building.n
-        self.vertex_of_subset: dict[frozenset[int], int] = {}
-        for size in range(1, self.n):
-            for subset in combinations(range(self.n), size):
-                rows, _ = fq_rref([row for i in subset for row in frame.lines[i].rows], building.q, building.n)
-                if len(rows) != size:
-                    raise CertificateError("frame lines are not independent")
-                self.vertex_of_subset[frozenset(subset)] = building.vertex_of_rows[rows]
+        self.lines = lines
+        self.n = n
+        self.vertex_of_subset: dict[int, int] = {}
+        for v, mask in enumerate(building.masks):
+            key = sum((mask >> line & 1) << i for i, line in enumerate(lines))
+            if key.bit_count() == building.vertex_dims[v]:
+                self.vertex_of_subset[key] = v
+        if len(self.vertex_of_subset) != 2**n - 2:
+            raise ValueError("frame lines are not in direct sum")
 
     def chamber_of_perm(self, w: Sequence[int]) -> Simplex:
-        prefix: set[int] = set()
+        key = 0
         out = []
         for i in range(self.n - 1):
-            prefix.add(w[i])
-            out.append(self.vertex_of_subset[frozenset(prefix)])
+            key |= 1 << w[i]
+            out.append(self.vertex_of_subset[key])
         return tuple(sorted(out))
 
     def chambers(self) -> tuple[Simplex, ...]:
@@ -451,9 +431,9 @@ def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[i
     the apartment.  ``sigma`` must be opposite ``dp`` (it comes from
     ``opposite_chambers``, so this is not re-tested); otherwise a flag
     level pair sharing other than one line raises ``CertificateError``, or
-    ``Frame`` refuses lines not in direct sum with ``ValueError``.
+    ``Apartment`` refuses lines not in direct sum with ``ValueError``.
     """
-    apt = Apartment(b, Frame(tuple(b.vertices[line] for line in _frame_lines(b, dp, sigma))))
+    apt = Apartment(b, _frame_lines(b, dp, sigma))
     table: dict[frozenset[int], set[Simplex]] = {}
     for w, levels in _level_sets(b.n):
         table.setdefault(levels, set()).add(apt.chamber_of_perm(w))
@@ -559,28 +539,18 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
 # -- convenience constructors ----------------------------------------
 
 
-def _unit(q: int, n: int, i: int) -> Subspace:
-    return Subspace.span(q, n, [[1 if j == i else 0 for j in range(n)]])
-
-
-def _basis_flag(b: Building, order: Sequence[int]) -> Simplex:
-    """The chamber whose level-k subspace is spanned by the first k unit
-    vectors taken in ``order``."""
-    units = [[1 if j == i else 0 for j in range(b.n)] for i in order]
-    spans = (Subspace.span(b.q, b.n, units[:k]) for k in range(1, b.n))
-    return b.chamber_ids(b.vertex_of_rows[s.rows] for s in spans)
+def coordinate_frame(b: Building) -> tuple[int, ...]:
+    """The line vertex ids of the standard basis vectors, in order."""
+    units = ((tuple(1 if j == i else 0 for j in range(b.n)),) for i in range(b.n))
+    return tuple(b.vertex_of_rows[rows] for rows in units)
 
 
 def standard_flag(b: Building) -> Simplex:
     """The coordinate chamber spanned by growing prefixes of the standard basis."""
-    return _basis_flag(b, range(b.n))
+    return Apartment(b, coordinate_frame(b)).chamber_of_perm(range(b.n))
 
 
 def reversed_flag(b: Building) -> Simplex:
     """The coordinate chamber built from the standard basis taken backwards;
     it is opposite ``standard_flag(b)``."""
-    return _basis_flag(b, range(b.n - 1, -1, -1))
-
-
-def coordinate_frame(q: int, n: int) -> Frame:
-    return Frame(tuple(_unit(q, n, i) for i in range(n)))
+    return Apartment(b, coordinate_frame(b)).chamber_of_perm(range(b.n - 1, -1, -1))

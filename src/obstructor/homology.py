@@ -32,7 +32,8 @@ def boundary_maps(
     whose layer d-1 is given, with shape ``len(cells[d-1]) x len(cells[d])``
     and a one at (facet, cell) for each cell and each of its ``facets``.
     Every product ``boundary[d-1] @ boundary[d]`` of two built maps is
-    checked to vanish, and a nonzero one raises ``CertificateError``.
+    checked to vanish, and a nonzero one raises ``CertificateError``; a
+    map out of an empty layer is zero, so its product is skipped.
     """
     boundary: dict[int, GF2Matrix] = {}
     for d in sorted(cells):
@@ -41,7 +42,7 @@ def boundary_maps(
         below = {c: i for i, c in enumerate(cells[d - 1])}
         ones = [(below[f], col) for col, c in enumerate(cells[d]) for f in facets(c)]
         boundary[d] = GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones)
-        if d - 1 in boundary and not (boundary[d - 1] @ boundary[d]).is_zero():
+        if d - 1 in boundary and cells[d] and not (boundary[d - 1] @ boundary[d]).is_zero():
             raise CertificateError(f"boundary of boundary is nonzero in dimension {d}")
     return boundary
 

@@ -73,10 +73,8 @@ class ConfigurationSpace:
 def _disjoint_pairs(k: SimplicialComplex, cell_dim: int) -> Iterator[CellPair]:
     """All disjoint unordered pairs with dim sigma + dim tau = cell_dim."""
     mask = {s: sum(1 << v for v in s) for d in range(min(cell_dim, k.dimension) + 1) for s in k.faces(d)}
-    for a in range(cell_dim // 2 + 1):
+    for a in range(max(0, cell_dim - k.dimension), min(cell_dim // 2, k.dimension) + 1):
         b = cell_dim - a
-        if a > k.dimension or b > k.dimension:
-            continue
         # The masks prove disjointness, so only the order is left to fix,
         # and faces of one dimension already come in lexicographic order.
         if a == b:

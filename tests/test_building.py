@@ -5,14 +5,16 @@ principles: subspace counts by spanning and deduplicating raw vector
 tuples, flag counts from the group-order formula |GL_n| / |Borel|, and
 first Betti numbers of graphs from E - V + #components via a plain BFS.
 None of those paths touch the enumeration code under test.  Subspace
-incidence is checked against a rank oracle (row reduction over F_q), and
-the bitset pair check of ``verify_dbl_embedding`` against an explicit
-loop over cell pairs.
+incidence is checked against a rank oracle (row reduction over F_q),
+apartments read off line masks against apartments spanned by row
+reduction, and the bitset pair check of ``verify_dbl_embedding`` against
+an explicit loop over cell pairs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+import time
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 import pytest
@@ -22,13 +24,11 @@ from obstructor.building import (
     Apartment,
     Building,
     EmbeddingWitness,
-    Frame,
     Subspace,
     _bending_table,
     build,
     coordinate_frame,
     enumerate_subspaces,
-    fq_rank,
     fq_rref,
     gaussian_binomial,
     is_opposite,
@@ -63,6 +63,10 @@ def b24() -> Building:
 #
 # Incidence of subspaces by row reduction over F_q.  The library reads
 # incidence off line masks; these functions are the independent check.
+
+
+def fq_rank(rows: Sequence[Sequence[int]], q: int, width: int) -> int:
+    return len(fq_rref(rows, q, width)[0])
 
 
 def full(q: int, n: int) -> Subspace:
@@ -235,6 +239,13 @@ def test_enumerate_subspaces_validation():
         enumerate_subspaces(5, 8, 4)
 
 
+def test_huge_field_is_refused_before_trial_division():
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        build(10**15 + 37, 2)
+    assert time.perf_counter() - started < 1.0
+
+
 # -- the building ----------------------------------------------------
 
 
@@ -298,8 +309,9 @@ def test_flag_and_frame_validation(b23):
         b23.chamber_ids((b23.vertex_of_rows[line.rows], b23.vertex_of_rows[plane.rows]))  # line not inside plane
     with pytest.raises(ValueError):
         b23.chamber_ids((b23.vertex_of_rows[line.rows],))  # too few levels for n=3
+    e1, _, e3 = coordinate_frame(b23)
     with pytest.raises(ValueError):
-        Frame((line, line, Subspace.span(q, n, [[0, 0, 1]])))  # repeated line
+        Apartment(b23, (e1, e1, e3))  # repeated line
 
 
 # -- line masks ------------------------------------------------------
@@ -332,15 +344,8 @@ def test_construction_cross_checks_raise(b23, monkeypatch):
     dp = standard_flag(b)
     with pytest.raises(CertificateError):  # flag levels sharing a plane, not a line
         _bending_table(b, dp, dp)
-    # An apartment re-checks that its frame lines are independent, also
-    # for a frame that skipped its own direct-sum check.
-    line = b.vertices[0]
-    dependent = object.__new__(Frame)
-    object.__setattr__(dependent, "lines", (line, line, b.vertices[1]))
-    with pytest.raises(CertificateError):
-        Apartment(b, dependent)
-    with pytest.raises(ValueError):
-        Frame(dependent.lines)
+    with pytest.raises(ValueError):  # frame lines not in direct sum
+        Apartment(b, (0, 0, 1))
     opp = opposite_chambers(b, dp)
     monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: opp[1:])
     with pytest.raises(CertificateError):
@@ -442,13 +447,13 @@ def test_unique_apartment_of_coordinate_flags(b23, b24):
     for b in (b23, b24):
         c = standard_flag(b)
         d = reversed_flag(b)
-        assert unique_apartment(b, c, d) == coordinate_frame(b.q, b.n)
+        assert unique_apartment(b, c, d) == coordinate_frame(b)
     with pytest.raises(ValueError):
         unique_apartment(b23, standard_flag(b23), standard_flag(b23))
 
 
 def test_apartment_shape(b24):
-    apt = Apartment(b24, coordinate_frame(2, 4))
+    apt = Apartment(b24, coordinate_frame(b24))
     assert len(apt.vertex_ids()) == 2**4 - 2
     chambers = apt.chambers()
     assert len(set(chambers)) == 24
@@ -460,11 +465,12 @@ def test_apartment_shape(b24):
 def test_apartment_is_a_coxeter_complex(b24):
     """The subset-vertex bijection carries the abstract chamber complex
     of the symmetric group onto the apartment, chamber by chamber."""
-    apt = Apartment(b24, coordinate_frame(2, 4))
+    apt = Apartment(b24, coordinate_frame(b24))
     cc = coxeter_complex(symmetric(4))
     carry = {}
-    for subset, vid in apt.vertex_of_subset.items():
-        cox_vid = cc.complex.labels.index("{" + ",".join(map(str, sorted(subset))) + "}")
+    for key, vid in apt.vertex_of_subset.items():
+        subset = [i for i in range(4) if key >> i & 1]
+        cox_vid = cc.complex.labels.index("{" + ",".join(map(str, subset)) + "}")
         carry[cox_vid] = vid
     for w in symmetric(4).elements():
         image = tuple(sorted(carry[v] for v in cc.chamber_of[w]))
@@ -473,7 +479,7 @@ def test_apartment_is_a_coxeter_complex(b24):
 
 def test_apartment_opposition_matches_coxeter_opposition(b23, b33, b24):
     for b in (b23, b33, b24):
-        apt = Apartment(b, coordinate_frame(b.q, b.n))
+        apt = Apartment(b, coordinate_frame(b))
         system = symmetric(b.n)
         for u in system.elements():
             for v in system.elements():
@@ -482,9 +488,74 @@ def test_apartment_opposition_matches_coxeter_opposition(b23, b33, b24):
                 ) == system.opposite_in_apartment(u, v)
 
 
-def test_apartment_rejects_foreign_frame(b23):
-    with pytest.raises(ValueError):
-        Apartment(b23, coordinate_frame(3, 3))
+def test_apartment_rejects_foreign_frame(b23, b33):
+    with pytest.raises(ValueError):  # ids 9 and 12 are planes of b23
+        Apartment(b23, coordinate_frame(b33))
+
+
+class RrefApartment:
+    """Apartment oracle: every vertex spanned by row reduction over F_q.
+
+    The frame is checked to be n lines of rank n, and each proper subset
+    of frame lines is spanned by ``fq_rref`` and looked up by its echelon
+    rows.  Keys are frozensets of frame positions.
+    """
+
+    def __init__(self, b: Building, lines: Sequence[int]) -> None:
+        if len(lines) != b.n:
+            raise ValueError(f"frame has {len(lines)} lines in dimension {b.n}")
+        frame = [b.vertices[line] for line in lines]
+        if any(line.dim != 1 for line in frame):
+            raise ValueError("frame member is not a line")
+        if fq_rank([row for line in frame for row in line.rows], b.q, b.n) != b.n:
+            raise ValueError("frame lines are not in direct sum")
+        self.n = b.n
+        self.vertex_of_subset = {}
+        for size in range(1, b.n):
+            for subset in combinations(range(b.n), size):
+                rows, _ = fq_rref([row for i in subset for row in frame[i].rows], b.q, b.n)
+                self.vertex_of_subset[frozenset(subset)] = b.vertex_of_rows[rows]
+
+    def chamber_of_perm(self, w: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sorted(self.vertex_of_subset[frozenset(w[: k + 1])] for k in range(self.n - 1)))
+
+
+def assert_apartments_agree(b: Building, lines: Sequence[int]) -> None:
+    apt = Apartment(b, lines)
+    oracle = RrefApartment(b, lines)
+    keys = {sum(1 << i for i in subset): v for subset, v in oracle.vertex_of_subset.items()}
+    assert apt.vertex_of_subset == keys
+    for w in permutations(range(b.n)):
+        assert apt.chamber_of_perm(w) == oracle.chamber_of_perm(w)
+
+
+def test_apartment_agrees_with_the_rref_oracle(b23, b33, b24):
+    b53 = build(5, 3)
+    samples = ((b23, b23.chambers), (b33, b33.chambers), (b24, b24.chambers[::40]), (b53, b53.chambers[::60]))
+    for b, chambers in samples:
+        for c in chambers:
+            for d in opposite_chambers(b, c):
+                frame = unique_apartment(b, c, d)
+                assert_apartments_agree(b, frame)
+                assert b.chamber_ids(Apartment(b, frame).chamber_of_perm(range(b.n))) == c
+    for b in (b23, b33, b24, b53):
+        assert_apartments_agree(b, coordinate_frame(b))
+
+
+def test_apartment_and_rref_oracle_refuse_the_same_frames(b23):
+    e1, e2, e3 = coordinate_frame(b23)
+    coplanar = (e1, e2, b23.vertex_of_rows[((1, 1, 0),)])
+    plane = b23.vertex_of_rows[((1, 0, 0), (0, 1, 0))]
+    for lines in (
+        (e1, e1, e3),  # a repeated line
+        coplanar,  # three lines in one plane of F_2^3
+        (e1, e2, plane),  # an id that is not a line
+        (e1, e2),  # n - 1 ids
+    ):
+        with pytest.raises(ValueError):
+            RrefApartment(b23, lines)
+        with pytest.raises(ValueError):
+            Apartment(b23, lines)
 
 
 def gallery_distances(b: Building, start: int) -> list[int]:
@@ -675,7 +746,7 @@ def test_bitset_check_agrees_with_the_pair_loop(b23, monkeypatch):
 # -- chambers opposite a whole apartment -----------------------------
 
 
-def chambers_opposite_apartment(b: Building, frame: Frame) -> set:
+def chambers_opposite_apartment(b: Building, frame: Sequence[int]) -> set:
     """Every chamber opposite all chambers of the apartment, exhaustively."""
     found = set(b.chambers)
     for t in set(Apartment(b, frame).chambers()):
@@ -684,7 +755,7 @@ def chambers_opposite_apartment(b: Building, frame: Frame) -> set:
 
 
 def test_no_chamber_opposite_coordinate_apartment_at_q2(b23):
-    frame = coordinate_frame(2, 3)
+    frame = coordinate_frame(b23)
     assert chambers_opposite_apartment(b23, frame) == set()
     # exhaustive confirmation: every chamber fails against some apartment chamber
     apt_chambers = set(Apartment(b23, frame).chambers())
@@ -693,7 +764,7 @@ def test_no_chamber_opposite_coordinate_apartment_at_q2(b23):
 
 
 def test_opposite_to_apartment_found_at_q3(b33):
-    frame = coordinate_frame(3, 3)
+    frame = coordinate_frame(b33)
     found = chambers_opposite_apartment(b33, frame)
     assert found
     apt = Apartment(b33, frame)
@@ -705,7 +776,7 @@ def test_opposite_to_apartment_found_at_q3(b33):
 
 def test_opposite_to_apartment_found_at_q5():
     b = build(5, 3)
-    frame = coordinate_frame(5, 3)
+    frame = coordinate_frame(b)
     found = chambers_opposite_apartment(b, frame)
     assert found
     for ids in found:

@@ -130,6 +130,15 @@ def test_cell_budget_is_enforced_during_enumeration():
     assert time.perf_counter() - started < 1.0
 
 
+def test_dimension_far_above_the_complex_is_decided_at_once():
+    # Only splits a + b = cell_dim with both parts at most dim K are
+    # enumerated, so a huge ambient dimension costs nothing.
+    started = time.perf_counter()
+    result = is_trivial(k33(), 10**6)
+    assert time.perf_counter() - started < 1.0
+    assert result.trivial and not result.nontrivial
+
+
 def test_disjoint_pairs_brute_force_oracle():
     k = k33()
     edges = k.faces(1)
