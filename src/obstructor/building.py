@@ -31,7 +31,7 @@ from itertools import combinations, permutations, product
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, signings
 from .coxeter import symmetric
 from .errors import CertificateError, ResourceLimitError
 
@@ -459,11 +459,6 @@ class EmbeddingReport:
     pairs_checked: int
 
 
-#: A top cell of the doubled complex: (chamber of Opp(C) below it, minus
-#: part, plus part, bent chambers).
-_BentCell = tuple[Simplex, frozenset[int], frozenset[int], frozenset[Simplex]]
-
-
 def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingReport:
     """Check that bending the doubled opposition complex never collides.
 
@@ -486,35 +481,30 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
     tables = {sigma: _bending_table(b, dp, sigma) for sigma in opp}
     checked = 0
     for delta in opp:
-        dset = set(delta)
-        # Top cells of O(sigma) that survive the doubling over delta: any
-        # subset of sigma's delta-vertices may switch to its doubled copy.
-        # Each cell carries the chambers it bends onto, read off the level
-        # set of its minus part.
-        cells: list[_BentCell] = []
+        # The top cells over each sigma that survive the doubling over
+        # delta are its signings (2v for the plain copy of v, 2v+1 for the
+        # doubled one).  Each carries the chambers it bends onto, read off
+        # the level set of its minus part.
+        doubled = frozenset(delta)
+        cells: list[tuple[Simplex, Simplex, frozenset[Simplex]]] = []
         for sigma in opp:
-            shared = sorted(dset.intersection(sigma))
-            for r in range(len(shared) + 1):
-                for plus in combinations(shared, r):
-                    minus = frozenset(sigma).difference(plus)
-                    bent = tables[sigma][frozenset(b.vertex_dims[v] for v in minus)]
-                    cells.append((sigma, minus, frozenset(plus), bent))
-        # Bit j of at_vertex[s] / at_chamber[t]: cell j has signed vertex s
-        # (2v for the plain copy of v, 2v+1 for the doubled one) / bends
-        # onto chamber t.
-        signed = [[2 * v for v in minus] + [2 * v + 1 for v in plus] for _, minus, plus, _ in cells]
+            for cell in signings(sigma, doubled):
+                levels = frozenset(b.vertex_dims[sv >> 1] for sv in cell if not sv & 1)
+                cells.append((sigma, cell, tables[sigma][levels]))
+        # Bit j of at_vertex[sv] / at_chamber[t]: cell j has signed vertex sv
+        # / bends onto chamber t.
         at_vertex: dict[int, int] = {}
         at_chamber: dict[Simplex, int] = {}
-        for j, (_, _, _, bent) in enumerate(cells):
-            for s in signed[j]:
-                at_vertex[s] = at_vertex.get(s, 0) | 1 << j
+        for j, (_, cell, bent) in enumerate(cells):
+            for sv in cell:
+                at_vertex[sv] = at_vertex.get(sv, 0) | 1 << j
             for chamber in bent:
                 at_chamber[chamber] = at_chamber.get(chamber, 0) | 1 << j
         every = (1 << len(cells)) - 1
-        for j, (sigma, _, _, bent) in enumerate(cells):
+        for j, (sigma, cell, bent) in enumerate(cells):
             touching = 0
-            for s in signed[j]:
-                touching |= at_vertex[s]
+            for sv in cell:
+                touching |= at_vertex[sv]
             later = (every ^ touching) >> (j + 1)  # disjoint cells after j
             checked += later.bit_count()
             covering = 0
@@ -523,13 +513,13 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
             hits = later & (covering >> (j + 1))
             if hits:
                 k = j + (hits & -hits).bit_length()
-                tau, _, _, bent_b = cells[k]
+                tau, cell_b, bent_b = cells[k]
                 witness = EmbeddingWitness(
                     doubling_chamber=delta,
                     sigma=sigma,
-                    alpha=tuple(sorted(signed[j])),
+                    alpha=cell,
                     tau=tau,
-                    beta=tuple(sorted(signed[k])),
+                    beta=cell_b,
                     overlap=tuple(sorted(bent & bent_b)),
                 )
                 return EmbeddingReport(False, witness, checked)

@@ -7,23 +7,25 @@ other input faces are dropped, duplicates removed, facets sorted
 lexicographically.  Optional human-readable labels ride along and survive
 subcomplex operations.
 
-Signed vertices (for octahedralization) are encoded arithmetically:
-vertex ``v`` of the base complex yields ``2*v`` (minus copy) and
-``2*v + 1`` (plus copy).
+Signed vertices (for octahedralization and doubling) are encoded
+arithmetically: vertex ``v`` of the base complex yields ``2*v`` (minus
+copy) and ``2*v + 1`` (plus copy).  Both list their facets with
+``signings`` and refuse more than ``DEFAULT_MAX_CELLS`` before building any.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from itertools import combinations
+from typing import IO, Collection, Container, Iterable, Iterator, Optional, Sequence
 
-from .errors import DEFAULT_MAX_VERTICES, ResourceLimitError
+from .errors import DEFAULT_MAX_CELLS, ResourceLimitError
 
 __all__ = [
     "Simplex",
     "SimplicialComplex",
     "signed_label",
+    "signings",
     "octahedralize",
     "double_over",
     "join",
@@ -223,39 +225,47 @@ def signed_label(base: str, sv: int) -> str:
     return base + ("+" if sv & 1 else "-")
 
 
-def octahedralize(k: SimplicialComplex, max_vertices: int = DEFAULT_MAX_VERTICES) -> SimplicialComplex:
+def signings(facet: Simplex, doubled: Container[int]) -> Iterator[Simplex]:
+    """The signed copies of ``facet``, each sorted: vertex ``v`` as ``2v``, or
+    as ``2v+1`` when ``v`` is in ``doubled``.  They come by number of plus
+    vertices, then in ``combinations`` order of the doubled vertices."""
+    shared = [v for v in facet if v in doubled]
+    for r in range(len(shared) + 1):
+        for plus in combinations(shared, r):
+            yield tuple(2 * v + (v in plus) for v in facet)
+
+
+def _signed_complex(k: SimplicialComplex, doubled: Collection[int]) -> SimplicialComplex:
+    """The signings of every facet of ``k``, signed ids renumbered in sorted order."""
+    total = sum(1 << sum(v in doubled for v in f) for f in k.facets)
+    if total > DEFAULT_MAX_CELLS:
+        raise ResourceLimitError(f"{total} signed facets exceeds cap {DEFAULT_MAX_CELLS}")
+    ids = sorted([2 * v for v in range(k.num_vertices)] + [2 * v + 1 for v in doubled])
+    rename = {sv: i for i, sv in enumerate(ids)}
+    facets = [tuple(rename[sv] for sv in c) for f in k.facets for c in signings(f, doubled)]
+    labels = tuple(signed_label(k.vertex_label(sv // 2), sv) for sv in ids)
+    return SimplicialComplex(facets, labels=labels, num_vertices=len(ids))
+
+
+def octahedralize(k: SimplicialComplex) -> SimplicialComplex:
     """Replace every vertex by a minus/plus pair.
 
     A signed set is a face iff its base vertices are distinct and span a
     face of ``k``; facets of the result are all sign patterns over facets of
     ``k``.  Vertex ``v`` becomes ``2v`` (minus) and ``2v+1`` (plus).
     """
-    if k.num_vertices > max_vertices:
-        raise ResourceLimitError(
-            f"octahedralize: {k.num_vertices} vertices exceeds cap {max_vertices}"
-        )
-    facets = []
-    for f in k.facets:
-        for signs in product((0, 1), repeat=len(f)):
-            facets.append(tuple(2 * v + s for v, s in zip(f, signs)))
-    labels = tuple(
-        signed_label(k.vertex_label(sv // 2), sv) for sv in range(2 * k.num_vertices)
-    )
-    return SimplicialComplex(facets, labels=labels, num_vertices=2 * k.num_vertices)
+    return _signed_complex(k, range(k.num_vertices))
 
 
 def double_over(k: SimplicialComplex, delta: Iterable[int]) -> SimplicialComplex:
-    """Octahedralize, then keep all minus vertices but only plus vertices of ``delta``.
-
-    ``delta`` must be a face of ``k``.  The result is the induced subcomplex
-    of the octahedralization on that vertex set.
-    """
+    """Clone the vertices of the face ``delta``: the signings of the facets of
+    ``k`` with plus copies on ``delta`` only.  This is the induced subcomplex
+    of the octahedralization on all minus vertices and the plus vertices of
+    ``delta``, numbered as ``full_subcomplex`` numbers it."""
     d = _canonical_simplex(delta)
     if not k.has_face(d):
         raise ValueError(f"delta {d} is not a face of the complex")
-    octa = octahedralize(k)
-    keep = [2 * v for v in range(k.num_vertices)] + [2 * v + 1 for v in d]
-    return octa.full_subcomplex(keep)
+    return _signed_complex(k, frozenset(d))
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

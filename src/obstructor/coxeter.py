@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Union
 
 from .complexes import Simplex, SimplicialComplex, full_simplex, octahedralize
-from .errors import CertificateError
+from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
 
 __all__ = [
     "CoxeterSystem",
@@ -248,12 +248,12 @@ def _subset_label(t: frozenset[int]) -> str:
 
 def _symmetric_complex(system: CoxeterSystem) -> CoxeterComplex:
     n = system.n
-    subsets: list[frozenset[int]] = []
-    for size in range(1, n):
-        level = sorted(
-            (t for t in _subsets_of_size(n, size)), key=lambda t: tuple(sorted(t))
-        )
-        subsets.extend(level)
+    chambers = 1
+    for i in range(2, n + 1):
+        chambers *= i
+        if chambers > DEFAULT_MAX_CELLS:
+            raise ResourceLimitError(f"S_{n} has more than {DEFAULT_MAX_CELLS} chambers")
+    subsets = [frozenset(c) for size in range(1, n) for c in combinations(range(n), size)]
     vid = {t: i for i, t in enumerate(subsets)}
     labels = [_subset_label(t) for t in subsets]
 
@@ -269,11 +269,6 @@ def _symmetric_complex(system: CoxeterSystem) -> CoxeterComplex:
     if len(cx.facets) != system.order():
         raise CertificateError("chambers are not in bijection with the group")
     return CoxeterComplex(system, cx, chamber_of)
-
-
-def _subsets_of_size(n: int, size: int) -> Iterator[frozenset[int]]:
-    for c in combinations(range(n), size):
-        yield frozenset(c)
 
 
 def _rightangled_complex(system: CoxeterSystem) -> CoxeterComplex:

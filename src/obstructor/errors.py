@@ -13,20 +13,18 @@ from __future__ import annotations
 __all__ = [
     "ResourceLimitError",
     "CertificateError",
-    "DEFAULT_MAX_VERTICES",
     "DEFAULT_MAX_CELLS",
 ]
 
-#: Refuse to octahedralize / pair up complexes beyond this many vertices.
-DEFAULT_MAX_VERTICES = 200
-
 #: Cap on the cells of the configuration-space window a decision reads,
 #: unless the caller passes ``max_cells=`` (``--max-cells`` on the CLI).
+#: It also caps the signed facets of an octahedralization or a double,
+#: counted before any is built.
 DEFAULT_MAX_CELLS = 2_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured cell or vertex budget."""
+    """An enumeration would exceed the configured cell budget."""
 
 
 class CertificateError(RuntimeError):

@@ -39,9 +39,11 @@ from obstructor.building import (
     unique_apartment,
     verify_dbl_embedding,
 )
+from obstructor.complexes import double_over
 from obstructor.coxeter import coxeter_complex, symmetric
 from obstructor.errors import CertificateError, ResourceLimitError
 from obstructor.homology import betti_numbers
+from obstructor.vankampen import configuration_space
 
 
 @pytest.fixture(scope="module")
@@ -725,6 +727,21 @@ def test_pairs_checked_is_pinned(b23, b33, b24):
         for c in chambers:
             report = verify_dbl_embedding(b, c)
             assert (report.ok, report.pairs_checked) == (True, pairs)
+
+
+def test_pairs_checked_counts_the_configuration_space_top_pairs(b23, b33, b24):
+    """A disjoint pair of top cells of Dbl(Opp(C), delta) is one 2k-cell of
+    its configuration space, so summing those over every delta gives
+    ``pairs_checked``.  At (2,4) every delta has the same count (the
+    unipotent group fixing C is transitive on Opp(C)), so one is taken 64
+    times."""
+    for b, deltas, pinned in ((b23, None, 448), (b33, None, 12_879), (b24, 1, 203_776)):
+        c = standard_flag(b)
+        opp = opp_complex(b, c)
+        k = opp.dimension
+        counts = [len(configuration_space(double_over(opp, d), 2 * k).cells[2 * k]) for d in opp.facets[:deltas]]
+        total = sum(counts) * len(opp.facets) // len(counts)
+        assert total == verify_dbl_embedding(b, c).pairs_checked == pinned
 
 
 def test_bitset_check_agrees_with_the_pair_loop(b23, monkeypatch):

@@ -99,6 +99,17 @@ def test_gen_resource_error():
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "params", [("octahedron", "40"), ("coxeter", "rightangled", "40"), ("coxeter", "symmetric", "12")]
+)
+def test_gen_refuses_too_many_facets_at_once(params):
+    """2^40 signed facets and 12! chambers are counted, not enumerated."""
+    started = time.perf_counter()
+    res = run("gen", *params)
+    assert time.perf_counter() - started < 1.0
+    assert res.returncode == 3 and "error:" in res.stderr
+
+
 # -- homology --------------------------------------------------------
 
 

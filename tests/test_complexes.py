@@ -6,6 +6,7 @@ reconstructions that never call the functions under test.
 from __future__ import annotations
 
 import io
+import time
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from obstructor.complexes import (
     octahedralize,
     path_complex,
     points_complex,
+    signings,
     to_json_dict,
 )
 from obstructor.errors import ResourceLimitError
@@ -205,9 +207,20 @@ def test_octahedralize_face_counts_scale_by_powers_of_two(k):
         assert len(o.faces(d)) == len(k.faces(d)) << (d + 1)
 
 
-def test_octahedralize_resource_cap():
-    with pytest.raises(ResourceLimitError):
-        octahedralize(points_complex(5), max_vertices=4)
+def test_signed_facet_cap_is_checked_before_building():
+    """The 2^21 = 2,097,152 signings of a 20-simplex exceed
+    ``DEFAULT_MAX_CELLS``; both constructions refuse them at once."""
+    k = full_simplex(21)
+    for build in (lambda: octahedralize(k), lambda: double_over(k, range(21))):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            build()
+        assert time.perf_counter() - started < 1.0
+
+
+def test_signings_order_and_encoding():
+    assert list(signings((1, 3, 4), {3, 4, 9})) == [(2, 6, 8), (2, 7, 8), (2, 6, 9), (2, 7, 9)]
+    assert list(signings((0, 2), ())) == [(0, 4)]
 
 
 def brute_force_double(k: SimplicialComplex, delta: tuple[int, ...]) -> SimplicialComplex:
@@ -254,6 +267,17 @@ def test_double_over_full_facet_contains_octahedralization_of_it():
     k = full_simplex(3)
     d = double_over(k, (0, 1, 2))
     assert d == octahedralize(k)
+
+
+def test_double_over_matches_the_restricted_octahedralization_past_200_vertices():
+    """The construction ``double_over`` replaced: octahedralize all of the
+    complex, then keep every minus vertex and the plus vertices of delta."""
+    k = cycle_complex(300)
+    keep = [2 * v for v in range(300)] + [1, 3]
+    oracle = octahedralize(k).full_subcomplex(keep)
+    d = double_over(k, (0, 1))
+    assert d == oracle and d.labels == oracle.labels
+    assert d.num_vertices == 302 and len(d.facets) == 297 + 2 + 4 + 2  # sum of 2^{|e ∩ delta|}
 
 
 # -- JSON interchange ------------------------------------------------

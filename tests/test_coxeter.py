@@ -7,6 +7,7 @@ popcount were wrong, the two could not agree on every element.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from itertools import combinations, product
 
@@ -18,6 +19,7 @@ from obstructor.coxeter import (
     rightangled,
     symmetric,
 )
+from obstructor.errors import ResourceLimitError
 from obstructor.homology import betti_numbers
 
 
@@ -200,6 +202,16 @@ def test_chamber_maps_are_inverse_bijections():
         assert len(cc.chamber_of) == system.order()
         assert set(cc.chamber_of.values()) == set(cc.complex.facets)
         assert len(set(cc.chamber_of.values())) == len(cc.chamber_of)  # injective
+
+
+def test_chamber_cap_is_checked_before_enumerating():
+    """10! = 3,628,800 and 2^21 chambers exceed ``DEFAULT_MAX_CELLS``; the
+    count is refused, even for a million letters, before any is built."""
+    for system in (symmetric(10), symmetric(10**6), rightangled(21)):
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            coxeter_complex(system)
+        assert time.perf_counter() - started < 1.0
 
 
 def test_adjacent_chambers_share_a_panel():
