@@ -9,7 +9,8 @@ run-time self-check failed (a program fault, not an input one).
 
 Reports are plain lines by default or a single JSON object with ``--json``;
 for fixed inputs and seed the result fields are byte-identical across runs
-(timing is reported separately and excluded from that guarantee).
+(timing is reported separately and excluded from that guarantee); ``vk
+--json`` adds the verdict's deterministic ``stats`` counters.
 """
 
 from __future__ import annotations
@@ -239,6 +240,7 @@ def cmd_vk(args: argparse.Namespace) -> int:
         "input": {"file": args.file, "vertices": k.num_vertices, "facets": len(k.facets)},
         "seed": args.seed,
         "result": result,
+        "stats": verdict.stats,
     }
     lines = [
         f"obstruction in dimension {args.n}: "

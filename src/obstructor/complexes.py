@@ -40,6 +40,11 @@ __all__ = [
 Simplex = tuple[int, ...]
 
 
+def _require_vertex_budget(count: int) -> None:
+    if count > 1_000_000:
+        raise ResourceLimitError(f"{count} vertices is beyond any supported scale")
+
+
 def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
     vs = tuple(sorted(vertices))
     for a, b in zip(vs, vs[1:]):
@@ -91,8 +96,7 @@ class SimplicialComplex:
             num_vertices = top
         if num_vertices < top:
             raise ValueError(f"num_vertices {num_vertices} below max vertex id {top - 1}")
-        if num_vertices > 1_000_000:
-            raise ResourceLimitError(f"{num_vertices} vertices is beyond any supported scale")
+        _require_vertex_budget(num_vertices)
         missing = set(range(num_vertices)) - seen
         if missing:
             # Isolated vertices are legitimate; store them as singleton facets.
@@ -269,7 +273,10 @@ def double_over(k: SimplicialComplex, delta: Iterable[int]) -> SimplicialComplex
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Simplicial join; vertices of ``b`` are shifted past those of ``a``."""
+    """Simplicial join; vertices of ``b`` are shifted past those of ``a``.
+    More than ``DEFAULT_MAX_CELLS`` joined facets are refused before any is built."""
+    if len(a.facets) * len(b.facets) > DEFAULT_MAX_CELLS:
+        raise ResourceLimitError(f"{len(a.facets)} x {len(b.facets)} joined facets exceeds cap {DEFAULT_MAX_CELLS}")
     off = a.num_vertices
     facets = [fa + tuple(v + off for v in fb) for fa in a.facets for fb in b.facets]
     if not a.facets:
@@ -292,6 +299,7 @@ def cycle_complex(n: int) -> SimplicialComplex:
     """The n-gon: vertices 0..n-1, edges between cyclic neighbours (n >= 3)."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _require_vertex_budget(n)
     return SimplicialComplex([(i, (i + 1) % n) for i in range(n)])
 
 
@@ -299,6 +307,7 @@ def path_complex(n: int) -> SimplicialComplex:
     """A path with n edges (n+1 vertices)."""
     if n < 1:
         raise ValueError(f"path needs at least 1 edge, got {n}")
+    _require_vertex_budget(n + 1)
     return SimplicialComplex([(i, i + 1) for i in range(n)])
 
 
@@ -306,6 +315,7 @@ def points_complex(n: int) -> SimplicialComplex:
     """n isolated vertices."""
     if n < 1:
         raise ValueError(f"need at least 1 point, got {n}")
+    _require_vertex_budget(n)
     return SimplicialComplex([(i,) for i in range(n)])
 
 

@@ -25,7 +25,7 @@ echelon form gives, which the obstruction certificates rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 __all__ = ["GF2Vector", "GF2Matrix"]
 
@@ -42,19 +42,6 @@ class GF2Vector:
             raise ValueError(f"negative vector length {self.length}")
         if self.bits < 0 or self.bits >> self.length:
             raise ValueError(f"bits 0x{self.bits:x} do not fit in length {self.length}")
-
-    @classmethod
-    def zero(cls, length: int) -> "GF2Vector":
-        return cls(length, 0)
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "GF2Vector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise ValueError(f"index {i} out of range for length {length}")
-            bits |= 1 << i
-        return cls(length, bits)
 
     @classmethod
     def from_list(cls, entries: Sequence[int]) -> "GF2Vector":
@@ -94,9 +81,6 @@ class GF2Vector:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def to_list(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.length)]
-
 
 class GF2Matrix:
     """An immutable rows x cols matrix over GF(2)."""
@@ -116,40 +100,6 @@ class GF2Matrix:
         self.row_bits = tuple(row_bits)
         self._reduced: Optional[tuple[tuple[tuple[int, int], ...], dict[int, int]]] = None
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]], cols: Optional[int] = None) -> "GF2Matrix":
-        if cols is None:
-            cols = len(entries[0]) if entries else 0
-        bits = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            b = 0
-            for j, e in enumerate(row):
-                if e & 1:
-                    b |= 1 << j
-            bits.append(b)
-        return cls(len(entries), cols, bits)
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, ones: Iterable[tuple[int, int]]) -> "GF2Matrix":
-        bits = [0] * rows
-        for i, j in ones:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i}, {j}) out of range for shape ({rows}, {cols})")
-            bits[i] ^= 1 << j
-        return cls(rows, cols, bits)
-
     # -- basics -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -162,19 +112,6 @@ class GF2Matrix:
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.rows}x{self.cols})"
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.row_bits[i] >> j) & 1
-
-    def column(self, j: int) -> GF2Vector:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        bits = 0
-        for i, r in enumerate(self.row_bits):
-            bits |= ((r >> j) & 1) << i
-        return GF2Vector(self.rows, bits)
 
     def transpose(self) -> "GF2Matrix":
         out = [0] * self.cols
@@ -220,10 +157,6 @@ class GF2Matrix:
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
-
-    def rows_iter(self) -> Iterator[GF2Vector]:
-        for r in self.row_bits:
-            yield GF2Vector(self.cols, r)
 
     # -- elimination --------------------------------------------------
 

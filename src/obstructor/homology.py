@@ -28,9 +28,10 @@ def boundary_maps(
 ) -> dict[int, GF2Matrix]:
     """The boundary maps between consecutive layers of ``cells``.
 
-    ``cells[d]`` lists the d-cells; ``boundary[d]`` is built for every d
-    whose layer d-1 is given, with shape ``len(cells[d-1]) x len(cells[d])``
-    and a one at (facet, cell) for each cell and each of its ``facets``.
+    ``cells[d]`` lists the d-cells under any hashable key (a simplex, or a
+    configuration-space cell's int key); ``boundary[d]`` is built for every
+    d whose layer d-1 is given, with shape ``len(cells[d-1]) x len(cells[d])``
+    and bit j XORed into the row of each of the ``facets`` of cell j.
     Every product ``boundary[d-1] @ boundary[d]`` of two built maps is
     checked to vanish, and a nonzero one raises ``CertificateError``; a
     map out of an empty layer is zero, so its product is skipped.
@@ -40,8 +41,12 @@ def boundary_maps(
         if d - 1 not in cells:
             continue
         below = {c: i for i, c in enumerate(cells[d - 1])}
-        ones = [(below[f], col) for col, c in enumerate(cells[d]) for f in facets(c)]
-        boundary[d] = GF2Matrix.from_entries(len(cells[d - 1]), len(cells[d]), ones)
+        rows = [0] * len(cells[d - 1])
+        for col, c in enumerate(cells[d]):
+            bit = 1 << col
+            for f in facets(c):
+                rows[below[f]] ^= bit
+        boundary[d] = GF2Matrix(len(rows), len(cells[d]), rows)
         if d - 1 in boundary and cells[d] and not (boundary[d - 1] @ boundary[d]).is_zero():
             raise CertificateError(f"boundary of boundary is nonzero in dimension {d}")
     return boundary

@@ -8,6 +8,12 @@ complementary disjoint pair, and decide whether the resulting cocycle is
 a coboundary.  A nonzero pairing with an explicit cycle certifies that
 the complex does not embed in R^n.
 
+A cell is an int: the faces of K up to dimension n+1 are numbered once,
+in lexicographic order, and {sigma, tau} with ids s < t is ``s * F + t``
+for F faces.  Ascending keys are then the lexicographic order of the
+pairs, the boundary reads a table of facet ids, and ``CellPair`` tuples
+are decoded one layer at a time, when a layer is read.
+
 No coordinates are computed.  Points on the moment curve with distinct
 parameters are in general position, and two complementary simplices cross
 exactly when their vertices interlace in parameter order (the cyclic
@@ -18,8 +24,8 @@ time and raise ``CertificateError``, also under ``python -O``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
@@ -52,12 +58,67 @@ class CellPair(NamedTuple):
         return len(self.sigma) + len(self.tau) - 2
 
 
+class _Cells(Mapping[int, tuple[CellPair, ...]]):
+    """Cells over one lexicographic numbering of the faces of K up to ``top``.
+
+    Face ``i`` is ``faces[i]``, with vertex mask ``masks[i]`` and facet ids
+    ``facet_ids[i]`` (drop the first vertex, then the second, ...);
+    ``by_dim[a]`` lists the a-faces' ids, ascending.  Cell {sigma, tau}
+    with ids s < t is ``s * count + t``.  ``layers[d]`` holds the keys of
+    layer d, and ``self[d]`` decodes it to ``CellPair`` tuples on first read.
+    """
+
+    def __init__(self, k: SimplicialComplex, top: int) -> None:
+        self.faces = sorted(f for a in range(top + 1) for f in k.faces(a))
+        self.count = len(self.faces)
+        ids = {f: i for i, f in enumerate(self.faces)}
+        self.masks = [sum(1 << v for v in f) for f in self.faces]
+        self.facet_ids = [tuple(ids[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else () for f in self.faces]
+        self.by_dim = [[ids[f] for f in k.faces(a)] for a in range(top + 1)]
+        self.layers: dict[int, list[int]] = {}
+        self._decoded: dict[int, tuple[CellPair, ...]] = {}
+
+    def rows(self, d: int) -> Iterator[list[int]]:
+        """Per split and face s, the d-cells {s, t} with dim s <= dim t."""
+        count, masks, top = self.count, self.masks, len(self.by_dim) - 1
+        for a in range(max(0, d - top), min(d // 2, top) + 1):
+            partners = self.by_dim[d - a]
+            for i, s in enumerate(self.by_dim[a]):
+                ms, later = masks[s], partners[i + 1 :] if 2 * a == d else partners
+                yield [s * count + t if s < t else t * count + s for t in later if not ms & masks[t]]
+
+    def cell_facets(self, cell: int) -> list[int]:
+        # A face of a disjoint pair is disjoint, so only the order can change,
+        # and only when sigma shrinks: s < t with s, t disjoint means
+        # s[0] < t[0], and a facet of t starts at t[0] or later.
+        count = self.count
+        s, t = divmod(cell, count)
+        tail = [s * count + f for f in self.facet_ids[t]]
+        return [f * count + t if f < t else t * count + f for f in self.facet_ids[s]] + tail
+
+    def decode(self, cell: int) -> CellPair:
+        s, t = divmod(cell, self.count)
+        return CellPair(self.faces[s], self.faces[t])
+
+    def __getitem__(self, d: int) -> tuple[CellPair, ...]:
+        if d not in self._decoded:
+            self._decoded[d] = tuple(map(self.decode, self.layers[d]))
+        return self._decoded[d]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.layers)
+
+    def __len__(self) -> int:
+        return len(self.layers)
+
+
 @dataclass(frozen=True)
 class ConfigurationSpace:
     """The window of disjoint-pair cells that a decision in R^n reads.
 
-    ``cells[d]`` lists the d-cells in lexicographic order for d = n-1, n
-    and n+1: the n-cells carry the cocycle, the (n-1)-cells index a cochain
+    ``keys[d]`` lists the d-cells for d = n-1, n and n+1 as ascending int
+    keys, and ``cells[d]`` as ``CellPair`` tuples decoded on first read:
+    the n-cells carry the cocycle, the (n-1)-cells index a cochain
     certificate and the (n+1)-cells give the cocycle check.
     ``boundary[d]`` maps d-chains to (d-1)-chains for d = n and n+1; the
     boundary of {sigma, tau} is the sum of {sigma', tau} over facets
@@ -66,27 +127,9 @@ class ConfigurationSpace:
 
     source: SimplicialComplex
     n: int
-    cells: dict[int, tuple[CellPair, ...]]
+    cells: Mapping[int, tuple[CellPair, ...]]
+    keys: dict[int, list[int]]
     boundary: dict[int, GF2Matrix]
-
-
-def _disjoint_pairs(k: SimplicialComplex, cell_dim: int) -> Iterator[CellPair]:
-    """All disjoint unordered pairs with dim sigma + dim tau = cell_dim."""
-    mask = {s: sum(1 << v for v in s) for d in range(min(cell_dim, k.dimension) + 1) for s in k.faces(d)}
-    for a in range(max(0, cell_dim - k.dimension), min(cell_dim // 2, k.dimension) + 1):
-        b = cell_dim - a
-        # The masks prove disjointness, so only the order is left to fix,
-        # and faces of one dimension already come in lexicographic order.
-        if a == b:
-            for s, t in combinations(k.faces(a), 2):
-                if not mask[s] & mask[t]:
-                    yield CellPair(s, t)
-        else:
-            for s in k.faces(a):
-                ms = mask[s]
-                for t in k.faces(b):
-                    if not ms & mask[t]:
-                        yield CellPair(s, t) if s < t else CellPair(t, s)
 
 
 def configuration_space(
@@ -95,41 +138,26 @@ def configuration_space(
     """The cells of dimension n-1, n and n+1 and the boundary maps between them.
 
     ``max_cells`` (default ``DEFAULT_MAX_CELLS``) caps the cells of these
-    three layers together and must be positive; the one product of the
-    window, boundary[n] @ boundary[n+1], is checked to vanish.
+    three layers together, checked after each face's row of partners, and
+    must be positive; the one product of the window,
+    boundary[n] @ boundary[n+1], is checked to vanish.
     """
     if n < 1:
         raise ValueError(f"target dimension must be >= 1, got {n}")
     cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     if cap < 1:
         raise ValueError(f"max_cells must be positive, got {cap}")
-    cells: dict[int, tuple[CellPair, ...]] = {}
+    cells = _Cells(k, min(n + 1, k.dimension))
     total = 0
     for d in (n - 1, n, n + 1):
-        # Enumerate one cell past the remaining budget, so an oversized
-        # layer is refused without being built.
-        layer = tuple(sorted(islice(_disjoint_pairs(k, d), cap - total + 1)))
+        layer = cells.layers[d] = []
+        for row in cells.rows(d):
+            layer += row
+            if total + len(layer) > cap:
+                raise ResourceLimitError(f"configuration space exceeds {cap} cells by dimension {d}")
+        layer.sort()
         total += len(layer)
-        if total > cap:
-            raise ResourceLimitError(
-                f"configuration space exceeds {cap} cells by dimension {d}"
-            )
-        cells[d] = layer
-    return ConfigurationSpace(k, n, cells, boundary_maps(cells, _cell_facets))
-
-
-def _cell_facets(cell: CellPair) -> Iterator[CellPair]:
-    # A face of a disjoint pair is disjoint, so only the order can change,
-    # and only when sigma shrinks: s < t with s, t disjoint means
-    # s[0] < t[0], and a facet of t starts at t[0] or later.
-    s, t = cell
-    if len(s) > 1:
-        for drop in range(len(s)):
-            f = s[:drop] + s[drop + 1 :]
-            yield CellPair(f, t) if f < t else CellPair(t, f)
-    if len(t) > 1:
-        for drop in range(len(t)):
-            yield CellPair(s, t[:drop] + t[drop + 1 :])
+    return ConfigurationSpace(k, n, cells, cells.layers, boundary_maps(cells.layers, cells.cell_facets))
 
 
 # -- crossing parity on the moment curve -----------------------------
@@ -198,7 +226,10 @@ class ObstructionVerdict:
     whose pairing with the cocycle is 1, and ``certificate_cells`` are the
     n-cells it indexes.  Trivial: ``certificate`` is a cochain whose
     coboundary equals the cocycle, and ``certificate_cells`` are the
-    (n-1)-cells it indexes.
+    (n-1)-cells it indexes, read off the window's layers ``cells`` and
+    decoded on first access.  ``stats`` holds
+    deterministic counters: cells per window layer, the shape and rank of
+    boundary[n], the cocycle weight, and the certificate kind and weight.
     """
 
     n: int
@@ -207,11 +238,16 @@ class ObstructionVerdict:
     certificate_kind: str  # "cycle" | "cochain"
     cocycle: ObstructionCocycle
     seed: int
-    certificate_cells: tuple[CellPair, ...] = field(repr=False)
+    stats: dict
+    cells: Mapping[int, tuple[CellPair, ...]] = field(repr=False, compare=False)
 
     @property
     def trivial(self) -> bool:
         return not self.nontrivial
+
+    @property
+    def certificate_cells(self) -> tuple[CellPair, ...]:
+        return self.cells[self.n if self.nontrivial else self.n - 1]
 
 
 def is_trivial(
@@ -236,13 +272,23 @@ def is_trivial(
         # Cycles vanish on the row space, so the cycle of free column f pairs
         # with the cocycle as the residue does at f: the lowest residue bit
         # names the first cycle of the kernel basis that pairs to 1.
-        cycle = boundary_n.kernel_vector((residue.bits & -residue.bits).bit_length() - 1)
-        if not boundary_n.apply(cycle).is_zero() or cycle.dot(cocycle.values) != 1:
+        certificate, kind = boundary_n.kernel_vector((residue.bits & -residue.bits).bit_length() - 1), "cycle"
+        if not boundary_n.apply(certificate).is_zero() or certificate.dot(cocycle.values) != 1:
             raise CertificateError("certificate is not a cycle pairing to 1")
-        return ObstructionVerdict(n, True, cycle, "cycle", cocycle, seed, cfg.cells[n])
-    if boundary_n.apply_transpose(primitive) != cocycle.values:
-        raise CertificateError("primitive substitution failed")
-    return ObstructionVerdict(n, False, primitive, "cochain", cocycle, seed, cfg.cells[n - 1])
+    else:
+        certificate, kind = primitive, "cochain"
+        if boundary_n.apply_transpose(primitive) != cocycle.values:
+            raise CertificateError("primitive substitution failed")
+    stats = {
+        "cells": {d: len(layer) for d, layer in cfg.keys.items()},
+        "boundary_rows": boundary_n.rows,
+        "boundary_cols": boundary_n.cols,
+        "boundary_rank": boundary_n.rank(),
+        "cocycle_weight": cocycle.values.weight(),
+        "certificate_kind": kind,
+        "certificate_weight": certificate.weight(),
+    }
+    return ObstructionVerdict(n, kind == "cycle", certificate, kind, cocycle, seed, stats, cfg.cells)
 
 
 # -- doubled-complex criterion ---------------------------------------

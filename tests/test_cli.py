@@ -110,6 +110,16 @@ def test_gen_refuses_too_many_facets_at_once(params):
     assert res.returncode == 3 and "error:" in res.stderr
 
 
+@pytest.mark.parametrize("params", [("cycle", "5000000"), ("join", "3000", "3000")])
+def test_gen_refuses_too_many_vertices_or_joined_facets_at_once(params):
+    """5,000,000 cycle vertices and 9,000,000 joined edges are refused
+    before any simplex is built."""
+    started = time.perf_counter()
+    res = run("gen", *params)
+    assert time.perf_counter() - started < 1.0
+    assert res.returncode == 3 and "error:" in res.stderr
+
+
 # -- homology --------------------------------------------------------
 
 
@@ -195,6 +205,19 @@ def test_vk_certificate(k33_file):
     assert len(sigma) == 2 and len(tau) == 2
     plain = run("vk", k33_file, "2", "--certificate")
     assert "certificate (cycle): 18 cells" in plain.stdout
+
+
+def test_vk_json_reports_deterministic_stats(k33_file):
+    stats = json.loads(run("vk", k33_file, "2", "--json").stdout)["stats"]
+    assert stats == {
+        "cells": {"1": 36, "2": 18, "3": 0},
+        "boundary_rows": 36,
+        "boundary_cols": 18,
+        "boundary_rank": 17,
+        "cocycle_weight": 5,
+        "certificate_kind": "cycle",
+        "certificate_weight": 18,
+    }
 
 
 def test_vk_reports_are_reproducible(k33_file):

@@ -185,6 +185,28 @@ def test_join_with_empty_is_identity():
     assert join(e, k) == k
 
 
+@pytest.mark.parametrize(
+    "make, n", [(cycle_complex, 5_000_000), (path_complex, 1_000_000), (points_complex, 1_000_001)]
+)
+def test_generators_refuse_too_many_vertices_before_building(make, n):
+    """Past 1,000,000 vertices the generators refuse at once: no simplex
+    is built first.  A path with n edges has n + 1 vertices."""
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="vertices is beyond any supported scale"):
+        make(n)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_join_refuses_too_many_facets_before_building():
+    """2,002,000 joined facets pass the 2,000,000 cap and are counted, not built."""
+    a, b = points_complex(2000), points_complex(1001)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="2000 x 1001 joined facets exceeds cap 2000000"):
+        join(a, b)
+    assert time.perf_counter() - started < 0.1
+    assert len(join(points_complex(2), points_complex(1001)).facets) == 2002
+
+
 # -- octahedralization and doubling ----------------------------------
 
 

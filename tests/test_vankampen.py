@@ -8,7 +8,9 @@ rule on random cells of the moment curve.  Verdict-level cases are the
 classics: complete and complete bipartite graphs fail in the plane, cycles
 fail on the line, and everything planar or collapsible comes out trivial.
 Cocycle and certificate bits are pinned, so a change of the parity rule or
-of the seeded parameters cannot pass unnoticed.
+of the seeded parameters cannot pass unnoticed.  The enumeration of cell
+pairs that the int cell keys replaced is kept here as an oracle: decoded
+cells and boundary rows must equal what it builds.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import sys
 import time
 from fractions import Fraction as F
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstructor.building import build, opp_complex, standard_flag
 from obstructor.complexes import (
     SimplicialComplex,
     cycle_complex,
@@ -35,11 +39,9 @@ from obstructor.complexes import (
 )
 from obstructor.errors import ResourceLimitError
 from obstructor.homology import cycle_basis
-from test_gf2 import rref_kernel_basis, rref_solve
 from obstructor.vankampen import (
     AdosReport,
     CellPair,
-    _disjoint_pairs,
     _seeded_values,
     configuration_space,
     is_trivial,
@@ -47,6 +49,9 @@ from obstructor.vankampen import (
     pair_intersection_parity,
     verify_ados,
 )
+
+from gf2_helpers import column, entry, from_entries
+from test_gf2 import rref_kernel_basis, rref_solve
 
 
 def k33() -> SimplicialComplex:
@@ -87,7 +92,7 @@ def test_configuration_space_of_two_disjoint_edges():
     assert {d: len(c) for d, c in cfg.cells.items()} == {0: 6, 1: 4, 2: 1}
     assert cfg.cells[2] == (CellPair((0, 1), (2, 3)),)
     # the single square cell has four boundary edges
-    assert cfg.boundary[2].column(0).weight() == 4
+    assert column(cfg.boundary[2], 0).weight() == 4
     assert (cfg.boundary[1] @ cfg.boundary[2]).is_zero()
 
 
@@ -145,7 +150,75 @@ def test_disjoint_pairs_brute_force_oracle():
     expected = sum(
         1 for e, f in combinations(edges, 2) if not set(e) & set(f)
     )
-    assert len(list(_disjoint_pairs(k, 2))) == expected == 18
+    assert len(list(disjoint_pairs(k, 2))) == expected == 18
+
+
+def disjoint_pairs(k: SimplicialComplex, cell_dim: int) -> Iterator[CellPair]:
+    """All disjoint unordered pairs with dim sigma + dim tau = cell_dim, by
+    mask tests over each dimension split: the enumeration the program ran
+    before cells were int keys."""
+    mask = {s: sum(1 << v for v in s) for d in range(min(cell_dim, k.dimension) + 1) for s in k.faces(d)}
+    for a in range(max(0, cell_dim - k.dimension), min(cell_dim // 2, k.dimension) + 1):
+        b = cell_dim - a
+        if a == b:
+            for s, t in combinations(k.faces(a), 2):
+                if not mask[s] & mask[t]:
+                    yield CellPair(s, t)
+        else:
+            for s in k.faces(a):
+                for t in k.faces(b):
+                    if not mask[s] & mask[t]:
+                        yield CellPair(s, t) if s < t else CellPair(t, s)
+
+
+def cell_facets(cell: CellPair) -> Iterator[CellPair]:
+    """The facets of a cell, built as pairs: drop a vertex of sigma, then of tau."""
+    s, t = cell
+    if len(s) > 1:
+        for drop in range(len(s)):
+            f = s[:drop] + s[drop + 1 :]
+            yield CellPair(f, t) if f < t else CellPair(t, f)
+    if len(t) > 1:
+        for drop in range(len(t)):
+            yield CellPair(s, t[:drop] + t[drop + 1 :])
+
+
+def assert_window_matches_the_pair_oracle(k: SimplicialComplex, n: int) -> None:
+    """Decoded cells and boundary rows equal those of the pair enumeration,
+    with each boundary built entry by entry from ``cell_facets``."""
+    cfg = configuration_space(k, n)
+    for d in (n - 1, n, n + 1):
+        assert cfg.keys[d] == sorted(cfg.keys[d])
+        assert cfg.cells[d] == tuple(sorted(disjoint_pairs(k, d)))
+    for d in (n, n + 1):
+        below = {c: i for i, c in enumerate(cfg.cells[d - 1])}
+        ones = [(below[f], j) for j, c in enumerate(cfg.cells[d]) for f in cell_facets(c)]
+        expected = from_entries(len(cfg.cells[d - 1]), len(cfg.cells[d]), ones)
+        assert (cfg.boundary[d].rows, cfg.boundary[d].cols) == (expected.rows, expected.cols)
+        assert cfg.boundary[d].row_bits == expected.row_bits
+
+
+def stretch_double(chamber: int = 0) -> SimplicialComplex:
+    """Opp(C) of the q=2 n=4 building, doubled over one of its chambers."""
+    b = build(2, 4)
+    opp = opp_complex(b, standard_flag(b))
+    return double_over(opp, opp.facets[chamber])
+
+
+ORACLE_CASES = {
+    "stretch_double_0": (stretch_double, 4),
+    "stretch_double_5": (lambda: stretch_double(5), 4),
+    "k33_r2": (k33, 2),
+    "k33_r4": (k33, 4),
+    "k5_r2": (k5, 2),
+    "k5_r4": (k5, 4),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_window_matches_the_pair_oracle(name):
+    make, n = ORACLE_CASES[name]
+    assert_window_matches_the_pair_oracle(make(), n)
 
 
 def brute_force_cells(k: SimplicialComplex) -> dict[int, list[CellPair]]:
@@ -185,7 +258,13 @@ def test_window_is_three_layers_of_the_brute_force_enumeration(k, n):
         assert (matrix.rows, matrix.cols) == (len(cfg.cells[d - 1]), len(cfg.cells[d]))
         for i, lower in enumerate(cfg.cells[d - 1]):
             for j, upper in enumerate(cfg.cells[d]):
-                assert matrix.entry(i, j) == is_cell_facet(lower, upper)
+                assert entry(matrix, i, j) == is_cell_facet(lower, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.integers(1, 4))
+def test_window_matches_the_pair_oracle_on_random_complexes(k, n):
+    assert_window_matches_the_pair_oracle(k, n)
 
 
 # -- the exact oracle for crossing parity -----------------------------
@@ -361,6 +440,31 @@ def test_cocycle_and_certificate_bits_are_pinned(make, n, seed, cocycle, certifi
     assert v.certificate.bits == certificate
 
 
+def verdict_stats(cells, rows, cols, rank, cocycle_weight, kind, certificate_weight) -> dict:
+    return {
+        "cells": cells,
+        "boundary_rows": rows,
+        "boundary_cols": cols,
+        "boundary_rank": rank,
+        "cocycle_weight": cocycle_weight,
+        "certificate_kind": kind,
+        "certificate_weight": certificate_weight,
+    }
+
+
+def test_verdict_stats_are_pinned():
+    """Cells per window layer, the shape and rank of the boundary, and the
+    cocycle and certificate weights."""
+    assert is_trivial(k33(), 2).stats == verdict_stats({1: 36, 2: 18, 3: 0}, 36, 18, 17, 5, "cycle", 18)
+    stretch = is_trivial(stretch_double(), 4)
+    assert stretch.stats == verdict_stats({3: 9008, 4: 3184, 5: 0}, 9008, 3184, 3183, 317, "cycle", 620)
+    assert stretch.stats["cocycle_weight"] == stretch.cocycle.values.weight()
+    assert stretch.stats["certificate_weight"] == stretch.certificate.weight()
+    trivial = is_trivial(cycle_complex(5), 2)
+    assert trivial.stats == verdict_stats({1: 15, 2: 5, 3: 0}, 15, 5, 5, 1, "cochain", 1)
+    assert len(trivial.certificate_cells) == 15
+
+
 def assert_certificate_matches_the_rref_oracle(k: SimplicialComplex, n: int, seed: int) -> None:
     """The certificate is the first kernel vector of the reduced echelon
     form of the boundary that pairs to 1, else the free-variables-zero
@@ -408,6 +512,11 @@ KNOWN_R4 = {
     "octahedral_2_sphere": (octahedral_sphere, False),
     "octahedral_3_sphere": (lambda: _octahedral(4), False),
 }
+
+
+@pytest.mark.parametrize("name", KNOWN_R4)
+def test_known_r4_windows_match_the_pair_oracle(name):
+    assert_window_matches_the_pair_oracle(KNOWN_R4[name][0](), 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17])
@@ -495,8 +604,8 @@ def test_configuration_boundary_check_survives_optimize(tmp_path):
         "from obstructor.cli import main",
         "from obstructor.complexes import full_simplex",
         "from obstructor.errors import CertificateError",
-        "real = vankampen._cell_facets",
-        "vankampen._cell_facets = lambda c: list(real(c))[c.cell_dim == 3:]",
+        "real = vankampen._Cells.cell_facets",
+        "vankampen._Cells.cell_facets = lambda self, c: real(self, c)[self.decode(c).cell_dim == 3:]",
         "try:",
         "    vankampen.is_trivial(full_simplex(5), 2)",
         "except CertificateError as exc:",
