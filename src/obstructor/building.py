@@ -1,15 +1,15 @@
 """Spherical buildings of type A: flag complexes of subspaces of F_q^n.
 
-Vertices are the proper nonzero subspaces of F_q^n (q prime), kept in
-reduced row echelon form so equality is structural; simplices are chains
+Vertices are the proper nonzero subspaces of F_q^n (q prime).  A subspace
+is its tuple of reduced row echelon rows, so equality is structural, and
+``b.vertices[v]`` is the rows of vertex ``v``.  Simplices are chains
 under inclusion and chambers are complete flags.  A chamber is named by
-its sorted tuple of vertex ids, and ``b.vertices[v]`` is the subspace of
-vertex ``v``.  On top of the complex this module provides what the
-paper's constructions use: opposite chambers (pairwise-transversal
-flags), the opposition complex Opp(C), the unique apartment through two
-opposite chambers and its coordinates by the symmetric group, and the
-check that bending the doubled opposition complex into apartments never
-makes two disjoint cells collide.
+its sorted tuple of vertex ids.  On top of the complex this module
+provides what the paper's constructions use: opposite chambers
+(pairwise-transversal flags), the opposition complex Opp(C), the unique
+apartment through two opposite chambers and its coordinates by the
+symmetric group, and the check that bending the doubled opposition
+complex into apartments never makes two disjoint cells collide.
 
 Incidence runs on line masks.  Lines come first among the vertices, so
 line vertex ``l`` is vertex id ``l``, and ``b.masks[v]`` is the integer
@@ -17,8 +17,8 @@ whose bit ``l`` is set iff line ``l`` lies in subspace ``v``.  A
 d-dimensional subspace holds ``(q^d - 1) / (q - 1)`` lines, so the
 dimension of an intersection is read off the popcount of an AND, and
 containment is ``mA & mB == mA``.  A frame is the tuple of its line
-vertex ids, and an apartment is read off the same masks.  Row reduction
-over F_q is left for building the subspaces.
+vertex ids, and an apartment is read off the same masks.  The echelon
+rows are used only to build the masks and to name the vertices.
 
 Everything is exact integer arithmetic mod q; no floating point anywhere.
 """
@@ -36,7 +36,6 @@ from .coxeter import symmetric
 from .errors import CertificateError, ResourceLimitError
 
 __all__ = [
-    "Subspace",
     "Building",
     "EmbeddingReport",
     "EmbeddingWitness",
@@ -46,11 +45,9 @@ __all__ = [
     "is_opposite",
     "opposite_chambers",
     "opp_complex",
-    "unique_apartment",
     "Apartment",
     "verify_dbl_embedding",
     "standard_flag",
-    "reversed_flag",
     "coordinate_frame",
 ]
 
@@ -59,71 +56,29 @@ MAX_FIELD_SIZE = 1_000_000
 MAX_SUBSPACES = 200_000
 
 Vector = tuple[int, ...]
+Rows = tuple[Vector, ...]  # a subspace: its reduced row echelon rows
 
 
-def _require_prime(q: int) -> None:
-    if q > MAX_FIELD_SIZE:
-        raise ResourceLimitError(f"F_{q} is beyond the desk-scale cap of {MAX_FIELD_SIZE}")
+def _check_field(q: int, n: int) -> None:
+    """Refuse F_q^n unless q is prime and q^n is at most ``MAX_FIELD_SIZE``.
+
+    The cap is tested first, so a huge q is refused before trial division,
+    and for n of ``MAX_FIELD_SIZE.bit_length()`` or more q^n is over the
+    cap without computing it (q >= 2).  The message quotes neither q nor n,
+    which may be too long to print.
+    """
+    if q > MAX_FIELD_SIZE or (q >= 2 and (n >= MAX_FIELD_SIZE.bit_length() or q**n > MAX_FIELD_SIZE)):
+        raise ResourceLimitError(f"F_q^n is beyond the desk-scale cap of {MAX_FIELD_SIZE} vectors")
     if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         raise ValueError(f"q must be prime, got {q}")
-
-
-# -- F_q row operations ----------------------------------------------
-
-
-def fq_rref(rows: Iterable[Sequence[int]], q: int, width: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form over F_q: (nonzero rows, pivot columns)."""
-    work = [[x % q for x in r] for r in rows]
-    for r in work:
-        if len(r) != width:
-            raise ValueError(f"row of length {len(r)}, expected {width}")
-    rank = 0
-    pivots = []
-    for col in range(width):
-        sel = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = pow(work[rank][col], -1, q)
-        work[rank] = [(x * inv) % q for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                c = work[i][col]
-                work[i] = [(a - c * b) % q for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
 
 
 # -- subspaces -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F_q^n in reduced row echelon form (hence canonical)."""
-
-    q: int
-    n: int
-    rows: tuple[Vector, ...]
-
-    def __post_init__(self) -> None:
-        _require_prime(self.q)
-        rref, _ = fq_rref(self.rows, self.q, self.n)
-        if rref != self.rows:
-            raise ValueError(f"rows {self.rows} are not in reduced echelon form; use Subspace.span")
-
-    @classmethod
-    def span(cls, q: int, n: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        rref, _ = fq_rref(vectors, q, n)
-        return cls(q, n, rref)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def label(self) -> str:
-        body = ",".join("".join(str(x) for x in row) for row in self.rows)
-        return f"{self.dim}-subspace:{body}"
+def _label(rows: Rows) -> str:
+    """``"2-subspace:100,010"``: the dimension, then the echelon rows."""
+    return f"{len(rows)}-subspace:" + ",".join("".join(map(str, row)) for row in rows)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -140,18 +95,16 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return out
 
 
-def enumerate_subspaces(q: int, n: int, k: int) -> list[Subspace]:
-    """All k-subspaces of F_q^n, canonical form, deterministic order.
+def enumerate_subspaces(q: int, n: int, k: int) -> list[Rows]:
+    """The echelon rows of all k-subspaces of F_q^n, in a deterministic order.
 
     Enumeration goes by RREF shape: choose pivot columns, then run through
     all values of the free entries (those right of their pivot and outside
     pivot columns).  Each subspace is produced exactly once.
     """
-    _require_prime(q)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    if q**n > MAX_FIELD_SIZE:
-        raise ResourceLimitError(f"F_{q}^{n} has {q**n} vectors, beyond the desk-scale cap")
+    _check_field(q, n)
     if gaussian_binomial(n, k, q) > MAX_SUBSPACES:
         raise ResourceLimitError(
             f"{gaussian_binomial(n, k, q)} subspaces requested, cap is {MAX_SUBSPACES}"
@@ -171,7 +124,7 @@ def enumerate_subspaces(q: int, n: int, k: int) -> list[Subspace]:
                 rows[i][p] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            out.append(Subspace(q, n, tuple(tuple(r) for r in rows)))
+            out.append(tuple(tuple(r) for r in rows))
     return out
 
 
@@ -181,9 +134,10 @@ def enumerate_subspaces(q: int, n: int, k: int) -> list[Subspace]:
 class Building:
     """The flag complex of proper nonzero subspaces of F_q^n.
 
+    A vertex is its echelon rows, ``vertices[v]``, and its line mask,
+    ``masks[v]``, which sets bit ``l`` iff line ``l`` lies in vertex ``v``.
     Vertices are sorted by dimension, so the lines are vertex ids
-    ``0 .. lines_in[n] - 1``.  ``masks[v]`` sets bit ``l`` iff line ``l``
-    lies in vertex ``v``, and ``lines_in[d]`` counts the lines of a
+    ``0 .. lines_in[n] - 1``, and ``lines_in[d]`` counts the lines of a
     d-dimensional subspace.
     """
 
@@ -191,15 +145,15 @@ class Building:
         self,
         q: int,
         n: int,
-        vertices: Sequence[Subspace],
+        vertices: Sequence[Rows],
         chambers: Sequence[Simplex],
         masks: Sequence[int],
     ) -> None:
         self.q = q
         self.n = n
         self.vertices = tuple(vertices)
-        self.vertex_of_rows = {s.rows: i for i, s in enumerate(self.vertices)}
-        self.vertex_dims = tuple(s.dim for s in self.vertices)
+        self.vertex_of_rows = {rows: i for i, rows in enumerate(self.vertices)}
+        self.vertex_dims = tuple(len(rows) for rows in self.vertices)
         self.lines_in = tuple((q**d - 1) // (q - 1) for d in range(n + 1))
         self.masks = tuple(masks)
         if len(self.masks) != len(self.vertices) or any(
@@ -210,7 +164,7 @@ class Building:
             raise CertificateError("line vertices are not the first vertex ids")
         self.chambers = tuple(chambers)
         self.chamber_index = {c: i for i, c in enumerate(self.chambers)}
-        labels = tuple(s.label() for s in self.vertices)
+        labels = tuple(_label(rows) for rows in self.vertices)
         self.complex = SimplicialComplex(self.chambers, labels=labels, num_vertices=len(self.vertices))
         if self.complex.facets != self.chambers:
             raise CertificateError("chambers are not the facets of the building")
@@ -232,20 +186,20 @@ class Building:
         return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={len(self.chambers)})"
 
 
-def _line_masks(q: int, n: int, vertices: Sequence[Subspace]) -> list[int]:
+def _line_masks(q: int, n: int, vertices: Sequence[Rows]) -> list[int]:
     """Bit ``l`` of mask ``v`` is set iff line vertex ``l`` lies in subspace ``v``.
 
     A line of an echelon subspace has exactly one normalised vector (first
     nonzero entry 1): a row plus any combination of the rows below it.
     Those vectors are line vertices' own rows, so each is looked up as is.
     """
-    line_of = {s.rows[0]: i for i, s in enumerate(vertices) if s.dim == 1}
+    line_of = {rows[0]: i for i, rows in enumerate(vertices) if len(rows) == 1}
     masks = []
-    for s in vertices:
+    for rows in vertices:
         mask = 0
         below: list[Vector] = [(0,) * n]  # the span of the rows below ``row``
-        for i in range(s.dim - 1, -1, -1):
-            row = s.rows[i]
+        for i in range(len(rows) - 1, -1, -1):
+            row = rows[i]
             for v in below:
                 mask |= 1 << line_of[tuple((a + b) % q for a, b in zip(row, v))]
             if i:
@@ -256,12 +210,9 @@ def _line_masks(q: int, n: int, vertices: Sequence[Subspace]) -> list[int]:
 
 def build(q: int, n: int) -> Building:
     """Construct the building of F_q^n flags."""
-    _require_prime(q)
     if n < 2:
         raise ValueError(f"need ambient dimension >= 2, got {n}")
-    if q**n > MAX_FIELD_SIZE:
-        raise ResourceLimitError(f"F_{q}^{n} has {q**n} vectors, beyond the desk-scale cap")
-    vertices: list[Subspace] = []
+    vertices: list[Rows] = []
     ids_of_dim: dict[int, range] = {}
     for k in range(1, n):
         start = len(vertices)
@@ -348,21 +299,6 @@ def _frame_lines(b: Building, c: Simplex, d: Simplex) -> list[int]:
     return lines
 
 
-def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> tuple[int, ...]:
-    """The frame spanning the unique apartment through opposite chambers,
-    as line vertex ids.
-
-    Line i (0-based) is V_{i+1} of C intersected with W_{n-i-1} of D (with
-    the full space standing in at level n), so listing prefixes of the
-    frame in order recovers C, and suffixes recover D.
-    """
-    ci = b.chamber_ids(c)
-    di = b.chamber_ids(d)
-    if not is_opposite(b, ci, di):
-        raise ValueError("chambers are not opposite; no unique apartment")
-    return tuple(_frame_lines(b, ci, di))
-
-
 class Apartment:
     """Coordinates of the apartment an ordered frame of n line ids spans.
 
@@ -406,8 +342,6 @@ class Apartment:
     def chambers(self) -> tuple[Simplex, ...]:
         return tuple(self.chamber_of_perm(w) for w in permutations(range(self.n)))
 
-    def vertex_ids(self) -> frozenset[int]:
-        return frozenset(self.vertex_of_subset.values())
 
 # -- bending ---------------------------------------------------------
 
@@ -538,9 +472,3 @@ def coordinate_frame(b: Building) -> tuple[int, ...]:
 def standard_flag(b: Building) -> Simplex:
     """The coordinate chamber spanned by growing prefixes of the standard basis."""
     return Apartment(b, coordinate_frame(b)).chamber_of_perm(range(b.n))
-
-
-def reversed_flag(b: Building) -> Simplex:
-    """The coordinate chamber built from the standard basis taken backwards;
-    it is opposite ``standard_flag(b)``."""
-    return Apartment(b, coordinate_frame(b)).chamber_of_perm(range(b.n - 1, -1, -1))

@@ -66,7 +66,8 @@ class SimplicialComplex:
         labels: Optional[Sequence[str]] = None,
         num_vertices: Optional[int] = None,
     ) -> None:
-        cleaned = {_canonical_simplex(f) for f in facets if tuple(f) != ()}
+        cleaned = {_canonical_simplex(f) for f in facets}
+        cleaned.discard(())
         # Drop faces nested inside other input faces.  Faces go longest
         # first, and a length class is indexed by vertex only once all of it
         # is tested, so a face meets only strictly longer maximal faces (a
@@ -132,10 +133,6 @@ class SimplicialComplex:
             cached = tuple(sorted(out))
             self._faces_cache[d] = cached
         return cached
-
-    def all_faces(self) -> Iterator[Simplex]:
-        for d in range(self.dimension + 1):
-            yield from self.faces(d)
 
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(self.faces(d)) for d in range(self.dimension + 1))
@@ -323,6 +320,7 @@ def full_simplex(n: int) -> SimplicialComplex:
     """The solid simplex on n vertices (dimension n-1)."""
     if n < 1:
         raise ValueError(f"need at least 1 vertex, got {n}")
+    _require_vertex_budget(n)
     return SimplicialComplex([tuple(range(n))])
 
 

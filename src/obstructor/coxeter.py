@@ -125,9 +125,6 @@ class CoxeterSystem:
             return tuple(out)
         return 1 << s
 
-    def right_multiply(self, w: Element, s: int) -> Element:
-        return self.multiply(w, self.generator_element(s))
-
     def _check_generator(self, s: int) -> None:
         if not (isinstance(s, int) and 0 <= s < self.num_generators):
             raise ValueError(f"{s!r} is not a generator index (0..{self.num_generators - 1})")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
 from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
@@ -168,7 +168,10 @@ _LCG_MASK = (1 << 64) - 1
 
 
 def _seeded_values(seed: int, count: int) -> list[int]:
-    """Distinct 16-bit integers from a 64-bit LCG, reproducible per seed."""
+    """Distinct 16-bit integers from a 64-bit LCG, reproducible per seed.
+    More than 2^16 are refused, as no more distinct values exist."""
+    if count > 1 << 16:
+        raise ResourceLimitError(f"{count} vertices exceed the {1 << 16} distinct moment-curve parameters")
     state = (seed ^ 0x9E3779B97F4A7C15) & _LCG_MASK
     out: list[int] = []
     used = set()
@@ -306,7 +309,7 @@ class AdosReport:
 
 def verify_ados(
     l: SimplicialComplex,
-    delta: Simplex,
+    delta: Iterable[int],
     k: int,
     seed: int = 0,
     *,
@@ -336,11 +339,12 @@ def verify_ados(
         raise ValueError("base complex is not flag; the doubling laws assume flagness")
     if l.dimension != k:
         raise ValueError(f"k must equal the complex dimension {l.dimension}, got {k}")
-    if len(tuple(delta)) != k + 1:
+    delta = tuple(delta)
+    if len(delta) != k + 1:
         # Doubling over a lower-dimensional simplex can leave an embeddable
         # complex even when it lies on a top cycle (double a 4-cycle over a
         # vertex: still planar), so law (a) needs a top cell.
-        raise ValueError(f"doubling simplex must be a {k}-simplex, got {tuple(delta)}")
+        raise ValueError(f"doubling simplex must be a {k}-simplex, got {delta}")
     d = double_over(l, delta)  # validates that delta is a face
     verdict = is_trivial(d, 2 * k, seed, max_cells=max_cells)
     lhs = verdict.nontrivial

@@ -475,7 +475,7 @@ def test_criterion_9_counting_oracles(capsys):
     # apartment sanity rides along: 2^n - 2 vertices in the coordinate frame
     from obstructor.building import coordinate_frame
 
-    if len(Apartment(b24, coordinate_frame(b24)).vertex_ids()) != 2**4 - 2:
+    if len(set(Apartment(b24, coordinate_frame(b24)).vertex_of_subset.values())) != 2**4 - 2:
         ok = False
     elapsed = time.perf_counter() - start
     report(

@@ -14,8 +14,9 @@ an explicit loop over cell pairs.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -24,19 +25,15 @@ from obstructor.building import (
     Apartment,
     Building,
     EmbeddingWitness,
-    Subspace,
     _bending_table,
     build,
     coordinate_frame,
     enumerate_subspaces,
-    fq_rref,
     gaussian_binomial,
     is_opposite,
     opp_complex,
     opposite_chambers,
-    reversed_flag,
     standard_flag,
-    unique_apartment,
     verify_dbl_embedding,
 )
 from obstructor.complexes import double_over
@@ -61,10 +58,83 @@ def b24() -> Building:
     return build(2, 4)
 
 
+def reversed_flag(b: Building) -> tuple[int, ...]:
+    """The coordinate chamber built from the standard basis taken backwards;
+    it is opposite ``standard_flag(b)``."""
+    return Apartment(b, coordinate_frame(b)).chamber_of_perm(range(b.n - 1, -1, -1))
+
+
+def unique_apartment(b: Building, c: Iterable[int], d: Iterable[int]) -> tuple[int, ...]:
+    """The frame of the unique apartment through opposite chambers, as line
+    vertex ids: listing its prefixes in order recovers C, its suffixes D."""
+    ci = b.chamber_ids(c)
+    di = b.chamber_ids(d)
+    if not is_opposite(b, ci, di):
+        raise ValueError("chambers are not opposite; no unique apartment")
+    return tuple(bldg._frame_lines(b, ci, di))
+
+
 # -- the rank oracle -------------------------------------------------
 #
 # Incidence of subspaces by row reduction over F_q.  The library reads
-# incidence off line masks; these functions are the independent check.
+# incidence off line masks and keeps a subspace as its echelon rows; these
+# functions are the independent check, and ``Subspace`` re-checks that
+# every vertex's rows are in reduced echelon form.
+
+Vector = tuple[int, ...]
+
+
+def fq_rref(rows: Iterable[Sequence[int]], q: int, width: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form over F_q: (nonzero rows, pivot columns)."""
+    work = [[x % q for x in r] for r in rows]
+    for r in work:
+        if len(r) != width:
+            raise ValueError(f"row of length {len(r)}, expected {width}")
+    rank = 0
+    pivots = []
+    for col in range(width):
+        sel = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        inv = pow(work[rank][col], -1, q)
+        work[rank] = [(x * inv) % q for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                c = work[i][col]
+                work[i] = [(a - c * b) % q for a, b in zip(work[i], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of F_q^n in reduced row echelon form (hence canonical)."""
+
+    q: int
+    n: int
+    rows: tuple[Vector, ...]
+
+    def __post_init__(self) -> None:
+        bldg._check_field(self.q, self.n)
+        rref, _ = fq_rref(self.rows, self.q, self.n)
+        if rref != self.rows:
+            raise ValueError(f"rows {self.rows} are not in reduced echelon form; use Subspace.span")
+
+    @classmethod
+    def span(cls, q: int, n: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
+        rref, _ = fq_rref(vectors, q, n)
+        return cls(q, n, rref)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def subspace(b: Building, v: int) -> Subspace:
+    """Vertex ``v`` of ``b`` as a validated ``Subspace``."""
+    return Subspace(b.q, b.n, b.vertices[v])
 
 
 def fq_rank(rows: Sequence[Sequence[int]], q: int, width: int) -> int:
@@ -213,7 +283,7 @@ def test_enumerate_subspaces_matches_brute_force():
     for q, n, k in ((2, 3, 1), (2, 3, 2), (3, 3, 1), (2, 4, 2)):
         enumerated = enumerate_subspaces(q, n, k)
         assert len(enumerated) == len(set(enumerated))
-        assert set(enumerated) == brute_force_subspaces(q, n, k)
+        assert {Subspace(q, n, rows) for rows in enumerated} == brute_force_subspaces(q, n, k)
         assert enumerated == enumerate_subspaces(q, n, k)  # deterministic
 
 
@@ -248,6 +318,22 @@ def test_huge_field_is_refused_before_trial_division():
     assert time.perf_counter() - started < 1.0
 
 
+def test_huge_inputs_are_refused_without_the_power():
+    """For n >= 20, q^n is over the cap for every q >= 2, so it is not
+    computed; neither it nor a q too long to print is quoted."""
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="cap of 1000000 vectors"):
+        build(3, 10**7)
+    with pytest.raises(ResourceLimitError, match="cap of 1000000 vectors"):
+        build(10**5000, 2)
+    with pytest.raises(ResourceLimitError, match="desk-scale cap"):
+        enumerate_subspaces(2, 20, 1)
+    assert time.perf_counter() - started < 1.0
+    # 2^19 vectors pass the field cap; the subspace count is refused next
+    with pytest.raises(ResourceLimitError, match="524287 subspaces requested"):
+        enumerate_subspaces(2, 19, 1)
+
+
 # -- the building ----------------------------------------------------
 
 
@@ -273,6 +359,17 @@ def test_building_counts(b23, b33, b24):
         assert len(b.chambers) == general_linear_order(b.q, b.n) // borel_order(b.q, b.n)
 
 
+def test_every_vertex_is_a_distinct_echelon_subspace(b23, b33, b24):
+    """The library keeps each vertex as the rows ``enumerate_subspaces``
+    made, unchecked; here each is re-checked to be in reduced echelon form
+    over a prime field, and no two vertices share rows."""
+    for b in (b23, b33, b24, build(5, 3)):
+        spaces = [subspace(b, v) for v in range(len(b.vertices))]
+        assert len(set(spaces)) == len(b.vertices)
+        assert tuple(s.dim for s in spaces) == b.vertex_dims
+        assert tuple(s.rows for s in spaces) == b.vertices
+
+
 def test_building_vertices_sorted_by_dimension(b24):
     assert b24.vertex_dims == tuple(sorted(b24.vertex_dims))
     assert b24.complex.vertex_label(0).startswith("1-subspace:")
@@ -280,7 +377,7 @@ def test_building_vertices_sorted_by_dimension(b24):
 
 def test_chambers_are_complete_flags(b23):
     for c in b23.chambers:
-        line, plane = (b23.vertices[v] for v in c)
+        line, plane = (subspace(b23, v) for v in c)
         assert (line.dim, plane.dim) == (1, 2)
         assert contains(plane, line)
 
@@ -296,7 +393,7 @@ def test_thickness_every_panel_in_q_plus_one_chambers(b23, b33, b24):
 
 def test_chamber_coercion(b23):
     ids = standard_flag(b23)
-    assert [b23.vertices[v].rows for v in ids] == [((1, 0, 0),), ((1, 0, 0), (0, 1, 0))]
+    assert [b23.vertices[v] for v in ids] == [((1, 0, 0),), ((1, 0, 0), (0, 1, 0))]
     assert b23.chamber_ids(ids) == ids
     assert b23.chamber_ids(reversed(ids)) == ids  # id order does not matter
     with pytest.raises(ValueError):
@@ -321,8 +418,9 @@ def test_flag_and_frame_validation(b23):
 
 def test_masks_match_the_rank_oracle(b23, b33, b24):
     for b in (b23, b33, b24):
-        for u, a in enumerate(b.vertices):
-            for v, c in enumerate(b.vertices):
+        vertices = [subspace(b, v) for v in range(len(b.vertices))]
+        for u, a in enumerate(vertices):
+            for v, c in enumerate(vertices):
                 common = b.masks[u] & b.masks[v]
                 assert common.bit_count() == b.lines_in[intersection_dim(a, c)]
                 assert (common == b.masks[u]) == contains(c, a)
@@ -330,7 +428,7 @@ def test_masks_match_the_rank_oracle(b23, b33, b24):
     for b, c in ((b23, b23.chambers[0]), (b33, standard_flag(b33)), (b24, b24.chambers[7])):
         by_rank = tuple(
             d for d in b.chambers
-            if all(transversal(b.vertices[u], b.vertices[v]) for u in c for v in d)
+            if all(transversal(subspace(b, u), subspace(b, v)) for u in c for v in d)
         )
         assert opposite_chambers(b, c) == by_rank
 
@@ -456,7 +554,7 @@ def test_unique_apartment_of_coordinate_flags(b23, b24):
 
 def test_apartment_shape(b24):
     apt = Apartment(b24, coordinate_frame(b24))
-    assert len(apt.vertex_ids()) == 2**4 - 2
+    assert len(set(apt.vertex_of_subset.values())) == 2**4 - 2
     chambers = apt.chambers()
     assert len(set(chambers)) == 24
     # identity gives the standard flag, reversal the reversed flag
@@ -506,7 +604,7 @@ class RrefApartment:
     def __init__(self, b: Building, lines: Sequence[int]) -> None:
         if len(lines) != b.n:
             raise ValueError(f"frame has {len(lines)} lines in dimension {b.n}")
-        frame = [b.vertices[line] for line in lines]
+        frame = [subspace(b, line) for line in lines]
         if any(line.dim != 1 for line in frame):
             raise ValueError("frame member is not a line")
         if fq_rank([row for line in frame for row in line.rows], b.q, b.n) != b.n:

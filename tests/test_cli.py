@@ -110,10 +110,12 @@ def test_gen_refuses_too_many_facets_at_once(params):
     assert res.returncode == 3 and "error:" in res.stderr
 
 
-@pytest.mark.parametrize("params", [("cycle", "5000000"), ("join", "3000", "3000")])
+@pytest.mark.parametrize(
+    "params", [("cycle", "5000000"), ("join", "3000", "3000"), ("octahedron", "100000000")]
+)
 def test_gen_refuses_too_many_vertices_or_joined_facets_at_once(params):
-    """5,000,000 cycle vertices and 9,000,000 joined edges are refused
-    before any simplex is built."""
+    """5,000,000 cycle vertices, 9,000,000 joined edges and a 100,000,000-vertex
+    simplex to octahedralize are refused before any simplex is built."""
     started = time.perf_counter()
     res = run("gen", *params)
     assert time.perf_counter() - started < 1.0
@@ -265,6 +267,16 @@ def test_vk_refuses_a_large_input_quickly(tmp_path, kind):
     assert "exceeds 1000 cells" in res.stderr
 
 
+def test_vk_refuses_more_vertices_than_parameters(tmp_path):
+    """70,000 isolated points have an empty window in the plane, but no
+    70,000 distinct 16-bit moment-curve parameters exist."""
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps({"facets": [[i] for i in range(70_000)]}))
+    res = run("vk", str(f), "2")
+    assert res.returncode == 3, res.stderr
+    assert "70000 vertices exceed the 65536" in res.stderr
+
+
 def test_vk_is_unchanged_under_optimize(k33_file):
     plain = json.loads(run("vk", k33_file, "2", "--json", "--certificate").stdout)
     optimized = subprocess.run(
@@ -336,6 +348,16 @@ def test_opp_chamber_range_error():
     res = run("opp", "2", "3", "99")
     assert res.returncode == 2
     assert "out of range 0..20" in res.stderr
+
+
+def test_opp_refuses_a_huge_dimension_at_once():
+    """F_3^10000000 is refused by its dimension; 3^10000000 is neither
+    computed nor printed."""
+    started = time.perf_counter()
+    res = run("opp", "3", "10000000", "0")
+    assert time.perf_counter() - started < 1.0
+    assert res.returncode == 3
+    assert "desk-scale cap of 1000000 vectors" in res.stderr and len(res.stderr) < 200
 
 
 def test_opp_rejects_non_prime():

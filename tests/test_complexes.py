@@ -71,6 +71,13 @@ def test_vertex_validation():
         SimplicialComplex([(-1, 0)])
 
 
+def test_one_shot_facets_are_read_once():
+    k = SimplicialComplex([iter([0, 1]), iter([1, 2])])
+    assert k.facets == ((0, 1), (1, 2))
+    assert k.num_vertices == 3
+    assert SimplicialComplex([iter(()), (0,)]).facets == ((0,),)
+
+
 def test_vertex_count_resource_cap():
     with pytest.raises(ResourceLimitError):
         SimplicialComplex([], num_vertices=2_000_000)
@@ -118,7 +125,7 @@ def test_faces_sorted_and_closed():
     k = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
     tri = k.faces(2)
     assert tri == ((0, 1, 2), (1, 2, 3))
-    for f in k.all_faces():
+    for f in (f for d in range(k.dimension + 1) for f in k.faces(d)):
         for sub in combinations(f, len(f) - 1):
             if sub:
                 assert k.has_face(sub)
@@ -186,7 +193,8 @@ def test_join_with_empty_is_identity():
 
 
 @pytest.mark.parametrize(
-    "make, n", [(cycle_complex, 5_000_000), (path_complex, 1_000_000), (points_complex, 1_000_001)]
+    "make, n",
+    [(cycle_complex, 5_000_000), (path_complex, 1_000_000), (points_complex, 1_000_001), (full_simplex, 100_000_000)],
 )
 def test_generators_refuse_too_many_vertices_before_building(make, n):
     """Past 1,000,000 vertices the generators refuse at once: no simplex

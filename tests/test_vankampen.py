@@ -223,7 +223,7 @@ def test_window_matches_the_pair_oracle(name):
 
 def brute_force_cells(k: SimplicialComplex) -> dict[int, list[CellPair]]:
     """Every disjoint pair of faces, by cell dimension, in sorted order."""
-    faces = list(k.all_faces())
+    faces = [f for d in range(k.dimension + 1) for f in k.faces(d)]
     out: dict[int, list[CellPair]] = {}
     for s, t in combinations(faces, 2):
         if not set(s) & set(t):
@@ -579,6 +579,17 @@ def test_is_trivial_resource_cap():
         is_trivial(k33(), 2, max_cells=53)
 
 
+def test_more_vertices_than_moment_curve_parameters_are_refused():
+    """Only 2^16 distinct 16-bit parameters exist, so 70,000 points are
+    refused rather than searched for forever; 2^16 points still get them."""
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="70000 vertices exceed the 65536"):
+        is_trivial(points_complex(70_000), 2)
+    assert time.perf_counter() - started < 10.0
+    values = _seeded_values(0, 1 << 16)
+    assert sorted(values) == list(range(1 << 16))
+
+
 @pytest.mark.parametrize("cap", [0, -1, -5])
 def test_cell_budget_must_be_positive(cap):
     with pytest.raises(ValueError, match=f"max_cells must be positive, got {cap}"):
@@ -629,6 +640,12 @@ def test_ados_on_one_dimensional_complexes():
     assert looped == AdosReport(True, True, True, looped.verdict)
     straight = verify_ados(path_complex(4), (2, 3), 1)
     assert (straight.lhs, straight.rhs, straight.agree) == (False, False, True)
+
+
+def test_ados_reads_a_one_shot_delta_once():
+    report = verify_ados(cycle_complex(5), iter((0, 1)), 1)
+    assert report == verify_ados(cycle_complex(5), (0, 1), 1)
+    assert report.lhs is True
 
 
 def test_ados_on_two_dimensional_complexes():
