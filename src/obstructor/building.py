@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -42,7 +42,6 @@ __all__ = [
     "gaussian_binomial",
     "enumerate_subspaces",
     "build",
-    "is_opposite",
     "opposite_chambers",
     "opp_complex",
     "Apartment",
@@ -243,13 +242,6 @@ def build(q: int, n: int) -> Building:
 # -- opposition ------------------------------------------------------
 
 
-def is_opposite(b: Building, c: Iterable[int], d: Iterable[int]) -> bool:
-    """Chambers whose flags are pairwise in general position."""
-    ci = b.chamber_ids(c)
-    di = b.chamber_ids(d)
-    return all(b.transversal(u, v) for u in ci for v in di)
-
-
 def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
     """The chambers opposite ``c``: those whose every vertex is transversal
     to every vertex of ``c``, read off one table over the vertices."""
@@ -338,9 +330,6 @@ class Apartment:
             key |= 1 << w[i]
             out.append(self.vertex_of_subset[key])
         return tuple(sorted(out))
-
-    def chambers(self) -> tuple[Simplex, ...]:
-        return tuple(self.chamber_of_perm(w) for w in permutations(range(self.n)))
 
 
 # -- bending ---------------------------------------------------------

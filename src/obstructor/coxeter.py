@@ -117,14 +117,6 @@ class CoxeterSystem:
             return tuple(out)
         return w
 
-    def generator_element(self, s: int) -> Element:
-        self._check_generator(s)
-        if self.family == "symmetric":
-            out = list(range(self.n))
-            out[s], out[s + 1] = out[s + 1], out[s]
-            return tuple(out)
-        return 1 << s
-
     def _check_generator(self, s: int) -> None:
         if not (isinstance(s, int) and 0 <= s < self.num_generators):
             raise ValueError(f"{s!r} is not a generator index (0..{self.num_generators - 1})")

@@ -1,8 +1,9 @@
-"""Dense linear algebra over GF(2) with bit-packed rows.
+"""Dense linear algebra over GF(2) with bit-packed columns.
 
-A matrix row is a single Python int; bit ``j`` is the entry in column ``j``.
-Row reduction is then a handful of XORs on machine words, which is fast
-enough for every chain complex this package produces and stays exact.
+A matrix is its columns, each a single Python int; bit ``i`` of column
+``j`` is the entry in row ``i``.  Reduction is then a handful of XORs on
+machine words, which is fast enough for every chain complex this package
+produces and stays exact.
 
 Rank, kernel and row reduction all read one column reduction per matrix.
 The columns are reduced left to right, each at its lowest nonzero row
@@ -83,21 +84,21 @@ class GF2Vector:
 
 
 class GF2Matrix:
-    """An immutable rows x cols matrix over GF(2)."""
+    """An immutable rows x cols matrix over GF(2), held as its columns."""
 
-    __slots__ = ("rows", "cols", "row_bits", "_reduced")
+    __slots__ = ("rows", "cols", "columns", "_reduced")
 
-    def __init__(self, rows: int, cols: int, row_bits: Sequence[int]) -> None:
+    def __init__(self, rows: int, cols: int, columns: Sequence[int]) -> None:
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape ({rows}, {cols})")
-        if len(row_bits) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(row_bits)}")
-        for r in row_bits:
-            if r < 0 or r >> cols:
-                raise ValueError(f"row 0x{r:x} does not fit in {cols} columns")
+        if len(columns) != cols:
+            raise ValueError(f"expected {cols} columns, got {len(columns)}")
+        for c in columns:
+            if c < 0 or c >> rows:
+                raise ValueError(f"column 0x{c:x} does not fit in {rows} rows")
         self.rows = rows
         self.cols = cols
-        self.row_bits = tuple(row_bits)
+        self.columns = tuple(columns)
         self._reduced: Optional[tuple[tuple[tuple[int, int], ...], dict[int, int]]] = None
 
     # -- basics -------------------------------------------------------
@@ -105,89 +106,73 @@ class GF2Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF2Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.row_bits) == (other.rows, other.cols, other.row_bits)
+        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.row_bits))
+        return hash((self.rows, self.cols, self.columns))
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.rows}x{self.cols})"
 
-    def transpose(self) -> "GF2Matrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.row_bits):
-            bit = 1 << i
-            while r:
-                top = r.bit_length() - 1
-                out[top] |= bit
-                r ^= 1 << top
-        return GF2Matrix(self.cols, self.rows, out)
+    def _sum_columns(self, select: int) -> int:
+        """The XOR of the columns whose bits are set in ``select``."""
+        acc = 0
+        while select:
+            low = select & -select
+            acc ^= self.columns[low.bit_length() - 1]
+            select ^= low
+        return acc
 
     def apply(self, v: GF2Vector) -> GF2Vector:
-        """Matrix-vector product; v lives in the column space's domain."""
+        """Matrix-vector product, the sum of the columns that v selects."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
-        bits = 0
-        for i, r in enumerate(self.row_bits):
-            bits |= ((r & v.bits).bit_count() & 1) << i
-        return GF2Vector(self.rows, bits)
+        return GF2Vector(self.rows, self._sum_columns(v.bits))
 
     def apply_transpose(self, y: GF2Vector) -> GF2Vector:
-        """y^T M, the sum of the rows that y selects, with no transpose built."""
+        """y^T M: bit j is the parity of y on column j."""
         if y.length != self.rows:
             raise ValueError(f"vector length {y.length} != rows {self.rows}")
-        bits = 0
-        for i in y.support():
-            bits ^= self.row_bits[i]
+        bits, ybits = 0, y.bits
+        for j, c in enumerate(self.columns):
+            bits |= ((c & ybits).bit_count() & 1) << j
         return GF2Vector(self.cols, bits)
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} != {other.rows}")
-        out = []
-        for r in self.row_bits:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.row_bits[low.bit_length() - 1]
-                rr ^= low
-            out.append(acc)
+        out = [self._sum_columns(c) for c in other.columns]
         return GF2Matrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_bits)
+        return not any(self.columns)
 
     # -- elimination --------------------------------------------------
 
     def _eliminate(self) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
-        """Column reduction, once per matrix: (the pivot columns as (top bit,
-        reduced column), highest pivot row first; {free column: tag}).
+        """Column reduction, once per matrix: (the pivot columns as (pivot
+        row, reduced column), highest pivot row first; {free column: tag}).
 
-        A reduced column keeps its tag in bits 0..cols-1 and row i at bit
-        cols + rows - 1 - i.  Its lowest row, where it is reduced, is then
-        its top bit: ``bit_length`` finds it at once, and clearing it
-        shrinks the int."""
+        A reduced column keeps its rows in bits 0..rows-1 and its tag above
+        them, original column j at bit rows + j.  Its lowest row, where it
+        is reduced, is then its lowest set bit."""
         if self._reduced is None:
-            rows, cols = self.rows, self.cols
-            # Transposed bottom row first, a column holds row i at bit rows - 1 - i.
-            columns = list(GF2Matrix(rows, cols, self.row_bits[::-1]).transpose().row_bits)
-            pivots: dict[int, int] = {}  # top bit -> reduced column
+            rows = self.rows
+            pivots: dict[int, int] = {}  # pivot row -> reduced column
             free: dict[int, int] = {}
-            for j in range(cols):
-                c, columns[j] = columns[j], 0
-                c = c << cols | 1 << j
-                top = c.bit_length() - 1
-                while top >= cols:
-                    pivot = pivots.get(top)
+            for j, c in enumerate(self.columns):
+                c |= 1 << (rows + j)
+                low = (c & -c).bit_length() - 1
+                while low < rows:
+                    pivot = pivots.get(low)
                     if pivot is None:
-                        pivots[top] = c
+                        pivots[low] = c
                         break
                     c ^= pivot
-                    top = c.bit_length() - 1
+                    low = (c & -c).bit_length() - 1
                 else:
-                    free[j] = c
-            self._reduced = (tuple(sorted(pivots.items())), free)
+                    free[j] = c >> rows
+            self._reduced = (tuple(sorted(pivots.items(), reverse=True)), free)
         return self._reduced
 
     def rank(self) -> int:
@@ -211,20 +196,22 @@ class GF2Matrix:
         and is v . tag on each free column, so a kernel vector pairs with it
         as with v; y is the one sum of basis rows with y^T M = v + residue,
         found by back-substitution over the pivot rows, highest first: y
-        pairs with each reduced column as v pairs with its tag."""
+        pairs with the rows of each reduced column as v pairs with its tag,
+        so v sits above y in the columns' layout and y is the low bits."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
         pivots, free = self._eliminate()
         residue = 0
         for f, tag in free.items():
             residue |= ((v.bits & tag).bit_count() & 1) << f
-        # x holds v in bits 0..cols-1 and y above them, laid out as the
-        # columns are, so one popcount reads v . tag + y . column.  y is set
+        # x holds y in bits 0..rows-1 and v above them, laid out as the
+        # columns are, so one popcount reads y . column + v . tag.  y is set
         # so far only on rows after the pivot row, so the pivot row's bit
         # settles the parity.
-        x, y = v.bits, 0
-        for top, c in pivots:
+        rows = self.rows
+        x = v.bits << rows
+        for row, c in pivots:
             if (x & c).bit_count() & 1:
-                x |= 1 << top
-                y |= 1 << (self.cols + self.rows - 1 - top)
+                x |= 1 << row
+        y = x & ((1 << rows) - 1)
         return GF2Vector(self.cols, residue), GF2Vector(self.rows, y)

@@ -31,7 +31,8 @@ def boundary_maps(
     ``cells[d]`` lists the d-cells under any hashable key (a simplex, or a
     configuration-space cell's int key); ``boundary[d]`` is built for every
     d whose layer d-1 is given, with shape ``len(cells[d-1]) x len(cells[d])``
-    and bit j XORed into the row of each of the ``facets`` of cell j.
+    and column j holding one bit for each of the ``facets`` of cell j, XORed
+    in, so the column reduction reads it as built.
     Every product ``boundary[d-1] @ boundary[d]`` of two built maps is
     checked to vanish, and a nonzero one raises ``CertificateError``; a
     map out of an empty layer is zero, so its product is skipped.
@@ -41,12 +42,13 @@ def boundary_maps(
         if d - 1 not in cells:
             continue
         below = {c: i for i, c in enumerate(cells[d - 1])}
-        rows = [0] * len(cells[d - 1])
-        for col, c in enumerate(cells[d]):
-            bit = 1 << col
+        columns = []
+        for c in cells[d]:
+            column = 0
             for f in facets(c):
-                rows[below[f]] ^= bit
-        boundary[d] = GF2Matrix(len(rows), len(cells[d]), rows)
+                column ^= 1 << below[f]
+            columns.append(column)
+        boundary[d] = GF2Matrix(len(cells[d - 1]), len(columns), columns)
         if d - 1 in boundary and cells[d] and not (boundary[d - 1] @ boundary[d]).is_zero():
             raise CertificateError(f"boundary of boundary is nonzero in dimension {d}")
     return boundary

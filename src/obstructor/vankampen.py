@@ -165,13 +165,18 @@ def configuration_space(
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+_PARAMETERS = 1 << 16  # distinct 16-bit moment-curve parameters
+
+
+def _require_parameters(count: int) -> None:
+    """More than 2^16 vertices are refused, as no more distinct values exist."""
+    if count > _PARAMETERS:
+        raise ResourceLimitError(f"{count} vertices exceed the {_PARAMETERS} distinct moment-curve parameters")
 
 
 def _seeded_values(seed: int, count: int) -> list[int]:
-    """Distinct 16-bit integers from a 64-bit LCG, reproducible per seed.
-    More than 2^16 are refused, as no more distinct values exist."""
-    if count > 1 << 16:
-        raise ResourceLimitError(f"{count} vertices exceed the {1 << 16} distinct moment-curve parameters")
+    """Distinct 16-bit integers from a 64-bit LCG, reproducible per seed."""
+    _require_parameters(count)
     state = (seed ^ 0x9E3779B97F4A7C15) & _LCG_MASK
     out: list[int] = []
     used = set()
@@ -265,8 +270,10 @@ def is_trivial(
     The class is nonzero iff it pairs nonzero with some n-cycle of the
     configuration space; the witness cycle (or, when trivial, an explicit
     primitive for the cocycle) is re-verified by direct substitution before
-    being returned.
+    being returned.  Too many vertices to place are refused before any
+    cell is enumerated.
     """
+    _require_parameters(k.num_vertices)
     cfg = configuration_space(k, n, max_cells=max_cells)
     cocycle = obstruction_cocycle(cfg, seed)
     boundary_n = cfg.boundary[n]

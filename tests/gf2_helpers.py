@@ -1,8 +1,10 @@
 """GF(2) constructors and accessors that only the tests use.
 
-The package builds its matrices from packed rows (``GF2Matrix(rows, cols,
-row_bits)``); these helpers spell small matrices and vectors out entry by
-entry, with the range checks a hand-written example deserves.
+The package holds a matrix as its packed columns (``GF2Matrix(rows, cols,
+columns)``, bit i of ``columns[j]`` the entry (i, j)); these helpers spell
+small matrices and vectors out entry by entry, with the range checks a
+hand-written example deserves, and give the row-wise oracles the packed
+rows they read (``by_rows``, ``row_bits``, ``transpose``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,35 @@ from typing import Iterable, Iterator, Optional, Sequence
 from obstructor.gf2 import GF2Matrix, GF2Vector
 
 
+def _flip(length: int, words: Sequence[int]) -> list[int]:
+    """Packed rows from packed columns, or back: bit j of word i becomes bit
+    i of word j.  It walks the set bits, so a sparse boundary flips fast."""
+    out = [0] * length
+    for i, w in enumerate(words):
+        bit = 1 << i
+        while w:
+            top = w.bit_length() - 1
+            out[top] |= bit
+            w ^= 1 << top
+    return out
+
+
+def by_rows(rows: int, cols: int, row_bits: Sequence[int]) -> GF2Matrix:
+    """The matrix whose row i is the packed int ``row_bits[i]``."""
+    return GF2Matrix(rows, cols, _flip(cols, row_bits))
+
+
+def row_bits(m: GF2Matrix) -> tuple[int, ...]:
+    """The rows of ``m``, each packed into one int (bit j = column j)."""
+    return tuple(_flip(m.rows, m.columns))
+
+
+def transpose(m: GF2Matrix) -> GF2Matrix:
+    return by_rows(m.cols, m.rows, m.columns)
+
+
 def zero(rows: int, cols: int) -> GF2Matrix:
-    return GF2Matrix(rows, cols, [0] * rows)
+    return GF2Matrix(rows, cols, [0] * cols)
 
 
 def identity(n: int) -> GF2Matrix:
@@ -28,33 +57,33 @@ def from_rows(entries: Sequence[Sequence[int]], cols: Optional[int] = None) -> G
         if len(row) != cols:
             raise ValueError("ragged rows")
         bits.append(sum((e & 1) << j for j, e in enumerate(row)))
-    return GF2Matrix(len(entries), cols, bits)
+    return by_rows(len(entries), cols, bits)
 
 
 def from_entries(rows: int, cols: int, ones: Iterable[tuple[int, int]]) -> GF2Matrix:
     """The matrix with a one at each (i, j) of ``ones``; a repeated entry cancels."""
-    bits = [0] * rows
+    bits = [0] * cols
     for i, j in ones:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"entry ({i}, {j}) out of range for shape ({rows}, {cols})")
-        bits[i] ^= 1 << j
+        bits[j] ^= 1 << i
     return GF2Matrix(rows, cols, bits)
 
 
 def entry(m: GF2Matrix, i: int, j: int) -> int:
     if not (0 <= i < m.rows and 0 <= j < m.cols):
         raise IndexError((i, j))
-    return (m.row_bits[i] >> j) & 1
+    return (m.columns[j] >> i) & 1
 
 
 def column(m: GF2Matrix, j: int) -> GF2Vector:
     if not 0 <= j < m.cols:
         raise IndexError(j)
-    return GF2Vector(m.rows, sum(((r >> j) & 1) << i for i, r in enumerate(m.row_bits)))
+    return GF2Vector(m.rows, m.columns[j])
 
 
 def rows_iter(m: GF2Matrix) -> Iterator[GF2Vector]:
-    for r in m.row_bits:
+    for r in row_bits(m):
         yield GF2Vector(m.cols, r)
 
 

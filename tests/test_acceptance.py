@@ -48,7 +48,7 @@ from obstructor.vankampen import (
     verify_ados,
 )
 
-from gf2_helpers import rows_iter
+from gf2_helpers import rows_iter, transpose
 
 
 def report(capsys, number: str, description: str, ok: bool, elapsed: float) -> None:
@@ -366,7 +366,7 @@ def test_criterion_7_seed_independence(capsys):
     for k, n in corpus_for_seed_stability():
         cfg = configuration_space(k, n)
         basis = cfg.boundary[n].kernel_basis()
-        coboundary = cfg.boundary[n + 1].transpose()
+        coboundary = transpose(cfg.boundary[n + 1])
         verdicts = []
         pairings = []
         for seed in (0, 1, 2):

@@ -19,7 +19,18 @@ from obstructor.complexes import double_over
 from obstructor.gf2 import GF2Matrix, GF2Vector
 from obstructor.vankampen import configuration_space, obstruction_cocycle
 
-from gf2_helpers import entry, from_entries, from_rows, from_support, identity, to_list, zero
+from gf2_helpers import (
+    by_rows,
+    entry,
+    from_entries,
+    from_rows,
+    from_support,
+    identity,
+    row_bits,
+    to_list,
+    transpose,
+    zero,
+)
 
 
 # -- the reduced row echelon oracle ----------------------------------
@@ -32,7 +43,7 @@ def rref(m: GF2Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lowest set bit and the only set bit in its column.
     """
     pivot_rows: dict[int, int] = {}  # pivot column -> current row value
-    for r in m.row_bits:
+    for r in row_bits(m):
         while r:
             low = (r & -r).bit_length() - 1
             existing = pivot_rows.get(low)
@@ -68,9 +79,7 @@ def rref_kernel_basis(m: GF2Matrix) -> list[GF2Vector]:
 def rref_solve(m: GF2Matrix, b: GF2Vector):
     """The solution of Mx = b that is 0 on every free column, or None."""
     aug = m.cols
-    augmented = GF2Matrix(
-        m.rows, m.cols + 1, [r | (((b.bits >> i) & 1) << aug) for i, r in enumerate(m.row_bits)]
-    )
+    augmented = GF2Matrix(m.rows, m.cols + 1, m.columns + (b.bits,))
     rows, pivots = rref(augmented)
     if aug in pivots:
         return None  # a row reduced to 0 = 1
@@ -91,7 +100,7 @@ class ForwardElimination:
         self.width = (1 << m.cols) - 1
         self.pivot_rows: dict[int, int] = {}
         self.basis: list[int] = []
-        for i, r in enumerate(m.row_bits):
+        for i, r in enumerate(row_bits(m)):
             r |= 1 << (m.cols + len(self.basis))
             while r & self.width:
                 low = (r & -r).bit_length() - 1
@@ -145,7 +154,7 @@ def assert_matches_forward_elimination(m: GF2Matrix, vectors: list[GF2Vector]) -
 def rank_by_rowspace(m: GF2Matrix) -> int:
     """|{XOR-combinations of rows}| = 2^rank."""
     space = {0}
-    for r in m.row_bits:
+    for r in row_bits(m):
         space |= {x ^ r for x in space}
     size = len(space)
     rank = size.bit_length() - 1
@@ -193,9 +202,9 @@ def test_matmul_and_transpose_shapes():
     p = a @ b
     assert (p.rows, p.cols) == (2, 2)
     assert entry(p, 0, 0) == 0 and entry(p, 0, 1) == 1
-    t = a.transpose()
+    t = transpose(a)
     assert (t.rows, t.cols) == (3, 2)
-    assert t.transpose() == a
+    assert transpose(t) == a
 
 
 @given(st.integers(0, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
@@ -220,6 +229,8 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         GF2Matrix(1, 2, [0b100])
     with pytest.raises(ValueError):
+        GF2Matrix(2, 1, [0b100])
+    with pytest.raises(ValueError):
         from_rows([[1, 0], [1]])
     with pytest.raises(ValueError):
         from_entries(2, 2, [(2, 0)])
@@ -233,7 +244,46 @@ def matrices(draw, max_dim: int = 6):
     rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
     bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
-    return GF2Matrix(rows, cols, bits)
+    return by_rows(rows, cols, bits)
+
+
+def product_by_entries(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
+    """(AB)_ij = sum over k of A_ik B_kj mod 2, one entry at a time."""
+    ones = [
+        (i, j)
+        for i in range(a.rows)
+        for j in range(b.cols)
+        if sum(entry(a, i, k) & entry(b, k, j) for k in range(a.cols)) & 1
+    ]
+    return from_entries(a.rows, b.cols, ones)
+
+
+def as_column(v: GF2Vector) -> GF2Matrix:
+    return GF2Matrix(v.length, 1, [v.bits])
+
+
+@st.composite
+def products(draw, max_dim: int = 5):
+    """A, B with A @ B defined, x for A x and y for y^T A; any dimension may be 0."""
+    rows, inner, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
+
+    def matrix(r: int, c: int) -> GF2Matrix:
+        return GF2Matrix(r, c, draw(st.lists(st.integers(0, (1 << r) - 1), min_size=c, max_size=c)))
+
+    x = GF2Vector(inner, draw(st.integers(0, (1 << inner) - 1)))
+    y = GF2Vector(rows, draw(st.integers(0, (1 << rows) - 1)))
+    return matrix(rows, inner), matrix(inner, cols), x, y
+
+
+@given(products())
+@example((zero(0, 3), from_rows([[1, 0], [1, 1], [0, 1]]), GF2Vector(3, 0b101), GF2Vector(0, 0)))
+@example((zero(3, 0), zero(0, 2), GF2Vector(0, 0), GF2Vector(3, 0b110)))
+@example((from_rows([[1, 1, 0], [0, 1, 1]]), zero(3, 0), GF2Vector(3, 0b111), GF2Vector(2, 0b11)))
+def test_products_match_the_entry_by_entry_oracle(drawn):
+    a, b, x, y = drawn
+    assert a @ b == product_by_entries(a, b)
+    assert as_column(a.apply(x)) == product_by_entries(a, as_column(x))
+    assert as_column(a.apply_transpose(y)) == product_by_entries(transpose(a), as_column(y))
 
 
 @given(matrices())
@@ -254,7 +304,7 @@ def test_kernel_vectors_annihilate(m):
 
 @given(matrices())
 def test_rank_invariant_under_transpose(m):
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == transpose(m).rank()
 
 
 @given(matrices())
@@ -273,9 +323,9 @@ def test_row_reduce_splits_off_the_row_space(m, vbits):
     assert residue ^ m.apply_transpose(y) == v
     assert all(residue[p] == 0 for p in rref(m)[1])
     assert all(z.dot(v) == z.dot(residue) for z in rref_kernel_basis(m))
-    assert (residue.is_zero()) == (rref_solve(m.transpose(), v) is not None)
+    assert (residue.is_zero()) == (rref_solve(transpose(m), v) is not None)
     if residue.is_zero():
-        assert y == rref_solve(m.transpose(), v)
+        assert y == rref_solve(transpose(m), v)
 
 
 @given(matrices(max_dim=8), st.integers(0, (1 << 8) - 1))
@@ -283,7 +333,7 @@ def test_row_reduce_names_the_basis_rows_of_v_minus_residue(m, vbits):
     """Whatever the residue, y is the oracle's solution of M^T y = v + residue."""
     v = GF2Vector(m.cols, vbits & ((1 << m.cols) - 1))
     residue, y = m.row_reduce(v)
-    assert y == rref_solve(m.transpose(), v ^ residue)
+    assert y == rref_solve(transpose(m), v ^ residue)
 
 
 @given(matrices(max_dim=8), st.lists(st.integers(0, (1 << 8) - 1), max_size=4))
@@ -313,7 +363,7 @@ def test_edge_shapes_match_the_rref_oracle(name):
         v = GF2Vector(m.cols, vbits)
         residue, y = m.row_reduce(v)
         assert residue ^ m.apply_transpose(y) == v
-        expected = rref_solve(m.transpose(), v)
+        expected = rref_solve(transpose(m), v)
         assert residue.is_zero() == (expected is not None)
         if expected is not None:
             assert y == expected
@@ -326,7 +376,7 @@ def test_edge_shapes_match_forward_elimination(name):
     assert_matches_forward_elimination(m, vectors)
     for v in vectors:
         residue, y = m.row_reduce(v)
-        assert y == rref_solve(m.transpose(), v ^ residue)
+        assert y == rref_solve(transpose(m), v ^ residue)
 
 
 def test_stretch_boundary_matches_forward_elimination():
@@ -338,7 +388,8 @@ def test_stretch_boundary_matches_forward_elimination():
     m = cfg.boundary[4]
     assert (m.rows, m.cols, m.rank()) == (9008, 3184, 3183)
     cocycle = obstruction_cocycle(cfg, 3).values
-    assert_matches_forward_elimination(m, [cocycle, GF2Vector(m.cols, m.row_bits[0] ^ m.row_bits[-1])])
+    rows = row_bits(m)
+    assert_matches_forward_elimination(m, [cocycle, GF2Vector(m.cols, rows[0] ^ rows[-1])])
 
 
 def test_edge_shape_answers():

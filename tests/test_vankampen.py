@@ -26,6 +26,7 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstructor import vankampen
 from obstructor.building import build, opp_complex, standard_flag
 from obstructor.complexes import (
     SimplicialComplex,
@@ -50,7 +51,7 @@ from obstructor.vankampen import (
     verify_ados,
 )
 
-from gf2_helpers import column, entry, from_entries
+from gf2_helpers import column, entry, from_entries, transpose
 from test_gf2 import rref_kernel_basis, rref_solve
 
 
@@ -112,7 +113,7 @@ def test_configuration_space_deterministic_and_sorted():
     a = configuration_space(k33(), 1)
     b = configuration_space(k33(), 1)
     assert a.cells == b.cells
-    assert a.boundary[2].row_bits == b.boundary[2].row_bits
+    assert a.boundary[2].columns == b.boundary[2].columns
     for layer in a.cells.values():
         assert list(layer) == sorted(layer)
 
@@ -184,7 +185,7 @@ def cell_facets(cell: CellPair) -> Iterator[CellPair]:
 
 
 def assert_window_matches_the_pair_oracle(k: SimplicialComplex, n: int) -> None:
-    """Decoded cells and boundary rows equal those of the pair enumeration,
+    """Decoded cells and boundaries equal those of the pair enumeration,
     with each boundary built entry by entry from ``cell_facets``."""
     cfg = configuration_space(k, n)
     for d in (n - 1, n, n + 1):
@@ -195,7 +196,7 @@ def assert_window_matches_the_pair_oracle(k: SimplicialComplex, n: int) -> None:
         ones = [(below[f], j) for j, c in enumerate(cfg.cells[d]) for f in cell_facets(c)]
         expected = from_entries(len(cfg.cells[d - 1]), len(cfg.cells[d]), ones)
         assert (cfg.boundary[d].rows, cfg.boundary[d].cols) == (expected.rows, expected.cols)
-        assert cfg.boundary[d].row_bits == expected.row_bits
+        assert cfg.boundary[d].columns == expected.columns
 
 
 def stretch_double(chamber: int = 0) -> SimplicialComplex:
@@ -399,7 +400,7 @@ def test_certificates_verify_by_substitution():
     t = is_trivial(cycle_complex(5), 2)
     assert t.trivial and t.certificate_kind == "cochain"
     cfg5 = configuration_space(cycle_complex(5), 2)
-    image = cfg5.boundary[2].transpose().apply(t.certificate)
+    image = transpose(cfg5.boundary[2]).apply(t.certificate)
     assert image == t.cocycle.values
 
 
@@ -476,7 +477,7 @@ def assert_certificate_matches_the_rref_oracle(k: SimplicialComplex, n: int, see
     expected = next((z for z in rref_kernel_basis(boundary) if z.dot(cocycle)), None)
     kind, layer = "cycle", cfg.cells[n]
     if expected is None:
-        expected, kind, layer = rref_solve(boundary.transpose(), cocycle), "cochain", cfg.cells[n - 1]
+        expected, kind, layer = rref_solve(transpose(boundary), cocycle), "cochain", cfg.cells[n - 1]
     v = is_trivial(k, n, seed)
     assert (v.certificate_kind, v.certificate) == (kind, expected)
     assert v.cocycle.values == cocycle
@@ -588,6 +589,18 @@ def test_more_vertices_than_moment_curve_parameters_are_refused():
     assert time.perf_counter() - started < 10.0
     values = _seeded_values(0, 1 << 16)
     assert sorted(values) == list(range(1 << 16))
+
+
+def test_too_many_vertices_are_refused_before_the_window_is_built(monkeypatch):
+    """The vertex count is checked first: no configuration space is built
+    for a complex whose vertices cannot all get distinct parameters."""
+
+    def no_window(*args, **kwargs):
+        pytest.fail("configuration_space was called")
+
+    monkeypatch.setattr(vankampen, "configuration_space", no_window)
+    with pytest.raises(ResourceLimitError, match="70000 vertices exceed the 65536"):
+        is_trivial(points_complex(70_000), 4)
 
 
 @pytest.mark.parametrize("cap", [0, -1, -5])
