@@ -248,8 +248,7 @@ def cmd_vk(args: argparse.Namespace) -> int:
         f"seed: {args.seed}",
     ]
     if args.certificate:
-        layer = verdict.certificate_cells
-        named = [[list(layer[i].sigma), list(layer[i].tau)] for i in verdict.certificate.support()]
+        named = [[list(cell.sigma), list(cell.tau)] for cell in verdict.certificate_cells]
         payload["certificate"] = {"kind": verdict.certificate_kind, "cells": named}
         lines.append(f"certificate ({verdict.certificate_kind}): {len(named)} cells")
         for pair in named:

@@ -66,8 +66,10 @@ class SimplicialComplex:
         labels: Optional[Sequence[str]] = None,
         num_vertices: Optional[int] = None,
     ) -> None:
-        cleaned = {_canonical_simplex(f) for f in facets}
-        cleaned.discard(())
+        # A dict, not a set, drops duplicates in input order, so input that
+        # is already sorted (a join, a generator) sorts below in one pass.
+        cleaned = dict.fromkeys(map(_canonical_simplex, facets))
+        cleaned.pop((), None)
         # Drop faces nested inside other input faces.  Faces go longest
         # first, and a length class is indexed by vertex only once all of it
         # is tested, so a face meets only strictly longer maximal faces (a

@@ -46,11 +46,9 @@ class GF2Vector:
 
     @classmethod
     def from_list(cls, entries: Sequence[int]) -> "GF2Vector":
-        bits = 0
-        for i, e in enumerate(entries):
-            if e & 1:
-                bits |= 1 << i
-        return cls(len(entries), bits)
+        """Bit i is entry i mod 2, read in one pass as a binary numeral,
+        where OR-ing each bit into a growing int would be quadratic."""
+        return cls(len(entries), int("0" + "".join(["1" if e & 1 else "0" for e in reversed(entries)]), 2))
 
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -133,10 +131,8 @@ class GF2Matrix:
         """y^T M: bit j is the parity of y on column j."""
         if y.length != self.rows:
             raise ValueError(f"vector length {y.length} != rows {self.rows}")
-        bits, ybits = 0, y.bits
-        for j, c in enumerate(self.columns):
-            bits |= ((c & ybits).bit_count() & 1) << j
-        return GF2Vector(self.cols, bits)
+        ybits = y.bits
+        return GF2Vector.from_list([(c & ybits).bit_count() for c in self.columns])
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.cols != other.rows:

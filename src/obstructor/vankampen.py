@@ -11,8 +11,9 @@ the complex does not embed in R^n.
 A cell is an int: the faces of K up to dimension n+1 are numbered once,
 in lexicographic order, and {sigma, tau} with ids s < t is ``s * F + t``
 for F faces.  Ascending keys are then the lexicographic order of the
-pairs, the boundary reads a table of facet ids, and ``CellPair`` tuples
-are decoded one layer at a time, when a layer is read.
+pairs, the boundary reads a table of facet ids, and a cell stays an int
+from enumeration to verdict: only the cells a certificate names are
+decoded to ``CellPair`` tuples.
 
 No coordinates are computed.  Points on the moment curve with distinct
 parameters are in general position, and two complementary simplices cross
@@ -24,8 +25,7 @@ time and raise ``CertificateError``, also under ``python -O``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
@@ -58,14 +58,13 @@ class CellPair(NamedTuple):
         return len(self.sigma) + len(self.tau) - 2
 
 
-class _Cells(Mapping[int, tuple[CellPair, ...]]):
+class _Cells:
     """Cells over one lexicographic numbering of the faces of K up to ``top``.
 
     Face ``i`` is ``faces[i]``, with vertex mask ``masks[i]`` and facet ids
     ``facet_ids[i]`` (drop the first vertex, then the second, ...);
     ``by_dim[a]`` lists the a-faces' ids, ascending.  Cell {sigma, tau}
-    with ids s < t is ``s * count + t``.  ``layers[d]`` holds the keys of
-    layer d, and ``self[d]`` decodes it to ``CellPair`` tuples on first read.
+    with ids s < t is ``s * count + t``.
     """
 
     def __init__(self, k: SimplicialComplex, top: int) -> None:
@@ -75,8 +74,6 @@ class _Cells(Mapping[int, tuple[CellPair, ...]]):
         self.masks = [sum(1 << v for v in f) for f in self.faces]
         self.facet_ids = [tuple(ids[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else () for f in self.faces]
         self.by_dim = [[ids[f] for f in k.faces(a)] for a in range(top + 1)]
-        self.layers: dict[int, list[int]] = {}
-        self._decoded: dict[int, tuple[CellPair, ...]] = {}
 
     def rows(self, d: int) -> Iterator[list[int]]:
         """Per split and face s, the d-cells {s, t} with dim s <= dim t."""
@@ -96,30 +93,15 @@ class _Cells(Mapping[int, tuple[CellPair, ...]]):
         tail = [s * count + f for f in self.facet_ids[t]]
         return [f * count + t if f < t else t * count + f for f in self.facet_ids[s]] + tail
 
-    def decode(self, cell: int) -> CellPair:
-        s, t = divmod(cell, self.count)
-        return CellPair(self.faces[s], self.faces[t])
-
-    def __getitem__(self, d: int) -> tuple[CellPair, ...]:
-        if d not in self._decoded:
-            self._decoded[d] = tuple(map(self.decode, self.layers[d]))
-        return self._decoded[d]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
 
 @dataclass(frozen=True)
 class ConfigurationSpace:
     """The window of disjoint-pair cells that a decision in R^n reads.
 
     ``keys[d]`` lists the d-cells for d = n-1, n and n+1 as ascending int
-    keys, and ``cells[d]`` as ``CellPair`` tuples decoded on first read:
-    the n-cells carry the cocycle, the (n-1)-cells index a cochain
-    certificate and the (n+1)-cells give the cocycle check.
+    keys over the face numbering ``faces``, and ``decode`` turns one key
+    into its ``CellPair``: the n-cells carry the cocycle, the (n-1)-cells
+    index a cochain certificate and the (n+1)-cells give the cocycle check.
     ``boundary[d]`` maps d-chains to (d-1)-chains for d = n and n+1; the
     boundary of {sigma, tau} is the sum of {sigma', tau} over facets
     sigma' of sigma plus {sigma, tau'} over facets tau' of tau.
@@ -127,9 +109,13 @@ class ConfigurationSpace:
 
     source: SimplicialComplex
     n: int
-    cells: Mapping[int, tuple[CellPair, ...]]
+    faces: list[Simplex]
     keys: dict[int, list[int]]
     boundary: dict[int, GF2Matrix]
+
+    def decode(self, key: int) -> CellPair:
+        s, t = divmod(key, len(self.faces))
+        return CellPair(self.faces[s], self.faces[t])
 
 
 def configuration_space(
@@ -148,16 +134,17 @@ def configuration_space(
     if cap < 1:
         raise ValueError(f"max_cells must be positive, got {cap}")
     cells = _Cells(k, min(n + 1, k.dimension))
+    keys: dict[int, list[int]] = {}
     total = 0
     for d in (n - 1, n, n + 1):
-        layer = cells.layers[d] = []
+        layer = keys[d] = []
         for row in cells.rows(d):
             layer += row
             if total + len(layer) > cap:
                 raise ResourceLimitError(f"configuration space exceeds {cap} cells by dimension {d}")
         layer.sort()
         total += len(layer)
-    return ConfigurationSpace(k, n, cells, cells.layers, boundary_maps(cells.layers, cells.cell_facets))
+    return ConfigurationSpace(k, n, cells.faces, keys, boundary_maps(keys, cells.cell_facets))
 
 
 # -- crossing parity on the moment curve -----------------------------
@@ -189,7 +176,7 @@ def _seeded_values(seed: int, count: int) -> list[int]:
     return out
 
 
-def pair_intersection_parity(params: Sequence[int], cell: CellPair) -> int:
+def pair_intersection_parity(params: Sequence[int], sigma: Simplex, tau: Simplex) -> int:
     """1 iff the images of the two simplices cross, 0 otherwise.
 
     Vertex v sits at (t, t^2, ..., t^n) with t = ``params[v]``, the
@@ -199,9 +186,10 @@ def pair_intersection_parity(params: Sequence[int], cell: CellPair) -> int:
     the open simplices on sigma and tau meet, in exactly one point, iff
     their vertices alternate in parameter order.
     """
-    in_sigma = set(cell.sigma)
-    sides = [v in in_sigma for v in sorted(cell.sigma + cell.tau, key=params.__getitem__)]
-    return 1 if all(a != b for a, b in zip(sides, sides[1:])) else 0
+    # Each vertex as (parameter, side); the parameters are distinct, so the
+    # sort never compares sides.
+    order = sorted([(params[v], 0) for v in sigma] + [(params[v], 1) for v in tau])
+    return 1 if all(a[1] != b[1] for a, b in zip(order, order[1:])) else 0
 
 
 # -- the obstruction -------------------------------------------------
@@ -216,11 +204,13 @@ class ObstructionCocycle:
 
 
 def obstruction_cocycle(space: ConfigurationSpace, seed: int = 0) -> ObstructionCocycle:
-    """Evaluate the parity of every n-cell of ``space``; the cocycle
-    condition is checked on its (n+1)-cells."""
-    n = space.n
+    """Evaluate the parity of every n-cell of ``space``, read off the two
+    faces its key names; the cocycle condition is checked on its
+    (n+1)-cells."""
+    n, faces = space.n, space.faces
+    count = len(faces)
     params = _seeded_values(seed, space.source.num_vertices)
-    values = GF2Vector.from_list([pair_intersection_parity(params, c) for c in space.cells[n]])
+    values = GF2Vector.from_list([pair_intersection_parity(params, faces[c // count], faces[c % count]) for c in space.keys[n]])
     if not space.boundary[n + 1].apply_transpose(values).is_zero():
         raise CertificateError("obstruction failed the cocycle condition")
     return ObstructionCocycle(n, values)
@@ -231,13 +221,13 @@ class ObstructionVerdict:
     """Triviality decision with a substitution-checked certificate.
 
     Nontrivial: ``certificate`` is a cycle (kernel vector of the boundary)
-    whose pairing with the cocycle is 1, and ``certificate_cells`` are the
-    n-cells it indexes.  Trivial: ``certificate`` is a cochain whose
-    coboundary equals the cocycle, and ``certificate_cells`` are the
-    (n-1)-cells it indexes, read off the window's layers ``cells`` and
-    decoded on first access.  ``stats`` holds
-    deterministic counters: cells per window layer, the shape and rank of
-    boundary[n], the cocycle weight, and the certificate kind and weight.
+    whose pairing with the cocycle is 1, over the window's n-cells.
+    Trivial: ``certificate`` is a cochain whose coboundary equals the
+    cocycle, over the (n-1)-cells.  ``certificate_cells`` are the cells of
+    its support, ascending, decoded once; the verdict keeps no other part of
+    the window.  ``stats`` holds deterministic counters: cells per window
+    layer, the shape and rank of boundary[n], the cocycle weight, and the
+    certificate kind and weight.
     """
 
     n: int
@@ -247,15 +237,11 @@ class ObstructionVerdict:
     cocycle: ObstructionCocycle
     seed: int
     stats: dict
-    cells: Mapping[int, tuple[CellPair, ...]] = field(repr=False, compare=False)
+    certificate_cells: tuple[CellPair, ...]
 
     @property
     def trivial(self) -> bool:
         return not self.nontrivial
-
-    @property
-    def certificate_cells(self) -> tuple[CellPair, ...]:
-        return self.cells[self.n if self.nontrivial else self.n - 1]
 
 
 def is_trivial(
@@ -298,7 +284,9 @@ def is_trivial(
         "certificate_kind": kind,
         "certificate_weight": certificate.weight(),
     }
-    return ObstructionVerdict(n, kind == "cycle", certificate, kind, cocycle, seed, stats, cfg.cells)
+    layer = cfg.keys[n if kind == "cycle" else n - 1]
+    named = tuple(cfg.decode(layer[i]) for i in certificate.support())
+    return ObstructionVerdict(n, kind == "cycle", certificate, kind, cocycle, seed, stats, named)
 
 
 # -- doubled-complex criterion ---------------------------------------

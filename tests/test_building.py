@@ -848,7 +848,7 @@ def test_pairs_checked_counts_the_configuration_space_top_pairs(b23, b33, b24):
         c = standard_flag(b)
         opp = opp_complex(b, c)
         k = opp.dimension
-        counts = [len(configuration_space(double_over(opp, d), 2 * k).cells[2 * k]) for d in opp.facets[:deltas]]
+        counts = [len(configuration_space(double_over(opp, d), 2 * k).keys[2 * k]) for d in opp.facets[:deltas]]
         total = sum(counts) * len(opp.facets) // len(counts)
         assert total == verify_dbl_embedding(b, c).pairs_checked == pinned
 

@@ -2,18 +2,25 @@
 
 Each invocation goes through ``python -m obstructor`` so argument parsing,
 exit codes, stdout/stderr split, and file handling are all exercised the
-way a shell user would hit them.
+way a shell user would hit them.  Only the pinned certificate digests call
+``main`` in process, as 24 subprocesses would cost seconds.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
+
+from obstructor import complexes as cx
+from obstructor.cli import main
 
 
 def run(*args: str, stdin_text: str | None = None) -> subprocess.CompletedProcess:
@@ -209,6 +216,52 @@ def test_vk_certificate(k33_file):
     assert "certificate (cycle): 18 cells" in plain.stdout
 
 
+def _doubled_octahedral_sphere() -> cx.SimplicialComplex:
+    sphere = cx.octahedralize(cx.full_simplex(3))
+    return cx.double_over(sphere, sphere.facets[0])
+
+
+CERTIFICATE_CASES = {
+    "k33": (lambda: cx.join(cx.points_complex(3), cx.points_complex(3)), 2),
+    "k5": (lambda: cx.SimplicialComplex(combinations(range(5), 2)), 2),
+    "k4": (lambda: cx.SimplicialComplex(combinations(range(4), 2)), 2),
+    "doubled_octahedral_2_sphere": (_doubled_octahedral_sphere, 4),
+}
+
+# sha256 of `vk - N --seed S --certificate --json` (its timing_ms line
+# dropped) and of the plain `--certificate` output, per case and seed.
+CERTIFICATE_DIGESTS = {
+    ("k33", 0): ("284a078d84bc3bf8a441fae50e88216b2eb35f1a018ac71267e931408d815bfa", "514089415c9592ad3a090f857ca98c37f1ade52f3a142a3f422fab7f92d9af58"),
+    ("k33", 1): ("4c0d7d4d80cf664c71823aaefbb515c833ef2cf54187b7d1e3d5b8e027ba837d", "25d31288307cb4e257a678d6bc9a4fbab81095487a5631d3c9c591f284ccdea3"),
+    ("k33", 17): ("a16d2966d4890c1fcfbe8acb5ceb0e37517a0de8202813c5ff3436975f337030", "2ffddc5393a36ae6f1dddeb37a3db3264c3219eb188a4f0a2d4f3f25b7d05890"),
+    ("k5", 0): ("68ba3bed62a788911ddd8525d0c9a01bdf952ef9cf5084af9d8f9bbe4032d753", "8c89c4e1b69f2115f8c353e4acbd701bd2547c65d0a5f2f831b9af114621dd38"),
+    ("k5", 1): ("29919282d4c5f54e297086026b50f97b520431b8ab3f8545c27610912f9b8899", "5198a0c073de013eec2a96ada94902c9283f0f9e865f244b345c84fefdbc995f"),
+    ("k5", 17): ("494512cdb1d4cb2491c5d1c735c345f169c8ef3d0623d005a3afe5c382b12054", "a17dd2db63fa78f9bcd3e425f9b187358a7334596caf6a96586aadccd9c5049b"),
+    ("k4", 0): ("8c770751904af65067bf054cd011efda50b16720110d1aa7947627dd5766bd31", "60207d73ec4110da08bfe2446e3b8b7115ef40512f1d87ddb55b8ded69ce1369"),
+    ("k4", 1): ("e724c3b20f1ee04cae1763f765b00b05f3011f4721cd11e32153ff9a8247fb56", "ef5453d625d4eae56c03c33fb7f40af40f8cd98162fce8c435937387b183d26b"),
+    ("k4", 17): ("bdd439f1fd6941cdde04f6b21540a40a621b4ba273ac12142d719f9c605ec644", "ab6e0fe7ddee9a1aa3621508281b87be71de934a80a8d6445606670269ddd82c"),
+    ("doubled_octahedral_2_sphere", 0): ("8a0f650f0a5eecfbb935ffc1254ef811faa364d0d3d86a58e39d3fc21fdaffd0", "a218ae298d057e76cd305cf3f73b2e6787acc4b2dc80c7876e1aa149337632e3"),
+    ("doubled_octahedral_2_sphere", 1): ("e1839ec0df19d0138859f72014a906ff78bca02f533b635f332b75f7787e4d0b", "e0aef121a06e7ced90cdf0fc461bc79e50375f68e0b7b40c2bec27b1bc87f4ab"),
+    ("doubled_octahedral_2_sphere", 17): ("b1ce2dc809798986069b48a67684aef247009209617955ac435c8afe111b7bb0", "cd31b124b49aa269cc28851dfcdf41b7d5b08094bbf33ea17a782a2dd14719ae"),
+}
+
+
+@pytest.mark.parametrize("name, seed", CERTIFICATE_DIGESTS)
+def test_vk_certificate_output_is_pinned(monkeypatch, capsys, name, seed):
+    """The reported certificate cells, byte for byte, in both formats.  The
+    complex comes on stdin, so ``input.file`` reads ``-`` on every run."""
+    make, n = CERTIFICATE_CASES[name]
+    text = json.dumps({"facets": [list(f) for f in make().facets]})
+    digests = []
+    for extra in (["--json"], []):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["vk", "-", str(n), "--seed", str(seed), "--certificate", *extra]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        kept = "".join(line for line in lines if not line.startswith('  "timing_ms":'))
+        digests.append(hashlib.sha256(kept.encode()).hexdigest())
+    assert tuple(digests) == CERTIFICATE_DIGESTS[name, seed]
+
+
 def test_vk_json_reports_deterministic_stats(k33_file):
     stats = json.loads(run("vk", k33_file, "2", "--json").stdout)["stats"]
     assert stats == {
@@ -306,7 +359,7 @@ def test_cocycle_check_survives_optimize(tmp_path):
         "from obstructor.cli import main",
         "from obstructor.complexes import full_simplex",
         "from obstructor.errors import CertificateError",
-        "vk.pair_intersection_parity = lambda params, cell: 1",
+        "vk.pair_intersection_parity = lambda params, sigma, tau: 1",
         "try:",
         "    vk.is_trivial(full_simplex(5), 2)",
         "except CertificateError as exc:",

@@ -71,6 +71,18 @@ def test_vertex_validation():
         SimplicialComplex([(-1, 0)])
 
 
+@given(st.data())
+def test_facet_order_and_repeats_do_not_change_the_complex(data):
+    """Shuffled or repeated input facets give the same facets, vertex count
+    and labels, whatever order duplicates are dropped in."""
+    faces = data.draw(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4).map(tuple), min_size=1, max_size=8))
+    labels = [f"v{i}" for i in range(max(v for f in faces for v in f) + 1)]
+    k = SimplicialComplex(faces, labels=labels)
+    shuffled = data.draw(st.permutations(faces + data.draw(st.lists(st.sampled_from(faces), max_size=4))))
+    again = SimplicialComplex([tuple(reversed(f)) for f in shuffled], labels=labels)
+    assert (again.facets, again.num_vertices, again.labels) == (k.facets, k.num_vertices, k.labels)
+
+
 def test_one_shot_facets_are_read_once():
     k = SimplicialComplex([iter([0, 1]), iter([1, 2])])
     assert k.facets == ((0, 1), (1, 2))

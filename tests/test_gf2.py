@@ -216,6 +216,16 @@ def test_support_lists_the_set_coordinates_ascending(drawn):
     assert from_support(length, v.support()) == v
 
 
+@given(st.lists(st.integers(0, 7), max_size=80))
+@example([])
+def test_from_list_packs_each_entry_mod_2(entries):
+    """The one-pass packing against ORing one shifted bit per entry."""
+    bits = 0
+    for i, e in enumerate(entries):
+        bits |= (e & 1) << i
+    assert GF2Vector.from_list(entries) == GF2Vector(len(entries), bits)
+
+
 def test_vector_validation():
     with pytest.raises(ValueError):
         GF2Vector(2, 0b100)
