@@ -312,7 +312,6 @@ class Apartment:
             raise ValueError(f"frame has {len(lines)} lines in dimension {n}")
         if any(not 0 <= line < building.lines_in[n] for line in lines):
             raise ValueError(f"frame {lines} names a vertex that is not a line")
-        self.building = building
         self.lines = lines
         self.n = n
         self.vertex_of_subset: dict[int, int] = {}
@@ -391,60 +390,65 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
     two cells are disjoint (as signed vertex sets) their bending chamber
     sets must be disjoint too.  ``ok`` means no violation exists anywhere.
 
-    The cells over one Delta are numbered in (sigma, cell) order, and each
-    signed vertex and each bent chamber gets the bitset of the cells it
-    lies in.  Cell j then meets all its later partners at once: the later
-    cells outside the union of its vertices' bitsets are disjoint from it
-    (``pairs_checked`` counts them), and those among them inside the union
-    of its chambers' bitsets collide with it.  The witness is the first
-    colliding cell in that order, paired with its earliest later partner.
+    A top cell over Delta is a signing of some sigma whose plus vertices
+    lie in Delta; its signed vertices and bent chambers do not depend on
+    Delta.  So the signings of every sigma over all of sigma are numbered
+    once, in (sigma, cell) order, which over one Delta is the order of the
+    signings over Delta.  Cell j keeps two bitsets of later cells: those
+    sharing no signed vertex with it, and those among them sharing a bent
+    chamber with it.  Each Delta then needs only the mask of the cells
+    present over it.  Each present cell counts its present disjoint
+    partners into ``pairs_checked``; the witness is the first present cell
+    with a present colliding partner, over the first Delta that has one,
+    paired with the earliest such partner.
     """
     dp = b.chamber_ids(delta_plus)
     opp = opposite_chambers(b, dp)
-    tables = {sigma: _bending_table(b, dp, sigma) for sigma in opp}
+    # Cell j is (sigma, signed vertices, bent chambers), 2v for the plain
+    # copy of v and 2v+1 for the doubled one; it bends onto the chambers of
+    # the level set of its minus part.  Bit j of at_vertex[sv] /
+    # at_chamber[t]: cell j has signed vertex sv / bends onto chamber t.
+    cells: list[tuple[Simplex, Simplex, frozenset[Simplex]]] = []
+    at_vertex: dict[int, int] = {}
+    at_chamber: dict[Simplex, int] = {}
+    for sigma in opp:
+        table = _bending_table(b, dp, sigma)
+        for cell in signings(sigma, sigma):
+            bent = table[frozenset(b.vertex_dims[sv >> 1] for sv in cell if not sv & 1)]
+            bit = 1 << len(cells)
+            cells.append((sigma, cell, bent))
+            for sv in cell:
+                at_vertex[sv] = at_vertex.get(sv, 0) | bit
+            for chamber in bent:
+                at_chamber[chamber] = at_chamber.get(chamber, 0) | bit
+    every = (1 << len(cells)) - 1
+    disjoint, colliding = [], []  # bit i stands for cell j + 1 + i
+    for j, (_, cell, bent) in enumerate(cells):
+        touching = covering = 0
+        for sv in cell:
+            touching |= at_vertex[sv]
+        for chamber in bent:
+            covering |= at_chamber[chamber]
+        later = (every ^ touching) >> (j + 1)
+        disjoint.append(later)
+        colliding.append(later & covering >> (j + 1))
     checked = 0
     for delta in opp:
-        # The top cells over each sigma that survive the doubling over
-        # delta are its signings (2v for the plain copy of v, 2v+1 for the
-        # doubled one).  Each carries the chambers it bends onto, read off
-        # the level set of its minus part.
-        doubled = frozenset(delta)
-        cells: list[tuple[Simplex, Simplex, frozenset[Simplex]]] = []
-        for sigma in opp:
-            for cell in signings(sigma, doubled):
-                levels = frozenset(b.vertex_dims[sv >> 1] for sv in cell if not sv & 1)
-                cells.append((sigma, cell, tables[sigma][levels]))
-        # Bit j of at_vertex[sv] / at_chamber[t]: cell j has signed vertex sv
-        # / bends onto chamber t.
-        at_vertex: dict[int, int] = {}
-        at_chamber: dict[Simplex, int] = {}
-        for j, (_, cell, bent) in enumerate(cells):
-            for sv in cell:
-                at_vertex[sv] = at_vertex.get(sv, 0) | 1 << j
-            for chamber in bent:
-                at_chamber[chamber] = at_chamber.get(chamber, 0) | 1 << j
-        every = (1 << len(cells)) - 1
-        for j, (sigma, cell, bent) in enumerate(cells):
-            touching = 0
-            for sv in cell:
-                touching |= at_vertex[sv]
-            later = (every ^ touching) >> (j + 1)  # disjoint cells after j
-            checked += later.bit_count()
-            covering = 0
-            for chamber in bent:
-                covering |= at_chamber[chamber]
-            hits = later & (covering >> (j + 1))
+        present = every  # the cells with no plus vertex outside delta
+        for sv, holders in at_vertex.items():
+            if sv & 1 and sv >> 1 not in delta:
+                present &= ~holders
+        rest = present
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest ^= 1 << j
+            partners = present >> (j + 1)
+            checked += (partners & disjoint[j]).bit_count()
+            hits = partners & colliding[j]
             if hits:
-                k = j + (hits & -hits).bit_length()
-                tau, cell_b, bent_b = cells[k]
-                witness = EmbeddingWitness(
-                    doubling_chamber=delta,
-                    sigma=sigma,
-                    alpha=cell,
-                    tau=tau,
-                    beta=cell_b,
-                    overlap=tuple(sorted(bent & bent_b)),
-                )
+                sigma, cell, bent = cells[j]
+                tau, cell_b, bent_b = cells[j + (hits & -hits).bit_length()]
+                witness = EmbeddingWitness(delta, sigma, cell, tau, cell_b, tuple(sorted(bent & bent_b)))
                 return EmbeddingReport(False, witness, checked)
     return EmbeddingReport(True, None, checked)
 

@@ -55,11 +55,6 @@ class GF2Vector:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.length != other.length:
-            raise ValueError(f"length mismatch {self.length} != {other.length}")
-        return GF2Vector(self.length, self.bits ^ other.bits)
-
     def dot(self, other: "GF2Vector") -> int:
         if self.length != other.length:
             raise ValueError(f"length mismatch {self.length} != {other.length}")
@@ -100,14 +95,6 @@ class GF2Matrix:
         self._reduced: Optional[tuple[tuple[tuple[int, int], ...], dict[int, int]]] = None
 
     # -- basics -------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GF2Matrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.columns))
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.rows}x{self.cols})"

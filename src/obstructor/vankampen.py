@@ -26,6 +26,7 @@ time and raise ``CertificateError``, also under ``python -O``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
@@ -52,10 +53,6 @@ class CellPair(NamedTuple):
 
     sigma: Simplex
     tau: Simplex
-
-    @property
-    def cell_dim(self) -> int:
-        return len(self.sigma) + len(self.tau) - 2
 
 
 class _Cells:
@@ -124,8 +121,9 @@ def configuration_space(
     """The cells of dimension n-1, n and n+1 and the boundary maps between them.
 
     ``max_cells`` (default ``DEFAULT_MAX_CELLS``) caps the cells of these
-    three layers together, checked after each face's row of partners, and
-    must be positive; the one product of the window,
+    three layers together, checked first against the n-cells of the largest
+    facet alone and then after each face's row of partners, and must be
+    positive; the one product of the window,
     boundary[n] @ boundary[n+1], is checked to vanish.
     """
     if n < 1:
@@ -133,6 +131,10 @@ def configuration_space(
     cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
     if cap < 1:
         raise ValueError(f"max_cells must be positive, got {cap}")
+    # One facet of m vertices alone holds C(m, n+2) * (2^(n+1) - 1) n-cells.
+    m = max(map(len, k.facets), default=0)
+    if m >= n + 2 and comb(m, n + 2) * ((2 << n) - 1) > cap:
+        raise ResourceLimitError(f"configuration space exceeds {cap} cells in one facet of {m} vertices")
     cells = _Cells(k, min(n + 1, k.dimension))
     keys: dict[int, list[int]] = {}
     total = 0

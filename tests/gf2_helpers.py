@@ -4,7 +4,8 @@ The package holds a matrix as its packed columns (``GF2Matrix(rows, cols,
 columns)``, bit i of ``columns[j]`` the entry (i, j)); these helpers spell
 small matrices and vectors out entry by entry, with the range checks a
 hand-written example deserves, and give the row-wise oracles the packed
-rows they read (``by_rows``, ``row_bits``, ``transpose``).
+rows they read (``by_rows``, ``row_bits``, ``transpose``), and compare
+matrices (``columns_of``) and add vectors (``xor``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,17 @@ def row_bits(m: GF2Matrix) -> tuple[int, ...]:
 
 def transpose(m: GF2Matrix) -> GF2Matrix:
     return by_rows(m.cols, m.rows, m.columns)
+
+
+def columns_of(m: GF2Matrix) -> tuple[int, int, tuple[int, ...]]:
+    """The shape and columns of ``m``, which pin the matrix down."""
+    return (m.rows, m.cols, m.columns)
+
+
+def xor(a: GF2Vector, b: GF2Vector) -> GF2Vector:
+    if a.length != b.length:
+        raise ValueError(f"length mismatch {a.length} != {b.length}")
+    return GF2Vector(a.length, a.bits ^ b.bits)
 
 
 def zero(rows: int, cols: int) -> GF2Matrix:

@@ -853,10 +853,11 @@ def test_pairs_checked_counts_the_configuration_space_top_pairs(b23, b33, b24):
         assert total == verify_dbl_embedding(b, c).pairs_checked == pinned
 
 
-def test_bitset_check_agrees_with_the_pair_loop(b23, monkeypatch):
-    for c in b23.chambers:
-        report = verify_dbl_embedding(b23, c)
-        assert brute_force_embedding(b23, c) == (report.ok, report.pairs_checked)
+def test_bitset_check_agrees_with_the_pair_loop(b23, b33, monkeypatch):
+    for b, chambers in ((b23, b23.chambers), (b33, b33.chambers[:3])):
+        for c in chambers:
+            report = verify_dbl_embedding(b, c)
+            assert brute_force_embedding(b, c) == (report.ok, report.pairs_checked)
 
     def marked(b, dp, sigma):
         levels = range(1, b.n)
@@ -867,6 +868,36 @@ def test_bitset_check_agrees_with_the_pair_loop(b23, monkeypatch):
         report = verify_dbl_embedding(b23, c)
         assert report.ok is False and brute_force_embedding(b23, c)[0] is False
         assert report.witness == first_collision(b23, c) is not None
+
+
+def test_first_collision_over_a_later_doubling_chamber(b23, monkeypatch):
+    """Opp(C) of a (2,3) chamber is an octagon.  Take its last chamber
+    delta = (line, plane), the other chamber sigma through the line and the
+    other chamber tau through the plane, which share no vertex.  Every cell
+    bends onto a marker of its own, except that the cell of sigma with only
+    its line plus and the cell of tau with only its plane plus share one.
+    Both are present only when doubling over delta, so the first collision
+    is found there and not over the first doubling chamber."""
+    dp = standard_flag(b23)
+    opp = opposite_chambers(b23, dp)
+    delta = opp[-1]
+    line, plane = delta
+    (sigma,) = [c for c in opp if line in c and c != delta]
+    (tau,) = [c for c in opp if plane in c and c != delta]
+    assert not set(sigma) & set(tau)
+    shared = {sigma: frozenset({2}), tau: frozenset({1})}  # the minus levels
+
+    def one_shared_marker(b, dp, chamber):
+        levels = [frozenset(s) for r in range(b.n) for s in combinations(range(1, b.n), r)]
+        return {s: frozenset({()} if shared.get(chamber) == s else {(chamber, tuple(s))}) for s in levels}
+
+    monkeypatch.setattr("obstructor.building._bending_table", one_shared_marker)
+    report = verify_dbl_embedding(b23, dp)
+    assert report.ok is False and brute_force_embedding(b23, dp)[0] is False
+    w = report.witness
+    assert w == first_collision(b23, dp)
+    assert w.doubling_chamber == delta != opp[0]
+    assert {w.sigma, w.tau} == {sigma, tau} and w.overlap == ((),)
 
 
 # -- chambers opposite a whole apartment -----------------------------

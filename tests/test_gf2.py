@@ -21,6 +21,7 @@ from obstructor.vankampen import configuration_space, obstruction_cocycle
 
 from gf2_helpers import (
     by_rows,
+    columns_of,
     entry,
     from_entries,
     from_rows,
@@ -29,6 +30,7 @@ from gf2_helpers import (
     row_bits,
     to_list,
     transpose,
+    xor,
     zero,
 )
 
@@ -204,7 +206,7 @@ def test_matmul_and_transpose_shapes():
     assert entry(p, 0, 0) == 0 and entry(p, 0, 1) == 1
     t = transpose(a)
     assert (t.rows, t.cols) == (3, 2)
-    assert transpose(t) == a
+    assert columns_of(transpose(t)) == columns_of(a)
 
 
 @given(st.integers(0, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
@@ -232,7 +234,7 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         from_support(3, [3])
     with pytest.raises(ValueError):
-        GF2Vector(3, 1) ^ GF2Vector(4, 1)
+        GF2Vector(3, 1).dot(GF2Vector(4, 1))
 
 
 def test_matrix_validation():
@@ -291,9 +293,9 @@ def products(draw, max_dim: int = 5):
 @example((from_rows([[1, 1, 0], [0, 1, 1]]), zero(3, 0), GF2Vector(3, 0b111), GF2Vector(2, 0b11)))
 def test_products_match_the_entry_by_entry_oracle(drawn):
     a, b, x, y = drawn
-    assert a @ b == product_by_entries(a, b)
-    assert as_column(a.apply(x)) == product_by_entries(a, as_column(x))
-    assert as_column(a.apply_transpose(y)) == product_by_entries(transpose(a), as_column(y))
+    assert columns_of(a @ b) == columns_of(product_by_entries(a, b))
+    assert columns_of(as_column(a.apply(x))) == columns_of(product_by_entries(a, as_column(x)))
+    assert columns_of(as_column(a.apply_transpose(y))) == columns_of(product_by_entries(transpose(a), as_column(y)))
 
 
 @given(matrices())
@@ -330,7 +332,7 @@ def test_row_reduce_splits_off_the_row_space(m, vbits):
     comes with the oracle's solution of M^T y = v."""
     v = GF2Vector(m.cols, vbits & ((1 << m.cols) - 1))
     residue, y = m.row_reduce(v)
-    assert residue ^ m.apply_transpose(y) == v
+    assert xor(residue, m.apply_transpose(y)) == v
     assert all(residue[p] == 0 for p in rref(m)[1])
     assert all(z.dot(v) == z.dot(residue) for z in rref_kernel_basis(m))
     assert (residue.is_zero()) == (rref_solve(transpose(m), v) is not None)
@@ -343,7 +345,7 @@ def test_row_reduce_names_the_basis_rows_of_v_minus_residue(m, vbits):
     """Whatever the residue, y is the oracle's solution of M^T y = v + residue."""
     v = GF2Vector(m.cols, vbits & ((1 << m.cols) - 1))
     residue, y = m.row_reduce(v)
-    assert y == rref_solve(transpose(m), v ^ residue)
+    assert y == rref_solve(transpose(m), xor(v, residue))
 
 
 @given(matrices(max_dim=8), st.lists(st.integers(0, (1 << 8) - 1), max_size=4))
@@ -372,7 +374,7 @@ def test_edge_shapes_match_the_rref_oracle(name):
     for vbits in range(1 << m.cols):
         v = GF2Vector(m.cols, vbits)
         residue, y = m.row_reduce(v)
-        assert residue ^ m.apply_transpose(y) == v
+        assert xor(residue, m.apply_transpose(y)) == v
         expected = rref_solve(transpose(m), v)
         assert residue.is_zero() == (expected is not None)
         if expected is not None:
@@ -386,7 +388,7 @@ def test_edge_shapes_match_forward_elimination(name):
     assert_matches_forward_elimination(m, vectors)
     for v in vectors:
         residue, y = m.row_reduce(v)
-        assert y == rref_solve(transpose(m), v ^ residue)
+        assert y == rref_solve(transpose(m), xor(v, residue))
 
 
 def test_stretch_boundary_matches_forward_elimination():

@@ -23,6 +23,7 @@ import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 import pytest
@@ -86,10 +87,14 @@ def relabel(k: SimplicialComplex, perm) -> SimplicialComplex:
 # -- cell pairs and the configuration space --------------------------
 
 
+def cell_dim(cell: CellPair) -> int:
+    return len(cell.sigma) + len(cell.tau) - 2
+
+
 def test_cell_pair_canonical_order():
     p = cell_pair((3, 4), (0, 1))
     assert p == CellPair((0, 1), (3, 4))
-    assert p.cell_dim == 2
+    assert cell_dim(p) == 2
     with pytest.raises(ValueError):
         cell_pair((0, 1), (1, 2))
 
@@ -141,6 +146,23 @@ def test_cell_budget_is_enforced_during_enumeration():
     with pytest.raises(ResourceLimitError):
         configuration_space(k, 1, max_cells=10)
     assert time.perf_counter() - started < 1.0
+
+
+def test_an_oversized_facet_is_refused_before_any_face_is_built():
+    # The 80-vertex simplex alone holds C(80, 4) * 7 = 11,071,060 2-cells,
+    # so it is refused before its 2^80 faces are enumerated.
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="exceeds 2000000 cells"):
+        is_trivial(full_simplex(80), 2)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (5, 2), (6, 2), (6, 3), (7, 4)])
+def test_one_facet_holds_the_counted_n_cells(m, n):
+    """The facet count the budget is checked against is exact on a simplex,
+    so the early refusal refuses nothing the enumeration would accept."""
+    cfg = configuration_space(full_simplex(m), n)
+    assert len(cfg.keys[n]) == comb(m, n + 2) * (2 ** (n + 1) - 1)
 
 
 def test_dimension_far_above_the_complex_is_decided_at_once():
@@ -236,14 +258,14 @@ def brute_force_cells(k: SimplicialComplex) -> dict[int, list[CellPair]]:
     for s, t in combinations(faces, 2):
         if not set(s) & set(t):
             cell = cell_pair(s, t)
-            out.setdefault(cell.cell_dim, []).append(cell)
+            out.setdefault(cell_dim(cell), []).append(cell)
     return {d: sorted(cells) for d, cells in out.items()}
 
 
 def is_cell_facet(lower: CellPair, upper: CellPair) -> bool:
     a, b = map(set, lower)
     s, t = map(set, upper)
-    return lower.cell_dim + 1 == upper.cell_dim and (a <= s and b <= t or a <= t and b <= s)
+    return cell_dim(lower) + 1 == cell_dim(upper) and (a <= s and b <= t or a <= t and b <= s)
 
 
 @st.composite
@@ -311,7 +333,7 @@ def solve_square(rows: list[list[F]], rhs: list[F]) -> list[F]:
 
 def exact_parity(coords, cell: CellPair) -> int:
     """1 iff the simplices cross: every barycentric weight is positive."""
-    n = cell.cell_dim
+    n = cell_dim(cell)
     weights = solve_square(incidence_rows(cell, coords, n), [F(0)] * n + [F(1), F(1)])
     assert all(w != 0 for w in weights), "the points are not in general position"
     return 1 if all(w > 0 for w in weights) else 0
@@ -363,7 +385,7 @@ def complementary_cells(draw):
 def test_interlacing_matches_the_exact_solve(drawn, seed):
     num_vertices, cell = drawn
     params = _seeded_values(seed, num_vertices)
-    coords = moment_coords(params, cell.cell_dim)
+    coords = moment_coords(params, cell_dim(cell))
     assert pair_intersection_parity(params, *cell) == exact_parity(coords, cell)
 
 
