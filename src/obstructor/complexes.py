@@ -150,9 +150,6 @@ class SimplicialComplex:
             self._facet_sets = tuple(frozenset(f) for f in self.facets)
         return any(s <= fs for fs in self._facet_sets)
 
-    def edges(self) -> tuple[Simplex, ...]:
-        return self.faces(1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -359,8 +356,17 @@ def from_json_dict(data: object) -> SimplicialComplex:
 
 
 def dump_complex(k: SimplicialComplex, fp: IO[str]) -> None:
-    json.dump(to_json_dict(k), fp, indent=2)
-    fp.write("\n")
+    """``to_json_dict(k)`` byte for byte as ``json.dump(..., indent=2)`` writes
+    it, with one join per facet, not the pure-Python encoder ``indent`` picks."""
+    fp.write('{\n  "facets": ' + _indented(["[\n      " + ",\n      ".join(map(str, f)) + "\n    ]" for f in k.facets]))
+    if k.labels is not None:
+        fp.write(',\n  "labels": ' + _indented([json.dumps(s) for s in k.labels]))
+    fp.write("\n}\n")
+
+
+def _indented(items: list[str]) -> str:
+    """Encoded values as the list that a top-level key holds under ``indent=2``."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def load_complex(fp: IO[str]) -> SimplicialComplex:

@@ -1,14 +1,15 @@
 """Dense linear algebra over GF(2) with bit-packed columns.
 
-A matrix is its columns, each a single Python int; bit ``i`` of column
-``j`` is the entry in row ``i``.  Reduction is then a handful of XORs on
-machine words, which is fast enough for every chain complex this package
-produces and stays exact.
+A matrix is its columns, each a single Python int; entry (i, j) is bit
+``rows - 1 - i`` of column ``j``, row 0 at the top.  Reduction is then a
+handful of XORs on machine words, which is fast enough for every chain
+complex this package produces and stays exact.
 
 Rank, kernel and row reduction all read one column reduction per matrix.
 The columns are reduced left to right, each at its lowest nonzero row
 against the pivots of the columns before it, until it vanishes or founds a
-pivot; each carries a tag, the set of original columns it sums.  A column that
+pivot; each carries a tag, the set of original columns it sums.  The lowest
+row is the top bit, which ``bit_length`` reads at once.  A column that
 vanishes is free, and its tag is its kernel vector.  Reducing a vector v
 reads its residue on each free column as v . tag and finds the sum of
 basis rows by one back-substitution over the pivot rows.
@@ -99,32 +100,35 @@ class GF2Matrix:
     def __repr__(self) -> str:
         return f"GF2Matrix({self.rows}x{self.cols})"
 
-    def _sum_columns(self, select: int) -> int:
-        """The XOR of the columns whose bits are set in ``select``."""
+    @staticmethod
+    def _sum_columns(select: int, columns: Sequence[int]) -> int:
+        """The XOR of ``columns[b]`` for each bit b set in ``select``."""
         acc = 0
         while select:
-            low = select & -select
-            acc ^= self.columns[low.bit_length() - 1]
-            select ^= low
+            top = select.bit_length() - 1
+            acc ^= columns[top]
+            select ^= 1 << top
         return acc
 
     def apply(self, v: GF2Vector) -> GF2Vector:
         """Matrix-vector product, the sum of the columns that v selects."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
-        return GF2Vector(self.rows, self._sum_columns(v.bits))
+        return GF2Vector(self.rows, _reverse(self._sum_columns(v.bits, self.columns), self.rows))
 
     def apply_transpose(self, y: GF2Vector) -> GF2Vector:
         """y^T M: bit j is the parity of y on column j."""
         if y.length != self.rows:
             raise ValueError(f"vector length {y.length} != rows {self.rows}")
-        ybits = y.bits
+        ybits = _reverse(y.bits, self.rows)
         return GF2Vector.from_list([(c & ybits).bit_count() for c in self.columns])
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
+        # Bit b of a column of ``other`` selects column cols-1-b of ``self``.
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.cols} != {other.rows}")
-        out = [self._sum_columns(c) for c in other.columns]
+        backward = self.columns[::-1]
+        out = [self._sum_columns(c, backward) for c in other.columns]
         return GF2Matrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -136,25 +140,25 @@ class GF2Matrix:
         """Column reduction, once per matrix: (the pivot columns as (pivot
         row, reduced column), highest pivot row first; {free column: tag}).
 
-        A reduced column keeps its rows in bits 0..rows-1 and its tag above
-        them, original column j at bit rows + j.  Its lowest row, where it
-        is reduced, is then its lowest set bit."""
+        A reduced column keeps its tag in bits 0..cols-1, original column j
+        at bit j, and its rows above them, row 0 at the top.  Its lowest row,
+        where it is reduced, is then its top bit, which ``bit_length`` reads."""
         if self._reduced is None:
-            rows = self.rows
+            rows, cols = self.rows, self.cols
             pivots: dict[int, int] = {}  # pivot row -> reduced column
             free: dict[int, int] = {}
             for j, c in enumerate(self.columns):
-                c |= 1 << (rows + j)
-                low = (c & -c).bit_length() - 1
+                c = c << cols | 1 << j
+                low = rows + cols - c.bit_length()
                 while low < rows:
                     pivot = pivots.get(low)
                     if pivot is None:
                         pivots[low] = c
                         break
                     c ^= pivot
-                    low = (c & -c).bit_length() - 1
+                    low = rows + cols - c.bit_length()
                 else:
-                    free[j] = c >> rows
+                    free[j] = c
             self._reduced = (tuple(sorted(pivots.items(), reverse=True)), free)
         return self._reduced
 
@@ -179,22 +183,24 @@ class GF2Matrix:
         and is v . tag on each free column, so a kernel vector pairs with it
         as with v; y is the one sum of basis rows with y^T M = v + residue,
         found by back-substitution over the pivot rows, highest first: y
-        pairs with the rows of each reduced column as v pairs with its tag,
-        so v sits above y in the columns' layout and y is the low bits."""
+        pairs with the rows of each reduced column as v pairs with its tag."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
         pivots, free = self._eliminate()
         residue = 0
         for f, tag in free.items():
             residue |= ((v.bits & tag).bit_count() & 1) << f
-        # x holds y in bits 0..rows-1 and v above them, laid out as the
+        # x holds v in bits 0..cols-1 and y above them, laid out as the
         # columns are, so one popcount reads y . column + v . tag.  y is set
         # so far only on rows after the pivot row, so the pivot row's bit
         # settles the parity.
-        rows = self.rows
-        x = v.bits << rows
+        x, top = v.bits, self.rows + self.cols - 1
         for row, c in pivots:
             if (x & c).bit_count() & 1:
-                x |= 1 << row
-        y = x & ((1 << rows) - 1)
-        return GF2Vector(self.cols, residue), GF2Vector(self.rows, y)
+                x |= 1 << (top - row)
+        return GF2Vector(self.cols, residue), GF2Vector(self.rows, _reverse(x >> self.cols, self.rows))
+
+
+def _reverse(bits: int, length: int) -> int:
+    """``bits`` read backward over ``length`` places: bit i goes to length-1-i."""
+    return int(f"{bits:0{length}b}"[::-1], 2)

@@ -41,7 +41,7 @@ def boundary_maps(
     for d in sorted(cells):
         if d - 1 not in cells:
             continue
-        below = {c: i for i, c in enumerate(cells[d - 1])}
+        below = {c: i for i, c in enumerate(reversed(cells[d - 1]))}  # row i at bit rows-1-i
         columns = []
         for c in cells[d]:
             column = 0

@@ -135,7 +135,9 @@ def configuration_space(
     m = max(map(len, k.facets), default=0)
     if m >= n + 2 and comb(m, n + 2) * ((2 << n) - 1) > cap:
         raise ResourceLimitError(f"configuration space exceeds {cap} cells in one facet of {m} vertices")
-    cells = _Cells(k, min(n + 1, k.dimension))
+    # When no two disjoint faces hold the n+1 vertices of a lowest cell, the
+    # window is empty and no face is numbered.
+    cells = _Cells(k, min(n + 1, m - 1) if n + 1 <= min(k.num_vertices, 2 * m) else -1)
     keys: dict[int, list[int]] = {}
     total = 0
     for d in (n - 1, n, n + 1):
@@ -188,10 +190,13 @@ def pair_intersection_parity(params: Sequence[int], sigma: Simplex, tau: Simplex
     the open simplices on sigma and tau meet, in exactly one point, iff
     their vertices alternate in parameter order.
     """
-    # Each vertex as (parameter, side); the parameters are distinct, so the
-    # sort never compares sides.
-    order = sorted([(params[v], 0) for v in sigma] + [(params[v], 1) for v in tau])
-    return 1 if all(a[1] != b[1] for a, b in zip(order, order[1:])) else 0
+    return _interlace(sorted([params[v] for v in sigma]), sorted([params[v] for v in tau]))
+
+
+def _interlace(a: list[int], b: list[int]) -> int:
+    """1 iff sorted disjoint lists a, b alternate: every other entry of the merge is a or b."""
+    every_other = sorted(a + b)[::2]
+    return 1 if every_other == a or every_other == b else 0
 
 
 # -- the obstruction -------------------------------------------------
@@ -206,13 +211,14 @@ class ObstructionCocycle:
 
 
 def obstruction_cocycle(space: ConfigurationSpace, seed: int = 0) -> ObstructionCocycle:
-    """Evaluate the parity of every n-cell of ``space``, read off the two
-    faces its key names; the cocycle condition is checked on its
-    (n+1)-cells."""
+    """Evaluate the parity of every n-cell of ``space`` by the rule of
+    ``pair_intersection_parity``, sorting each face's parameters once; the
+    cocycle condition is checked on its (n+1)-cells."""
     n, faces = space.n, space.faces
     count = len(faces)
     params = _seeded_values(seed, space.source.num_vertices)
-    values = GF2Vector.from_list([pair_intersection_parity(params, faces[c // count], faces[c % count]) for c in space.keys[n]])
+    ordered = [sorted([params[v] for v in f]) for f in faces]
+    values = GF2Vector.from_list([_interlace(ordered[c // count], ordered[c % count]) for c in space.keys[n]])
     if not space.boundary[n + 1].apply_transpose(values).is_zero():
         raise CertificateError("obstruction failed the cocycle condition")
     return ObstructionCocycle(n, values)

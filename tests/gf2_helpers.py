@@ -1,11 +1,12 @@
 """GF(2) constructors and accessors that only the tests use.
 
 The package holds a matrix as its packed columns (``GF2Matrix(rows, cols,
-columns)``, bit i of ``columns[j]`` the entry (i, j)); these helpers spell
-small matrices and vectors out entry by entry, with the range checks a
-hand-written example deserves, and give the row-wise oracles the packed
-rows they read (``by_rows``, ``row_bits``, ``transpose``), and compare
-matrices (``columns_of``) and add vectors (``xor``).
+columns)``, bit rows-1-i of ``columns[j]`` the entry (i, j), so row 0 is
+the top bit); these helpers spell small matrices and vectors out entry by
+entry, with the range checks a hand-written example deserves, and give the
+row-wise oracles the packed rows they read (``by_rows``, ``row_bits``,
+``transpose``), and compare matrices (``columns_of``) and add vectors
+(``xor``).
 """
 
 from __future__ import annotations
@@ -29,17 +30,19 @@ def _flip(length: int, words: Sequence[int]) -> list[int]:
 
 
 def by_rows(rows: int, cols: int, row_bits: Sequence[int]) -> GF2Matrix:
-    """The matrix whose row i is the packed int ``row_bits[i]``."""
-    return GF2Matrix(rows, cols, _flip(cols, row_bits))
+    """The matrix whose row i is the packed int ``row_bits[i]``; read
+    backward, row i is word rows-1-i, which ``_flip`` turns into that bit."""
+    return GF2Matrix(rows, cols, _flip(cols, list(row_bits)[::-1]))
 
 
 def row_bits(m: GF2Matrix) -> tuple[int, ...]:
     """The rows of ``m``, each packed into one int (bit j = column j)."""
-    return tuple(_flip(m.rows, m.columns))
+    return tuple(_flip(m.rows, m.columns)[::-1])
 
 
 def transpose(m: GF2Matrix) -> GF2Matrix:
-    return by_rows(m.cols, m.rows, m.columns)
+    """The rows of the transpose are the columns of ``m``."""
+    return by_rows(m.cols, m.rows, [column(m, j).bits for j in range(m.cols)])
 
 
 def columns_of(m: GF2Matrix) -> tuple[int, int, tuple[int, ...]]:
@@ -58,7 +61,7 @@ def zero(rows: int, cols: int) -> GF2Matrix:
 
 
 def identity(n: int) -> GF2Matrix:
-    return GF2Matrix(n, n, [1 << i for i in range(n)])
+    return GF2Matrix(n, n, [1 << (n - 1 - i) for i in range(n)])
 
 
 def from_rows(entries: Sequence[Sequence[int]], cols: Optional[int] = None) -> GF2Matrix:
@@ -78,20 +81,21 @@ def from_entries(rows: int, cols: int, ones: Iterable[tuple[int, int]]) -> GF2Ma
     for i, j in ones:
         if not (0 <= i < rows and 0 <= j < cols):
             raise ValueError(f"entry ({i}, {j}) out of range for shape ({rows}, {cols})")
-        bits[j] ^= 1 << i
+        bits[j] ^= 1 << (rows - 1 - i)
     return GF2Matrix(rows, cols, bits)
 
 
 def entry(m: GF2Matrix, i: int, j: int) -> int:
     if not (0 <= i < m.rows and 0 <= j < m.cols):
         raise IndexError((i, j))
-    return (m.columns[j] >> i) & 1
+    return (m.columns[j] >> (m.rows - 1 - i)) & 1
 
 
 def column(m: GF2Matrix, j: int) -> GF2Vector:
     if not 0 <= j < m.cols:
         raise IndexError(j)
-    return GF2Vector(m.rows, m.columns[j])
+    # Row i is bit rows-1-i of the column, and bit i of the vector.
+    return GF2Vector(m.rows, int(f"{m.columns[j]:0{m.rows}b}"[::-1], 2))
 
 
 def rows_iter(m: GF2Matrix) -> Iterator[GF2Vector]:

@@ -346,8 +346,9 @@ def test_vk_is_unchanged_under_optimize(k33_file):
 
 
 def test_cocycle_check_survives_optimize(tmp_path):
-    """A wrong parity rule is caught with asserts stripped, and the CLI
-    reports it with exit code 4.  On the full simplex on 5 vertices,
+    """A wrong parity rule, patched into the interlacing test that the
+    cocycle reads, is caught with asserts stripped, and the CLI reports it
+    with exit code 4.  On the full simplex on 5 vertices,
     ``full_simplex(5)``, each 3-cell made of an edge and a disjoint
     triangle has 5 facets, so the constant cochain 1 is not a cocycle."""
     f = tmp_path / "simplex.json"
@@ -359,7 +360,7 @@ def test_cocycle_check_survives_optimize(tmp_path):
         "from obstructor.cli import main",
         "from obstructor.complexes import full_simplex",
         "from obstructor.errors import CertificateError",
-        "vk.pair_intersection_parity = lambda params, sigma, tau: 1",
+        "vk._interlace = lambda a, b: 1",
         "try:",
         "    vk.is_trivial(full_simplex(5), 2)",
         "except CertificateError as exc:",

@@ -6,11 +6,12 @@ reconstructions that never call the functions under test.
 from __future__ import annotations
 
 import io
+import json
 import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obstructor.complexes import (
     SimplicialComplex,
@@ -188,7 +189,7 @@ def test_full_subcomplex_on_everything_is_identity(k):
 def test_join_of_point_sets_is_complete_bipartite():
     k = join(points_complex(3), points_complex(3))
     assert k.face_counts() == (6, 9)
-    assert k.edges() == tuple((a, b) for a in range(3) for b in range(3, 6))
+    assert k.faces(1) == tuple((a, b) for a in range(3) for b in range(3, 6))
 
 
 def test_join_dimension_adds():
@@ -338,6 +339,29 @@ def test_dump_load_round_trip():
     dump_complex(k, buf)
     buf.seek(0)
     assert load_complex(buf) == k
+
+
+@st.composite
+def labelled_complexes(draw):
+    """Any facets, the empty complex among them, labelled or not; labels
+    are arbitrary text, quotes, newlines and non-ASCII included."""
+    facets = draw(st.lists(st.sets(st.integers(0, 14), min_size=1, max_size=4).map(tuple), max_size=8))
+    k = SimplicialComplex(facets)
+    if draw(st.booleans()):
+        k = SimplicialComplex(facets, labels=draw(st.lists(st.text(), min_size=k.num_vertices, max_size=k.num_vertices)))
+    return k
+
+
+@settings(deadline=None)
+@given(labelled_complexes())
+@example(SimplicialComplex([]))
+@example(SimplicialComplex([], labels=[]))
+@example(SimplicialComplex([(0, 1, 12), (2,)], labels=['say "hi"', "two\nlines", "caf\u00e9 \u2603", "\\", "", "\t"] + ["x"] * 7))
+def test_dump_complex_writes_what_the_indenting_encoder_writes(k):
+    written, expected = io.StringIO(), io.StringIO()
+    dump_complex(k, written)
+    json.dump(to_json_dict(k), expected, indent=2)
+    assert written.getvalue() == expected.getvalue() + "\n"
 
 
 def test_json_rejects_malformed():

@@ -81,7 +81,7 @@ def rref_kernel_basis(m: GF2Matrix) -> list[GF2Vector]:
 def rref_solve(m: GF2Matrix, b: GF2Vector):
     """The solution of Mx = b that is 0 on every free column, or None."""
     aug = m.cols
-    augmented = GF2Matrix(m.rows, m.cols + 1, m.columns + (b.bits,))
+    augmented = GF2Matrix(m.rows, m.cols + 1, m.columns + as_column(b).columns)
     rows, pivots = rref(augmented)
     if aug in pivots:
         return None  # a row reduced to 0 = 1
@@ -271,7 +271,7 @@ def product_by_entries(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
 
 
 def as_column(v: GF2Vector) -> GF2Matrix:
-    return GF2Matrix(v.length, 1, [v.bits])
+    return from_entries(v.length, 1, [(i, 0) for i in v.support()])
 
 
 @st.composite

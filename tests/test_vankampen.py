@@ -174,6 +174,19 @@ def test_dimension_far_above_the_complex_is_decided_at_once():
     assert result.trivial and not result.nontrivial
 
 
+def test_an_empty_window_numbers_no_face():
+    """Two disjoint faces of one 30-vertex facet hold at most 30 vertices,
+    never the 101 of a 99-cell, so the window is empty and no face of the
+    2^30 is built."""
+    started = time.perf_counter()
+    cfg = configuration_space(full_simplex(30), 100)
+    result = is_trivial(full_simplex(30), 100)
+    assert time.perf_counter() - started < 1.0
+    assert cfg.faces == [] and cfg.keys == {99: [], 100: [], 101: []}
+    assert result.trivial and result.stats["cells"] == {99: 0, 100: 0, 101: 0}
+    assert (result.stats["boundary_rows"], result.stats["boundary_cols"]) == (0, 0)
+
+
 def test_disjoint_pairs_brute_force_oracle():
     k = k33()
     edges = k.faces(1)
@@ -390,6 +403,26 @@ def test_interlacing_matches_the_exact_solve(drawn, seed):
 
 
 # -- cocycles and verdicts -------------------------------------------
+
+
+def assert_cocycle_reads_the_parity_rule(k: SimplicialComplex, n: int, seed: int) -> None:
+    """Each cocycle bit is ``pair_intersection_parity`` of its n-cell's faces."""
+    cfg = configuration_space(k, n)
+    params = _seeded_values(seed, k.num_vertices)
+    values = obstruction_cocycle(cfg, seed).values
+    assert values.length == len(cfg.keys[n])
+    assert [values[i] for i in range(values.length)] == [pair_intersection_parity(params, *cell) for cell in decoded(cfg, n)]
+
+
+@pytest.mark.parametrize("chamber", [0, 5])
+def test_cocycle_is_the_parity_rule_on_the_stretch_doubles(chamber):
+    assert_cocycle_reads_the_parity_rule(stretch_double(chamber), 4, 11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_complexes(), st.integers(1, 4), st.integers(0, 2**16))
+def test_cocycle_is_the_parity_rule_on_random_complexes(k, n, seed):
+    assert_cocycle_reads_the_parity_rule(k, n, seed)
 
 
 def test_k33_cocycle_has_odd_total_parity():
