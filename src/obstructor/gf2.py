@@ -12,7 +12,8 @@ pivot; each carries a tag, the set of original columns it sums.  The lowest
 row is the top bit, which ``bit_length`` reads at once.  A column that
 vanishes is free, and its tag is its kernel vector.  Reducing a vector v
 reads its residue on each free column as v . tag and finds the sum of
-basis rows by one back-substitution over the pivot rows.
+basis rows by one back-substitution over the pivot rows, which a caller
+that needs only the residue skips.
 
 The output is canonical.  A column vanishes iff it lies in the span of the
 columns before it, and a pivot row is a row outside the span of the rows
@@ -62,13 +63,12 @@ class GF2Vector:
         return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> tuple[int, ...]:
-        # Clearing the top bit shrinks the int, so walk the set bits downward.
-        out, bits = [], self.bits
-        while bits:
-            top = bits.bit_length() - 1
-            out.append(top)
-            bits ^= 1 << top
-        return tuple(reversed(out))
+        # Bit i is place i of the numeral read backward, so each set bit is
+        # one str.find, and the walk is linear in the length.
+        digits, out, i = f"{self.bits:b}"[::-1], [], -1
+        while (i := digits.find("1", i + 1)) >= 0:
+            out.append(i)
+        return tuple(out)
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -178,27 +178,32 @@ class GF2Matrix:
         ascending, the same vectors a reduced echelon form gives."""
         return [GF2Vector(self.cols, tag) for tag in self._eliminate()[1].values()]
 
-    def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
-        """Split v = residue + y^T M.  The residue is 0 on every pivot column
-        and is v . tag on each free column, so a kernel vector pairs with it
-        as with v; y is the one sum of basis rows with y^T M = v + residue,
-        found by back-substitution over the pivot rows, highest first: y
-        pairs with the rows of each reduced column as v pairs with its tag."""
+    def residue(self, v: GF2Vector) -> GF2Vector:
+        """The part of v outside the row space: 0 on every pivot column and
+        v . tag on each free column, so a kernel vector pairs with it as
+        with v.  It is 0 iff v lies in the row space."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
-        pivots, free = self._eliminate()
         residue = 0
-        for f, tag in free.items():
+        for f, tag in self._eliminate()[1].items():
             residue |= ((v.bits & tag).bit_count() & 1) << f
+        return GF2Vector(self.cols, residue)
+
+    def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
+        """Split v = residue + y^T M, with ``residue(v)``; y is the one sum
+        of basis rows with y^T M = v + residue, found by back-substitution
+        over the pivot rows, highest first: y pairs with the rows of each
+        reduced column as v pairs with its tag."""
+        residue = self.residue(v)
         # x holds v in bits 0..cols-1 and y above them, laid out as the
         # columns are, so one popcount reads y . column + v . tag.  y is set
         # so far only on rows after the pivot row, so the pivot row's bit
         # settles the parity.
         x, top = v.bits, self.rows + self.cols - 1
-        for row, c in pivots:
+        for row, c in self._eliminate()[0]:
             if (x & c).bit_count() & 1:
                 x |= 1 << (top - row)
-        return GF2Vector(self.cols, residue), GF2Vector(self.rows, _reverse(x >> self.cols, self.rows))
+        return residue, GF2Vector(self.rows, _reverse(x >> self.cols, self.rows))
 
 
 def _reverse(bits: int, length: int) -> int:

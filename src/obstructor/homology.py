@@ -1,9 +1,9 @@
 """Boundary maps over GF(2), and simplicial homology with Z/2 coefficients.
 
-``boundary_maps`` builds the boundary matrices of any chain complex whose
-cells are given layer by layer, with a facet function, and checks that
-consecutive maps compose to zero.  The configuration space of
-``vankampen`` and the simplicial chains here both use it.
+``boundary_maps`` builds the boundary matrices of the simplicial chains
+here, layer by layer with a facet function, and checks that consecutive
+maps compose to zero.  The configuration space of ``vankampen`` builds its
+own two maps from its table of facet ids, one column per cell.
 
 Betti numbers are unreduced: a point has b_0 = 1.  ``betti`` and
 ``cycle_basis`` build only the layers they read, with each layer in the
@@ -26,10 +26,10 @@ __all__ = ["boundary_maps", "betti", "betti_numbers", "cycle_basis"]
 def boundary_maps(
     cells: Mapping[int, Sequence[Hashable]], facets: Callable[[Hashable], Iterable[Hashable]]
 ) -> dict[int, GF2Matrix]:
-    """The boundary maps between consecutive layers of ``cells``.
+    """The boundary maps of simplicial chains, between consecutive layers of ``cells``.
 
-    ``cells[d]`` lists the d-cells under any hashable key (a simplex, or a
-    configuration-space cell's int key); ``boundary[d]`` is built for every
+    ``cells[d]`` lists the d-cells under any hashable key (here, simplices,
+    with ``facets`` their facets); ``boundary[d]`` is built for every
     d whose layer d-1 is given, with shape ``len(cells[d-1]) x len(cells[d])``
     and column j holding one bit for each of the ``facets`` of cell j, XORed
     in, so the column reduction reads it as built.

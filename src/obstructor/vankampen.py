@@ -11,9 +11,11 @@ the complex does not embed in R^n.
 A cell is an int: the faces of K up to dimension n+1 are numbered once,
 in lexicographic order, and {sigma, tau} with ids s < t is ``s * F + t``
 for F faces.  Ascending keys are then the lexicographic order of the
-pairs, the boundary reads a table of facet ids, and a cell stays an int
-from enumeration to verdict: only the cells a certificate names are
-decoded to ``CellPair`` tuples.
+pairs, each boundary column is XORed in one pass over a table of facet
+ids, and a cell stays an int from enumeration to verdict: only the cells
+a certificate names are decoded to ``CellPair`` tuples.  A nontrivial
+verdict reads the residue of the cocycle alone; only a trivial one
+back-substitutes for the primitive.
 
 No coordinates are computed.  Points on the moment curve with distinct
 parameters are in general position, and two complementary simplices cross
@@ -26,13 +28,14 @@ time and raise ``CertificateError``, also under ``python -O``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
 from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
 from .gf2 import GF2Matrix, GF2Vector
-from .homology import betti, boundary_maps
+from .homology import betti
 
 __all__ = [
     "CellPair",
@@ -60,35 +63,54 @@ class _Cells:
 
     Face ``i`` is ``faces[i]``, with vertex mask ``masks[i]`` and facet ids
     ``facet_ids[i]`` (drop the first vertex, then the second, ...);
-    ``by_dim[a]`` lists the a-faces' ids, ascending.  Cell {sigma, tau}
-    with ids s < t is ``s * count + t``.
+    ``by_dim[a]`` lists the a-faces' ids, ascending, and ``ids`` maps a face
+    to its id.  Cell {sigma, tau} with ids s < t is ``s * count + t``.
     """
 
     def __init__(self, k: SimplicialComplex, top: int) -> None:
         self.faces = sorted(f for a in range(top + 1) for f in k.faces(a))
-        self.count = len(self.faces)
-        ids = {f: i for i, f in enumerate(self.faces)}
+        self.count, self.vertices = len(self.faces), k.num_vertices
+        self.ids = ids = {f: i for i, f in enumerate(self.faces)}
         self.masks = [sum(1 << v for v in f) for f in self.faces]
         self.facet_ids = [tuple(ids[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else () for f in self.faces]
         self.by_dim = [[ids[f] for f in k.faces(a)] for a in range(top + 1)]
 
     def rows(self, d: int) -> Iterator[list[int]]:
-        """Per split and face s, the d-cells {s, t} with dim s <= dim t."""
-        count, masks, top = self.count, self.masks, len(self.by_dim) - 1
+        """Per split and face s, the d-cells {s, t} with dim s <= dim t: each
+        (d-a)-face t is tested against s's mask or, when under half as many
+        (a lookup costs about two tests), each set of d-a+1 vertices outside
+        s is looked up; on one big facet, most t meet s."""
+        count, masks, ids, top = self.count, self.masks, self.ids, len(self.by_dim) - 1
         for a in range(max(0, d - top), min(d // 2, top) + 1):
-            partners = self.by_dim[d - a]
+            partners, size = self.by_dim[d - a], d - a + 1
+            lookup = 2 * comb(self.vertices - a - 1, size) < len(partners)
             for i, s in enumerate(self.by_dim[a]):
-                ms, later = masks[s], partners[i + 1 :] if 2 * a == d else partners
+                ms = masks[s]
+                if lookup:
+                    rest = [v for v in range(self.vertices) if not ms >> v & 1]
+                    later = [t for t in map(ids.get, combinations(rest, size)) if t is not None and (2 * a < d or t > s)]
+                else:
+                    later = partners[i + 1 :] if 2 * a == d else partners
                 yield [s * count + t if s < t else t * count + s for t in later if not ms & masks[t]]
 
-    def cell_facets(self, cell: int) -> list[int]:
-        # A face of a disjoint pair is disjoint, so only the order can change,
-        # and only when sigma shrinks: s < t with s, t disjoint means
-        # s[0] < t[0], and a facet of t starts at t[0] or later.
-        count = self.count
-        s, t = divmod(cell, count)
-        tail = [s * count + f for f in self.facet_ids[t]]
-        return [f * count + t if f < t else t * count + f for f in self.facet_ids[s]] + tail
+    def boundary(self, keys: dict[int, list[int]], d: int) -> GF2Matrix:
+        """The boundary from the d-cells to the (d-1)-cells, row i at bit
+        rows-1-i, each column XORed straight from the two facet-id tuples.
+        A face of a disjoint pair is disjoint, so only the order can change,
+        and only when sigma shrinks: s < t with s, t disjoint means
+        s[0] < t[0], and a facet of t starts at t[0] or later."""
+        count, facet_ids = self.count, self.facet_ids
+        below = {c: i for i, c in enumerate(reversed(keys[d - 1]))} if keys[d] else {}
+        columns = []
+        for cell in keys[d]:
+            s, t = divmod(cell, count)
+            column, head, tail = 0, t * count, cell - t
+            for f in facet_ids[s]:
+                column ^= 1 << below[f * count + t if f < t else head + f]
+            for f in facet_ids[t]:
+                column ^= 1 << below[tail + f]
+            columns.append(column)
+        return GF2Matrix(len(keys[d - 1]), len(columns), columns)
 
 
 @dataclass(frozen=True)
@@ -148,7 +170,10 @@ def configuration_space(
                 raise ResourceLimitError(f"configuration space exceeds {cap} cells by dimension {d}")
         layer.sort()
         total += len(layer)
-    return ConfigurationSpace(k, n, cells.faces, keys, boundary_maps(keys, cells.cell_facets))
+    boundary = {d: cells.boundary(keys, d) for d in (n, n + 1)}
+    if keys[n + 1] and not (boundary[n] @ boundary[n + 1]).is_zero():
+        raise CertificateError(f"boundary of boundary is nonzero in dimension {n + 1}")
+    return ConfigurationSpace(k, n, cells.faces, keys, boundary)
 
 
 # -- crossing parity on the moment curve -----------------------------
@@ -271,7 +296,7 @@ def is_trivial(
     cfg = configuration_space(k, n, max_cells=max_cells)
     cocycle = obstruction_cocycle(cfg, seed)
     boundary_n = cfg.boundary[n]
-    residue, primitive = boundary_n.row_reduce(cocycle.values)
+    residue = boundary_n.residue(cocycle.values)
     if residue.bits:
         # Cycles vanish on the row space, so the cycle of free column f pairs
         # with the cocycle as the residue does at f: the lowest residue bit
@@ -280,8 +305,8 @@ def is_trivial(
         if not boundary_n.apply(certificate).is_zero() or certificate.dot(cocycle.values) != 1:
             raise CertificateError("certificate is not a cycle pairing to 1")
     else:
-        certificate, kind = primitive, "cochain"
-        if boundary_n.apply_transpose(primitive) != cocycle.values:
+        certificate, kind = boundary_n.row_reduce(cocycle.values)[1], "cochain"
+        if boundary_n.apply_transpose(certificate) != cocycle.values:
             raise CertificateError("primitive substitution failed")
     stats = {
         "cells": {d: len(layer) for d, layer in cfg.keys.items()},

@@ -6,7 +6,8 @@ the top bit); these helpers spell small matrices and vectors out entry by
 entry, with the range checks a hand-written example deserves, and give the
 row-wise oracles the packed rows they read (``by_rows``, ``row_bits``,
 ``transpose``), and compare matrices (``columns_of``) and add vectors
-(``xor``).
+(``xor``).  ``support_by_top_bits`` is the walk over set bits that
+``GF2Vector.support`` once ran, kept as its oracle.
 """
 
 from __future__ import annotations
@@ -114,3 +115,14 @@ def from_support(length: int, support: Iterable[int]) -> GF2Vector:
 
 def to_list(v: GF2Vector) -> list[int]:
     return [(v.bits >> i) & 1 for i in range(v.length)]
+
+
+def support_by_top_bits(v: GF2Vector) -> tuple[int, ...]:
+    """The set coordinates, ascending, found by clearing the top bit until
+    none is left: each clear rewrites the whole int, so it is quadratic."""
+    out, bits = [], v.bits
+    while bits:
+        top = bits.bit_length() - 1
+        out.append(top)
+        bits ^= 1 << top
+    return tuple(reversed(out))

@@ -16,6 +16,7 @@ cells and boundary rows must equal what it builds.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -42,6 +43,7 @@ from obstructor.complexes import (
     points_complex,
 )
 from obstructor.errors import ResourceLimitError
+from obstructor.gf2 import GF2Matrix, GF2Vector
 from obstructor.homology import cycle_basis
 from obstructor.vankampen import (
     AdosReport,
@@ -185,6 +187,17 @@ def test_an_empty_window_numbers_no_face():
     assert cfg.faces == [] and cfg.keys == {99: [], 100: [], 101: []}
     assert result.trivial and result.stats["cells"] == {99: 0, 100: 0, 101: 0}
     assert (result.stats["boundary_rows"], result.stats["boundary_cols"]) == (0, 0)
+
+
+def test_one_big_facet_is_decided_by_face_lookup():
+    """On the 16-vertex simplex in R^15 nearly every face meets every other,
+    so the partners of each face are looked up among the sets of vertices
+    outside it, not tested against every face: 1.4 s, where testing every
+    pair took 47 s.  The window is the 32,767 complementary pairs."""
+    started = time.perf_counter()
+    result = is_trivial(full_simplex(16), 15)
+    assert time.perf_counter() - started < 15.0
+    assert result.trivial and result.stats["cells"] == {14: 2**15 - 1, 15: 0, 16: 0}
 
 
 def test_disjoint_pairs_brute_force_oracle():
@@ -528,6 +541,29 @@ def test_verdict_stats_are_pinned():
     assert len(trivial.certificate_cells) == trivial.certificate.weight()
 
 
+def test_a_cycle_certificate_never_back_substitutes(monkeypatch):
+    """Only a trivial verdict reads the primitive: with ``row_reduce``
+    broken, the stretch still returns its pinned 620-cell cycle, and K4 in
+    the plane still reaches ``row_reduce`` for the same one-cell cochain."""
+    real = GF2Matrix.row_reduce
+    calls = []
+
+    def refuse(self, v):
+        raise AssertionError("row_reduce called")
+
+    monkeypatch.setattr(GF2Matrix, "row_reduce", refuse)
+    stretch = is_trivial(stretch_double(), 4)
+    assert (stretch.certificate_kind, stretch.certificate.length, stretch.certificate.weight()) == ("cycle", 3184, 620)
+    # sha256 of the certificate's hex bits, recorded while every verdict still back-substituted
+    digest = hashlib.sha256(f"{stretch.certificate.bits:x}".encode()).hexdigest()
+    assert digest == "da7a8f7a1fcb74f8bfe9b1a756d92d23889174f51a0de502e906116349513336"
+    monkeypatch.setattr(GF2Matrix, "row_reduce", lambda self, v: calls.append(v) or real(self, v))
+    k4 = is_trivial(SimplicialComplex(combinations(range(4), 2)), 2)
+    assert len(calls) == 1
+    assert (k4.certificate_kind, k4.certificate) == ("cochain", GF2Vector(12, 0b10))
+    assert k4.certificate_cells == (CellPair((0,), (1, 3)),)
+
+
 def test_a_verdict_keeps_only_its_certificate_cells():
     """A verdict holds its certificate's cells, not the window: the stretch
     window has 12,192 cells (and a face numbering beside them), but its
@@ -694,10 +730,10 @@ def test_cell_budget_must_be_positive(cap):
 
 
 def test_configuration_boundary_check_survives_optimize(tmp_path):
-    """The configuration space's d o d check is the one homology uses, and
-    it holds with asserts stripped: each 3-cell here loses its first facet,
-    so d_2 d_3 != 0 in the window of the 4-simplex in R^2, and the CLI
-    reports it with exit code 4."""
+    """The configuration space's d o d check holds with asserts stripped:
+    each 3-cell here loses one facet, the last row of its column in d_3, so
+    d_2 d_3 != 0 in the window of the 4-simplex in R^2, and the CLI reports
+    it with exit code 4."""
     f = tmp_path / "simplex.json"
     f.write_text(json.dumps({"facets": [[0, 1, 2, 3, 4]]}))
     script = "\n".join([
@@ -707,8 +743,12 @@ def test_configuration_boundary_check_survives_optimize(tmp_path):
         "from obstructor.cli import main",
         "from obstructor.complexes import full_simplex",
         "from obstructor.errors import CertificateError",
-        "real = vankampen._Cells.cell_facets",
-        "vankampen._Cells.cell_facets = lambda self, c: real(self, c)[len(self.faces[c // self.count] + self.faces[c % self.count]) == 5:]",
+        "from obstructor.gf2 import GF2Matrix",
+        "real = vankampen._Cells.boundary",
+        "def broken(self, keys, d):",
+        "    m = real(self, keys, d)",
+        "    return m if d != 3 else GF2Matrix(m.rows, m.cols, [c & (c - 1) for c in m.columns])",
+        "vankampen._Cells.boundary = broken",
         "try:",
         "    vankampen.is_trivial(full_simplex(5), 2)",
         "except CertificateError as exc:",
