@@ -17,8 +17,8 @@ whose bit ``l`` is set iff line ``l`` lies in subspace ``v``.  A
 d-dimensional subspace holds ``(q^d - 1) / (q - 1)`` lines, so the
 dimension of an intersection is read off the popcount of an AND, and
 containment is ``mA & mB == mA``.  A frame is the tuple of its line
-vertex ids, and an apartment is read off the same masks.  The echelon
-rows are used only to build the masks and to name the vertices.
+vertex ids, and an apartment is found by AND-ing the transposed masks.
+The echelon rows only build the masks and name the vertices.
 
 Everything is exact integer arithmetic mod q; no floating point anywhere.
 """
@@ -26,7 +26,7 @@ Everything is exact integer arithmetic mod q; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import isqrt
 from typing import Iterable, Optional, Sequence
@@ -137,7 +137,8 @@ class Building:
     ``masks[v]``, which sets bit ``l`` iff line ``l`` lies in vertex ``v``.
     Vertices are sorted by dimension, so the lines are vertex ids
     ``0 .. lines_in[n] - 1``, and ``lines_in[d]`` counts the lines of a
-    d-dimensional subspace.
+    d-dimensional subspace.  The bitsets ``holders[l]`` (vertices holding
+    line ``l``) and ``of_dim[d]`` (vertices of dimension d) are lazy.
     """
 
     def __init__(
@@ -167,6 +168,14 @@ class Building:
         self.complex = SimplicialComplex(self.chambers, labels=labels, num_vertices=len(self.vertices))
         if self.complex.facets != self.chambers:
             raise CertificateError("chambers are not the facets of the building")
+
+    @cached_property
+    def holders(self) -> tuple[int, ...]:
+        return tuple(sum(1 << v for v, m in enumerate(self.masks) if m >> line & 1) for line in range(self.lines_in[self.n]))
+
+    @cached_property
+    def of_dim(self) -> tuple[int, ...]:
+        return tuple(sum(1 << v for v, dim in enumerate(self.vertex_dims) if dim == d) for d in range(self.n))
 
     def chamber_ids(self, chamber: Iterable[int]) -> Simplex:
         """The sorted vertex ids of a chamber of this building, in any order."""
@@ -299,10 +308,13 @@ class Apartment:
     picks the chamber whose level-k subspace is spanned by the first k
     lines in w's order; the identity yields the frame-order prefixes.
 
-    Vertex v is the span of the frame lines it holds iff it holds as many
-    as its dimension.  The lines are in direct sum iff every proper
-    nonempty key is found: for T minimal dependent and t in T, the span
-    of T - {t} holds line t, so key T - {t} never appears.
+    Keys S ascend: ``within[S]``, the vertices holding S's lines, is
+    ``within[S - low]`` AND the holders of S's lowest line, and V_S is its
+    one |S|-dimensional vertex.  An independent S lies in exactly one: its
+    span.  A minimal dependent proper T spans |T| - 1 dimensions, so it lies
+    in (q^(n-|T|+1) - 1) / (q - 1) >= q + 1 and is refused.  A frame
+    dependent only as a whole passes every subset, but then each
+    hyperplane V_([n]-i) holds line i.
     """
 
     def __init__(self, building: Building, lines: Sequence[int]) -> None:
@@ -315,12 +327,17 @@ class Apartment:
         self.lines = lines
         self.n = n
         self.vertex_of_subset: dict[int, int] = {}
-        for v, mask in enumerate(building.masks):
-            key = sum((mask >> line & 1) << i for i, line in enumerate(lines))
-            if key.bit_count() == building.vertex_dims[v]:
-                self.vertex_of_subset[key] = v
-        if len(self.vertex_of_subset) != 2**n - 2:
-            raise ValueError("frame lines are not in direct sum")
+        holders, of_dim, full = building.holders, building.of_dim, (1 << n) - 1
+        within = [(1 << len(building.vertices)) - 1] + [0] * full
+        for key in range(1, full):
+            low = key & -key
+            within[key] = within[key ^ low] & holders[lines[low.bit_length() - 1]]
+            found = within[key] & of_dim[key.bit_count()]
+            if found.bit_count() != 1:
+                raise ValueError(f"frame lines {[lines[i] for i in range(n) if key >> i & 1]} are dependent")
+            self.vertex_of_subset[key] = found.bit_length() - 1
+        if any(holders[line] >> self.vertex_of_subset[full ^ 1 << i] & 1 for i, line in enumerate(lines)):
+            raise ValueError(f"frame {lines} spans only a hyperplane")
 
     def chamber_of_perm(self, w: Sequence[int]) -> Simplex:
         key = 0

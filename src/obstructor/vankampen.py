@@ -28,6 +28,7 @@ time and raise ``CertificateError``, also under ``python -O``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -62,9 +63,10 @@ class _Cells:
     """Cells over one lexicographic numbering of the faces of K up to ``top``.
 
     Face ``i`` is ``faces[i]``, with vertex mask ``masks[i]`` and facet ids
-    ``facet_ids[i]`` (drop the first vertex, then the second, ...);
-    ``by_dim[a]`` lists the a-faces' ids, ascending, and ``ids`` maps a face
-    to its id.  Cell {sigma, tau} with ids s < t is ``s * count + t``.
+    ``facet_ids[i]`` (drop the first vertex, then the second, ...), built
+    for the first boundary with a column; ``by_dim[a]`` lists the a-faces'
+    ids, ascending, and ``ids`` maps a face to its id.  Cell {sigma, tau}
+    with ids s < t is ``s * count + t``.
     """
 
     def __init__(self, k: SimplicialComplex, top: int) -> None:
@@ -72,8 +74,12 @@ class _Cells:
         self.count, self.vertices = len(self.faces), k.num_vertices
         self.ids = ids = {f: i for i, f in enumerate(self.faces)}
         self.masks = [sum(1 << v for v in f) for f in self.faces]
-        self.facet_ids = [tuple(ids[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else () for f in self.faces]
         self.by_dim = [[ids[f] for f in k.faces(a)] for a in range(top + 1)]
+
+    @cached_property
+    def facet_ids(self) -> list[tuple[int, ...]]:
+        ids = self.ids
+        return [tuple(ids[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else () for f in self.faces]
 
     def rows(self, d: int) -> Iterator[list[int]]:
         """Per split and face s, the d-cells {s, t} with dim s <= dim t: each
@@ -99,8 +105,10 @@ class _Cells:
         A face of a disjoint pair is disjoint, so only the order can change,
         and only when sigma shrinks: s < t with s, t disjoint means
         s[0] < t[0], and a facet of t starts at t[0] or later."""
+        if not keys[d]:
+            return GF2Matrix(len(keys[d - 1]), 0, [])
         count, facet_ids = self.count, self.facet_ids
-        below = {c: i for i, c in enumerate(reversed(keys[d - 1]))} if keys[d] else {}
+        below = {c: i for i, c in enumerate(reversed(keys[d - 1]))}
         columns = []
         for cell in keys[d]:
             s, t = divmod(cell, count)

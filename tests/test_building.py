@@ -6,9 +6,10 @@ tuples, flag counts from the group-order formula |GL_n| / |Borel|, and
 first Betti numbers of graphs from E - V + #components via a plain BFS.
 None of those paths touch the enumeration code under test.  Subspace
 incidence is checked against a rank oracle (row reduction over F_q),
-apartments read off line masks against apartments spanned by row
-reduction, and the bitset pair check of ``verify_dbl_embedding`` against
-an explicit loop over cell pairs.
+apartments found by AND-ing per-line holder bitsets against apartments
+spanned by row reduction, also on random frames, and the bitset pair
+check of ``verify_dbl_embedding`` against an explicit loop over cell
+pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import obstructor.building as bldg
 from obstructor.building import (
@@ -667,6 +669,60 @@ def test_apartment_and_rref_oracle_refuse_the_same_frames(b23):
             RrefApartment(b23, lines)
         with pytest.raises(ValueError):
             Apartment(b23, lines)
+
+
+def apartment_or_refusal(cls: type, b: Building, lines: Sequence[int]):
+    try:
+        return cls(b, lines)
+    except ValueError:
+        return None
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_apartment_and_rref_oracle_agree_on_drawn_frames(b33, b24, data):
+    """Random n-tuples of line ids, most of them dependent at q=2 n=4 and
+    over a third at q=3 n=3: both refuse, or both give the same apartment."""
+    b = data.draw(st.sampled_from((b33, b24)))
+    lines = data.draw(st.lists(st.integers(0, b.lines_in[b.n] - 1), min_size=b.n, max_size=b.n))
+    apt, oracle = apartment_or_refusal(Apartment, b, lines), apartment_or_refusal(RrefApartment, b, lines)
+    assert (apt is None) == (oracle is None)
+    if apt is not None:
+        assert_apartments_agree(b, lines)
+
+
+def test_frame_dependent_only_as_a_whole_is_refused(b24):
+    """e1, e2, e3, e1+e2+e3 in F_2^4: every proper subset is independent,
+    so each key finds its one vertex, and only the hyperplane check (the
+    span of any three holds the fourth) refuses the frame.  With e4 in
+    place of e3, the proper subset {e1, e2, e1+e2} is refused first."""
+    e1, e2, e3, e4 = coordinate_frame(b24)
+    lines = (e1, e2, e3, b24.vertex_of_rows[((1, 1, 1, 0),)])
+    vectors = [b24.vertices[line][0] for line in lines]
+    for size in range(1, 4):
+        assert all(fq_rank(subset, 2, 4) == size for subset in combinations(vectors, size))
+    assert fq_rank(vectors, 2, 4) == 3
+    with pytest.raises(ValueError):
+        RrefApartment(b24, lines)
+    with pytest.raises(ValueError, match="hyperplane"):
+        Apartment(b24, lines)
+    e12 = b24.vertex_of_rows[((1, 1, 0, 0),)]
+    with pytest.raises(ValueError, match=rf"\[{e1}, {e2}, {e12}\] are dependent"):
+        Apartment(b24, (e1, e2, e12, e4))
+
+
+def test_holder_tables_transpose_the_line_masks(b23, b33, b24):
+    fresh = build(2, 3)
+    assert "holders" not in vars(fresh) and "of_dim" not in vars(fresh)
+    for b in (b23, b33, b24):
+        everyone = range(len(b.vertices))
+        assert len(b.holders) == b.lines_in[b.n] and len(b.of_dim) == b.n
+        for line, holders in enumerate(b.holders):
+            assert holders >> len(b.vertices) == 0
+            assert all(holders >> v & 1 == b.masks[v] >> line & 1 for v in everyone)
+        for d, members in enumerate(b.of_dim):
+            assert {v for v in everyone if members >> v & 1} == {v for v in everyone if b.vertex_dims[v] == d}
+            assert members >> len(b.vertices) == 0
 
 
 def gallery_distances(b: Building, start: int) -> list[int]:

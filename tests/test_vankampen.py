@@ -192,7 +192,7 @@ def test_an_empty_window_numbers_no_face():
 def test_one_big_facet_is_decided_by_face_lookup():
     """On the 16-vertex simplex in R^15 nearly every face meets every other,
     so the partners of each face are looked up among the sets of vertices
-    outside it, not tested against every face: 1.4 s, where testing every
+    outside it, not tested against every face: about 1 s, where testing every
     pair took 47 s.  The window is the 32,767 complementary pairs."""
     started = time.perf_counter()
     result = is_trivial(full_simplex(16), 15)
