@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import isqrt
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, signings
@@ -138,7 +139,12 @@ class Building:
     Vertices are sorted by dimension, so the lines are vertex ids
     ``0 .. lines_in[n] - 1``, and ``lines_in[d]`` counts the lines of a
     d-dimensional subspace.  The bitsets ``holders[l]`` (vertices holding
-    line ``l``) and ``of_dim[d]`` (vertices of dimension d) are lazy.
+    line ``l``) and ``of_dim[d]`` (vertices of dimension d) are lazy, and
+    so is the labelled ``complex``.  Its facets are the chambers as given,
+    checked eagerly: a chamber's vertices have dimensions 1..n-1 in order
+    and strictly increasing ids, the chambers strictly ascend, and every
+    vertex lies on one.  An id out of range or repeated raises ``ValueError``
+    as ``SimplicialComplex`` would, the rest ``CertificateError``.
     """
 
     def __init__(
@@ -160,14 +166,25 @@ class Building:
             m.bit_count() != self.lines_in[d] for m, d in zip(self.masks, self.vertex_dims)
         ):
             raise CertificateError("line masks disagree with the subspace dimensions")
-        if any(self.masks[line] != 1 << line for line in range(self.lines_in[n])):
+        if self.masks[: self.lines_in[n]] != tuple(1 << line for line in range(self.lines_in[n])):
             raise CertificateError("line vertices are not the first vertex ids")
         self.chambers = tuple(chambers)
         self.chamber_index = {c: i for i, c in enumerate(self.chambers)}
-        labels = tuple(_label(rows) for rows in self.vertices)
-        self.complex = SimplicialComplex(self.chambers, labels=labels, num_vertices=len(self.vertices))
-        if self.complex.facets != self.chambers:
+        on_chamber = set().union(*self.chambers)
+        if not on_chamber <= set(range(len(self.vertices))):
+            raise ValueError("a chamber names a vertex id out of range")
+        levels = list(zip(*self.chambers))  # levels[k - 1]: the k-th vertex of every chamber
+        in_order = set(map(len, self.chambers)) <= {n - 1} and all(all(map(lt, a, b)) for a, b in zip(levels, levels[1:]))
+        flags = in_order and all(set(map(self.vertex_dims.__getitem__, level)) == {k} for k, level in enumerate(levels, 1))
+        if not flags and any(len(set(c)) < len(c) for c in self.chambers):
+            raise ValueError("a chamber repeats a vertex")
+        if not flags or len(on_chamber) < len(self.vertices) or not all(map(lt, self.chambers, self.chambers[1:])):
             raise CertificateError("chambers are not the facets of the building")
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        labels = tuple(_label(rows) for rows in self.vertices)
+        return SimplicialComplex(self.chambers, labels=labels, num_vertices=len(self.vertices))
 
     @cached_property
     def holders(self) -> tuple[int, ...]:
@@ -209,9 +226,9 @@ def _line_masks(q: int, n: int, vertices: Sequence[Rows]) -> list[int]:
         for i in range(len(rows) - 1, -1, -1):
             row = rows[i]
             for v in below:
-                mask |= 1 << line_of[tuple((a + b) % q for a, b in zip(row, v))]
+                mask |= 1 << line_of[tuple([(a + b) % q for a, b in zip(row, v)])]
             if i:
-                below = [tuple((c * a + b) % q for a, b in zip(row, v)) for c in range(q) for v in below]
+                below = [tuple([(c * a + b) % q for a, b in zip(row, v)]) for c in range(q) for v in below]
         masks.append(mask)
     return masks
 
@@ -253,10 +270,13 @@ def build(q: int, n: int) -> Building:
 
 def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
     """The chambers opposite ``c``: those whose every vertex is transversal
-    to every vertex of ``c``, read off one table over the vertices."""
+    (``Building.transversal``) to every vertex of ``c``, read off one set of
+    such vertices."""
     ci = b.chamber_ids(c)
-    general = [all(b.transversal(u, v) for u in ci) for v in range(len(b.vertices))]
-    return tuple(d for d in b.chambers if all(general[v] for v in d))
+    flag = [(b.masks[u], b.vertex_dims[u] - b.n) for u in ci]
+    general = {v for v, (m, d) in enumerate(zip(b.masks, b.vertex_dims))
+               if all((m & mu).bit_count() == b.lines_in[max(0, d + du)] for mu, du in flag)}
+    return tuple(filter(general.issuperset, b.chambers))
 
 
 def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
@@ -264,18 +284,27 @@ def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
 
     A vertex V of dimension k survives iff it is transversal to the
     complementary flag level of C, i.e. V meets C's (n-k)-subspace in 0,
-    i.e. their line masks share no bit.  The result is cross-checked to be
-    exactly the union of the chambers opposite to C (so it is a full --
-    hence flag -- subcomplex).
+    i.e. their line masks share no bit.  The facets are the chambers
+    opposite C, renumbered in order over the survivors ``keep``, so they
+    stay sorted.  They are those of the full (hence flag) subcomplex on
+    ``keep``, the maximal nonempty restrictions f & keep of chambers f, iff
+    (a) every opposite chamber lies in ``keep`` and (b) every restriction
+    is a face of an opposite chamber; (a) and (b) are checked.  (=>) Every
+    restriction lies in a maximal one, which is an opposite chamber.  (<=)
+    By (a) an opposite chamber is its own restriction, of the largest size
+    possible, so it is maximal; by (b) a maximal restriction lies in an
+    opposite chamber, so it equals it.
     """
     ci = b.chamber_ids(c)
     level = {b.vertex_dims[v]: b.masks[v] for v in ci}
     keep = [v for v in range(len(b.vertices)) if not b.masks[v] & level[b.n - b.vertex_dims[v]]]
-    sub = b.complex.full_subcomplex(keep)
-    lifted = {tuple(keep[i] for i in f) for f in sub.facets}
-    if lifted != set(opposite_chambers(b, ci)):
+    rename = {v: i for i, v in enumerate(keep)}
+    opp = opposite_chambers(b, ci)
+    faces = {f for d in opp for r in range(1, b.n) for f in combinations(d, r)}
+    restrictions = {tuple([v for v in f if v in rename]) for f in b.chambers} - {()}
+    if not all(map(set(keep).issuperset, opp)) or not restrictions <= faces:
         raise CertificateError("Opp(C) is not the union of opposite chambers")
-    return sub
+    return SimplicialComplex([tuple([rename[v] for v in d]) for d in opp], [_label(b.vertices[v]) for v in keep], len(keep))
 
 
 # -- apartments ------------------------------------------------------

@@ -76,24 +76,26 @@ class SimplicialComplex:
         # face inside a non-maximal one is inside a maximal one too).  Every
         # superset of a face contains its least-shared vertex, so only the
         # faces listed under that vertex are tested.  A pure complex has one
-        # class and so no test at all.
-        by_length: dict[int, list[Simplex]] = {}
-        for f in cleaned:
-            by_length.setdefault(len(f), []).append(f)
-        lengths = sorted(by_length, reverse=True)
-        under: dict[int, list[frozenset[int]]] = {}
-        maximal: list[Simplex] = []
-        for i, length in enumerate(lengths):
-            kept = by_length[length]
-            if under:
-                kept = [f for f in kept if not any(g.issuperset(f) for g in min((under.get(v, ()) for v in f), key=len))]
-            maximal += kept
-            if i + 1 < len(lengths):
-                for f in kept:
-                    for v in f:
-                        under.setdefault(v, []).append(frozenset(f))
+        # class and so no test at all, and is not even bucketed.
+        maximal: list[Simplex] = list(cleaned)
+        if len(set(map(len, maximal))) > 1:
+            by_length: dict[int, list[Simplex]] = {}
+            for f in maximal:
+                by_length.setdefault(len(f), []).append(f)
+            lengths = sorted(by_length, reverse=True)
+            under: dict[int, list[frozenset[int]]] = {}
+            maximal = []
+            for i, length in enumerate(lengths):
+                kept = by_length[length]
+                if under:
+                    kept = [f for f in kept if not any(g.issuperset(f) for g in min((under.get(v, ()) for v in f), key=len))]
+                maximal += kept
+                if i + 1 < len(lengths):
+                    for f in kept:
+                        for v in f:
+                            under.setdefault(v, []).append(frozenset(f))
         maximal.sort()
-        seen = {v for f in maximal for v in f}
+        seen = set().union(*maximal)
         top = max(seen) + 1 if seen else 0
         if num_vertices is None:
             num_vertices = top
@@ -180,27 +182,6 @@ class SimplicialComplex:
                 return False
         return True
 
-    # -- constructions ------------------------------------------------
-
-    def full_subcomplex(self, vertices: Iterable[int]) -> "SimplicialComplex":
-        """Induced subcomplex on ``vertices``, relabeled to 0..m-1.
-
-        New vertex ``i`` is the i-th element of ``sorted(vertices)``; labels
-        are inherited so the correspondence stays legible.
-        """
-        w = sorted(set(vertices))
-        for v in w:
-            if not 0 <= v < self.num_vertices:
-                raise ValueError(f"vertex {v} not in complex with {self.num_vertices} vertices")
-        keep = set(w)
-        rename = {v: i for i, v in enumerate(w)}
-        restricted = {tuple(rename[v] for v in f if v in keep) for f in self.facets}
-        restricted.discard(())
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[v] for v in w)
-        return SimplicialComplex(restricted, labels=labels, num_vertices=len(w))
-
 
 def _maximal_cliques(adj: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
     """Bron-Kerbosch with pivoting; yields each maximal clique once."""
@@ -261,7 +242,7 @@ def double_over(k: SimplicialComplex, delta: Iterable[int]) -> SimplicialComplex
     """Clone the vertices of the face ``delta``: the signings of the facets of
     ``k`` with plus copies on ``delta`` only.  This is the induced subcomplex
     of the octahedralization on all minus vertices and the plus vertices of
-    ``delta``, numbered as ``full_subcomplex`` numbers it."""
+    ``delta``, with the kept signed ids numbered in increasing order."""
     d = _canonical_simplex(delta)
     if not k.has_face(d):
         raise ValueError(f"delta {d} is not a face of the complex")

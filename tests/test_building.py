@@ -43,6 +43,8 @@ from obstructor.errors import CertificateError, ResourceLimitError
 from obstructor.homology import betti_numbers
 from obstructor.vankampen import configuration_space
 
+from complex_helpers import full_subcomplex
+
 
 @pytest.fixture(scope="module")
 def b23() -> Building:
@@ -465,6 +467,46 @@ def test_construction_cross_checks_raise(b23, monkeypatch):
         opp_complex(b, dp)
 
 
+def _with(b: Building, chambers: tuple) -> tuple:
+    """``Building`` arguments of ``b`` with other chambers."""
+    return b.q, b.n, b.vertices, chambers, b.masks
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        pytest.param(lambda b: _with(b, (b.chambers[0][::-1],) + b.chambers[1:]), CertificateError,
+                     id="chamber-out-of-dimension-order"),
+        pytest.param(lambda b: _with(b, (b.chambers[1], b.chambers[0]) + b.chambers[2:]), CertificateError,
+                     id="chambers-unsorted"),
+        pytest.param(lambda b: _with(b, b.chambers[:1] + b.chambers), CertificateError, id="chamber-repeated"),
+        pytest.param(lambda b: _with(b, ((b.chambers[0][0],) * 2,) + b.chambers), ValueError,
+                     id="vertex-repeated-in-a-chamber"),
+        pytest.param(lambda b: _with(b, ((-1, b.chambers[0][1]),) + b.chambers), ValueError, id="negative-id"),
+        pytest.param(lambda b: _with(b, b.chambers + ((b.chambers[-1][0], len(b.vertices)),)), ValueError,
+                     id="id-past-the-last-vertex"),
+        pytest.param(lambda b: _with(b, tuple(c for c in b.chambers if len(b.vertices) - 1 not in c)), CertificateError,
+                     id="vertex-on-no-chamber"),
+        pytest.param(lambda b: (b.q, b.n, b.vertices[:3], b.chambers, b.masks[:3]), CertificateError,
+                     id="fewer-vertices-than-lines"),
+    ],
+)
+def test_building_rejects_chambers_that_are_not_its_facets(b23, bad, error):
+    """Each input that ``SimplicialComplex(chambers).facets == chambers``
+    refuses is refused with the same exception type; fewer vertices than
+    lines is refused before any chamber is read."""
+    with pytest.raises(error):
+        Building(*bad(b23))
+
+
+def test_building_complex_is_built_when_read():
+    b = build(2, 3)
+    assert "complex" not in vars(b)
+    k = b.complex
+    assert k is b.complex and k.facets == b.chambers and k.num_vertices == len(b.vertices)
+    assert k.labels == tuple(bldg._label(rows) for rows in b.vertices)
+
+
 # -- opposition ------------------------------------------------------
 
 
@@ -551,6 +593,27 @@ def test_opp_complex_carries_labels(b23):
     opp = opp_complex(b23, b23.chambers[0])
     assert opp.labels is not None and len(opp.labels) == 8
     assert all(lab.split("-")[0] in ("1", "2") for lab in opp.labels)
+
+
+@pytest.mark.parametrize("q, n, step", [(2, 3, 1), (3, 3, 1), (5, 3, 7), (2, 4, 7)])
+def test_opp_complex_matches_the_full_subcomplex_oracle(q, n, step):
+    """Opp(C) as the full subcomplex of the building on the vertices
+    transversal to every vertex of C, the construction ``opp_complex``
+    replaced, on every ``step``-th chamber."""
+    b = build(q, n)
+    for c in b.chambers[::step]:
+        opp = opp_complex(b, c)
+        oracle = full_subcomplex(b.complex, [v for v in range(len(b.vertices)) if all(b.transversal(u, v) for u in c)])
+        assert (opp.facets, opp.labels, opp.num_vertices) == (oracle.facets, oracle.labels, oracle.num_vertices)
+
+
+def test_opp_complex_refuses_a_non_opposite_chamber(b23, monkeypatch):
+    dp = standard_flag(b23)
+    opp = opposite_chambers(b23, dp)
+    extra = next(d for d in b23.chambers if d not in opp)
+    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: tuple(sorted(opp + (extra,))))
+    with pytest.raises(CertificateError):
+        opp_complex(b23, dp)
 
 
 # -- apartments ------------------------------------------------------

@@ -30,6 +30,8 @@ from obstructor.complexes import (
 )
 from obstructor.errors import ResourceLimitError
 
+from complex_helpers import full_subcomplex
+
 
 def small_complexes(max_vertices: int = 6):
     """Hypothesis strategy: arbitrary complexes on at most ``max_vertices``."""
@@ -174,16 +176,16 @@ def test_octahedralize_preserves_and_reflects_flagness(k):
 
 def test_full_subcomplex_relabels():
     k = SimplicialComplex([(0, 1, 2), (2, 3)], labels=("a", "b", "c", "d"))
-    sub = k.full_subcomplex([1, 2, 3])
+    sub = full_subcomplex(k, [1, 2, 3])
     assert sub.facets == ((0, 1), (1, 2))
     assert sub.labels == ("b", "c", "d")
     with pytest.raises(ValueError):
-        k.full_subcomplex([0, 9])
+        full_subcomplex(k, [0, 9])
 
 
 @given(small_complexes())
 def test_full_subcomplex_on_everything_is_identity(k):
-    assert k.full_subcomplex(range(k.num_vertices)) == k
+    assert full_subcomplex(k, range(k.num_vertices)) == k
 
 
 def test_join_of_point_sets_is_complete_bipartite():
@@ -317,7 +319,7 @@ def test_double_over_matches_the_restricted_octahedralization_past_200_vertices(
     complex, then keep every minus vertex and the plus vertices of delta."""
     k = cycle_complex(300)
     keep = [2 * v for v in range(300)] + [1, 3]
-    oracle = octahedralize(k).full_subcomplex(keep)
+    oracle = full_subcomplex(octahedralize(k), keep)
     d = double_over(k, (0, 1))
     assert d == oracle and d.labels == oracle.labels
     assert d.num_vertices == 302 and len(d.facets) == 297 + 2 + 4 + 2  # sum of 2^{|e ∩ delta|}
