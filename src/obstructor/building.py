@@ -25,16 +25,17 @@ Everything is exact integer arithmetic mod q; no floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
-from math import isqrt
+from itertools import combinations, groupby, product
+from math import isqrt, prod
 from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, signings
 from .coxeter import symmetric
-from .errors import CertificateError, ResourceLimitError
+from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
 
 __all__ = [
     "Building",
@@ -109,22 +110,19 @@ def enumerate_subspaces(q: int, n: int, k: int) -> list[Rows]:
         raise ResourceLimitError(
             f"{gaussian_binomial(n, k, q)} subspaces requested, cap is {MAX_SUBSPACES}"
         )
-    out = []
+    out: list[Rows] = []
     for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
-        for values in product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            out.append(tuple(tuple(r) for r in rows))
+        choices = []  # choices[i]: every row i with its pivot and free entries
+        for p in pivots:
+            free = [j for j in range(p + 1, n) if j not in pivots]
+            choices.append([])
+            for values in product(range(q), repeat=len(free)):
+                row = [0] * n
+                row[p] = 1
+                for j, v in zip(free, values):
+                    row[j] = v
+                choices[-1].append(tuple(row))
+        out.extend(product(*choices))
     return out
 
 
@@ -169,7 +167,6 @@ class Building:
         if self.masks[: self.lines_in[n]] != tuple(1 << line for line in range(self.lines_in[n])):
             raise CertificateError("line vertices are not the first vertex ids")
         self.chambers = tuple(chambers)
-        self.chamber_index = {c: i for i, c in enumerate(self.chambers)}
         on_chamber = set().union(*self.chambers)
         if not on_chamber <= set(range(len(self.vertices))):
             raise ValueError("a chamber names a vertex id out of range")
@@ -197,15 +194,10 @@ class Building:
     def chamber_ids(self, chamber: Iterable[int]) -> Simplex:
         """The sorted vertex ids of a chamber of this building, in any order."""
         ids = tuple(sorted(int(v) for v in chamber))
-        if ids not in self.chamber_index:
+        i = bisect_left(self.chambers, ids)
+        if self.chambers[i : i + 1] != (ids,):
             raise ValueError(f"{ids} is not a chamber of this building")
         return ids
-
-    def transversal(self, u: int, v: int) -> bool:
-        """Vertices ``u`` and ``v`` are in general position: they meet in
-        the least dimension their own dimensions allow."""
-        least = max(0, self.vertex_dims[u] + self.vertex_dims[v] - self.n)
-        return (self.masks[u] & self.masks[v]).bit_count() == self.lines_in[least]
 
     def __repr__(self) -> str:
         return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={len(self.chambers)})"
@@ -215,96 +207,116 @@ def _line_masks(q: int, n: int, vertices: Sequence[Rows]) -> list[int]:
     """Bit ``l`` of mask ``v`` is set iff line vertex ``l`` lies in subspace ``v``.
 
     A line of an echelon subspace has exactly one normalised vector (first
-    nonzero entry 1): a row plus any combination of the rows below it.
-    Those vectors are line vertices' own rows, so each is looked up as is.
+    nonzero entry 1).  Those of ``rows`` are those of ``rows[1:]``, a vertex
+    one dimension down, and ``rows[0] + u`` for u in that vertex's span.  A
+    vector is an int of h + 1 bits a coordinate, 2^h >= q, so a coordinate
+    sum s <= 2q - 2 has q taken off iff s + 2^h - q sets its bit h.
     """
-    line_of = {rows[0]: i for i, rows in enumerate(vertices) if len(rows) == 1}
+    h = (q - 1).bit_length()
+    shifts = range(0, (h + 1) * n, h + 1)
+    lanes = sum(1 << s for s in shifts)
+    offset, guard = lanes * ((1 << h) - q), lanes << h
+
+    def plus(r: int, vectors: list[int]) -> list[int]:
+        return [s - (((s + offset) & guard) >> h) * q for s in [r + u for u in vectors]]
+
+    def code(row: Vector) -> int:
+        return sum([x << s for x, s in zip(row, shifts)])
+
+    line_of = {code(rows[0]): i for i, rows in enumerate(vertices) if len(rows) == 1}
+    below: dict[Rows, tuple[int, list[int]]] = {(): (0, [0])}  # mask and span, by echelon rows
     masks = []
     for rows in vertices:
-        mask = 0
-        below: list[Vector] = [(0,) * n]  # the span of the rows below ``row``
-        for i in range(len(rows) - 1, -1, -1):
-            row = rows[i]
-            for v in below:
-                mask |= 1 << line_of[tuple([(a + b) % q for a, b in zip(row, v)])]
-            if i:
-                below = [tuple([(c * a + b) % q for a, b in zip(row, v)]) for c in range(q) for v in below]
-        masks.append(mask)
+        mask, span = below[rows[1:]]
+        r = code(rows[0])
+        layers = [span, plus(r, span)]  # layers[c]: c * rows[0] + span
+        masks.append(mask | sum([1 << line_of[u] for u in layers[1]]))
+        if len(rows) < n - 1:  # a span is read only one dimension up
+            while len(layers) < q:
+                layers.append(plus(r, layers[-1]))
+            below[rows] = (masks[-1], [u for layer in layers for u in layer])
     return masks
 
 
+def _flags(masks: Sequence[int], dims: Sequence[int], ids: Iterable[int]) -> list[Simplex]:
+    """The full flags through vertex ids ``ids``, sorted by dimension, in
+    ascending order: chains grow a dimension at a time by their top's covers."""
+    levels = [list(level) for _, level in groupby(ids, dims.__getitem__)]
+    chains = [(v,) for v in levels[0]]
+    for below, above in zip(levels, levels[1:]):
+        pairs = [(w, masks[w]) for w in above]
+        covers = {v: [w for w, mw in pairs if mw & m == m] for v, m in zip(below, map(masks.__getitem__, below))}
+        chains = [c + (w,) for c in chains for w in covers[c[-1]]]
+    return chains
+
+
 def build(q: int, n: int) -> Building:
-    """Construct the building of F_q^n flags."""
+    """Construct the building of F_q^n flags, refusing more than
+    ``DEFAULT_MAX_CELLS`` chambers before any subspace is enumerated."""
     if n < 2:
         raise ValueError(f"need ambient dimension >= 2, got {n}")
-    vertices: list[Rows] = []
-    ids_of_dim: dict[int, range] = {}
-    for k in range(1, n):
-        start = len(vertices)
-        vertices.extend(enumerate_subspaces(q, n, k))
-        ids_of_dim[k] = range(start, len(vertices))
+    _check_field(q, n)
+    count = prod((q**i - 1) // (q - 1) for i in range(1, n + 1))
+    if count > DEFAULT_MAX_CELLS:
+        raise ResourceLimitError(f"{count} chambers exceeds cap {DEFAULT_MAX_CELLS}")
+    vertices = [rows for k in range(1, n) for rows in enumerate_subspaces(q, n, k)]
     masks = _line_masks(q, n, vertices)
-    # covers[v] = ids of (dim+1)-subspaces directly containing vertex v
-    covers: list[list[int]] = [[] for _ in vertices]
-    for k in range(1, n - 1):
-        bigger = [(w, masks[w]) for w in ids_of_dim[k + 1]]
-        for v in ids_of_dim[k]:
-            m = masks[v]
-            covers[v] = [w for w, mw in bigger if mw & m == m]
-    chambers: list[Simplex] = []
-
-    def extend(chain: list[int], dim: int) -> None:
-        if dim == n - 1:
-            chambers.append(tuple(chain))
-            return
-        for nxt in covers[chain[-1]]:
-            extend(chain + [nxt], dim + 1)
-
-    for line in ids_of_dim[1]:
-        extend([line], 1)
-    return Building(q, n, vertices, chambers, masks)
+    return Building(q, n, vertices, _flags(masks, [len(rows) for rows in vertices], range(len(vertices))), masks)
 
 
 # -- opposition ------------------------------------------------------
 
 
+def _keep(b: Building, ci: Simplex) -> list[int]:
+    """The vertices transversal to chamber ``ci``: a k-subspace is iff its
+    line mask shares no bit with the chamber's (n-k)-subspace."""
+    level = {b.vertex_dims[v]: b.masks[v] for v in ci}
+    return [v for v, (m, d) in enumerate(zip(b.masks, b.vertex_dims)) if not m & level[b.n - d]]
+
+
 def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
-    """The chambers opposite ``c``: those whose every vertex is transversal
-    (``Building.transversal``) to every vertex of ``c``, read off one set of
-    such vertices."""
-    ci = b.chamber_ids(c)
-    flag = [(b.masks[u], b.vertex_dims[u] - b.n) for u in ci]
-    general = {v for v, (m, d) in enumerate(zip(b.masks, b.vertex_dims))
-               if all((m & mu).bit_count() == b.lines_in[max(0, d + du)] for mu, du in flag)}
-    return tuple(filter(general.issuperset, b.chambers))
+    """The chambers opposite ``c``: the full flags of ``_keep``, in order."""
+    return tuple(_flags(b.masks, b.vertex_dims, _keep(b, b.chamber_ids(c))))
 
 
 def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
     """The opposition complex Opp(C), relabeled to its own vertex ids.
 
-    A vertex V of dimension k survives iff it is transversal to the
-    complementary flag level of C, i.e. V meets C's (n-k)-subspace in 0,
-    i.e. their line masks share no bit.  The facets are the chambers
-    opposite C, renumbered in order over the survivors ``keep``, so they
-    stay sorted.  They are those of the full (hence flag) subcomplex on
-    ``keep``, the maximal nonempty restrictions f & keep of chambers f, iff
-    (a) every opposite chamber lies in ``keep`` and (b) every restriction
-    is a face of an opposite chamber; (a) and (b) are checked.  (=>) Every
-    restriction lies in a maximal one, which is an opposite chamber.  (<=)
-    By (a) an opposite chamber is its own restriction, of the largest size
-    possible, so it is maximal; by (b) a maximal restriction lies in an
-    opposite chamber, so it equals it.
+    Its facets are the chambers opposite C, renumbered in order over the
+    vertices ``keep`` transversal to C, so they stay sorted.  They are
+    checked to be q^(n(n-1)/2) ascending (n-1)-tuples of ``keep`` that cover
+    it, and, by bitsets, to hold two members of ``keep`` together iff one is
+    inside the other.  So each is a flag (n - 1 nested subspaces), all the
+    flags of ``keep`` by that count (Abramenko-Brown, *Buildings*, 2008,
+    ch. 6), and they are the facets of the full subcomplex on ``keep``: a
+    maximal chain of ``keep`` is a flag, as a flag through two consecutive
+    members holds one between them unless their dimensions differ by one,
+    and its least (greatest) member lies on a flag whose line (hyperplane)
+    it must be.
     """
     ci = b.chamber_ids(c)
-    level = {b.vertex_dims[v]: b.masks[v] for v in ci}
-    keep = [v for v in range(len(b.vertices)) if not b.masks[v] & level[b.n - b.vertex_dims[v]]]
+    keep = _keep(b, ci)
     rename = {v: i for i, v in enumerate(keep)}
     opp = opposite_chambers(b, ci)
-    faces = {f for d in opp for r in range(1, b.n) for f in combinations(d, r)}
-    restrictions = {tuple([v for v in f if v in rename]) for f in b.chambers} - {()}
-    if not all(map(set(keep).issuperset, opp)) or not restrictions <= faces:
-        raise CertificateError("Opp(C) is not the union of opposite chambers")
-    return SimplicialComplex([tuple([rename[v] for v in d]) for d in opp], [_label(b.vertices[v]) for v in keep], len(keep))
+    if (
+        len(opp) != b.q ** (b.n * (b.n - 1) // 2) or set(map(len, opp)) != {b.n - 1}
+        or not all(map(lt, opp, opp[1:])) or set().union(*opp) != rename.keys()
+    ):
+        raise CertificateError("opposite_chambers did not return every flag of the vertices opposite C")
+    facets = [tuple([rename[v] for v in d]) for d in opp]
+    km, kd = [b.masks[v] for v in keep], [b.vertex_dims[v] for v in keep]
+    up, reach = [], [0] * len(keep)  # bit j: keep[j] contains keep[i] / lies above it on a facet
+    for m, d in zip(km, kd):
+        start = bisect_left(kd, d + 1)
+        up.append(sum([1 << j for j, mj in enumerate(km[start:], start) if mj & m == m]))
+    for f in facets:
+        above = 0
+        for i in reversed(f):
+            reach[i] |= above
+            above |= 1 << i
+    if reach != up:
+        raise CertificateError("Opp(C) is not the full subcomplex on the vertices opposite C")
+    return SimplicialComplex(facets, [_label(b.vertices[v]) for v in keep], len(keep))
 
 
 # -- apartments ------------------------------------------------------

@@ -9,15 +9,16 @@ subcomplex operations.
 
 Signed vertices (for octahedralization and doubling) are encoded
 arithmetically: vertex ``v`` of the base complex yields ``2*v`` (minus
-copy) and ``2*v + 1`` (plus copy).  Both list their facets with
-``signings`` and refuse more than ``DEFAULT_MAX_CELLS`` before building any.
+copy) and ``2*v + 1`` (plus copy).  Both refuse more than ``DEFAULT_MAX_CELLS``
+signed facets, then sign each facet by one ``product`` of its vertices' copies.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
-from typing import IO, Collection, Container, Iterable, Iterator, Optional, Sequence
+from itertools import combinations, product
+from operator import lt
+from typing import IO, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import DEFAULT_MAX_CELLS, ResourceLimitError
 
@@ -47,9 +48,8 @@ def _require_vertex_budget(count: int) -> None:
 
 def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
     vs = tuple(sorted(vertices))
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise ValueError(f"simplex {vs} repeats vertex {a}")
+    if not all(map(lt, vs, vs[1:])):
+        raise ValueError(f"simplex {vs} repeats vertex {next(a for a, b in zip(vs, vs[1:]) if a == b)}")
     if vs and vs[0] < 0:
         raise ValueError(f"negative vertex id in {vs}")
     return vs
@@ -216,16 +216,20 @@ def signings(facet: Simplex, doubled: Container[int]) -> Iterator[Simplex]:
             yield tuple(2 * v + (v in plus) for v in facet)
 
 
-def _signed_complex(k: SimplicialComplex, doubled: Collection[int]) -> SimplicialComplex:
-    """The signings of every facet of ``k``, signed ids renumbered in sorted order."""
+def _signed_complex(k: SimplicialComplex, doubled: Container[int]) -> SimplicialComplex:
+    """The signings of every facet of ``k``, with the signed ids numbered in
+    increasing order: ``v``'s minus copy, then its plus copy if doubled."""
     total = sum(1 << sum(v in doubled for v in f) for f in k.facets)
     if total > DEFAULT_MAX_CELLS:
         raise ResourceLimitError(f"{total} signed facets exceeds cap {DEFAULT_MAX_CELLS}")
-    ids = sorted([2 * v for v in range(k.num_vertices)] + [2 * v + 1 for v in doubled])
-    rename = {sv: i for i, sv in enumerate(ids)}
-    facets = [tuple(rename[sv] for sv in c) for f in k.facets for c in signings(f, doubled)]
-    labels = tuple(signed_label(k.vertex_label(sv // 2), sv) for sv in ids)
-    return SimplicialComplex(facets, labels=labels, num_vertices=len(ids))
+    choices: list[range] = []  # the new ids of v's signed copies
+    labels: list[str] = []
+    for v, base in enumerate(k.labels if k.labels is not None else map(str, range(k.num_vertices))):
+        signed = (2 * v, 2 * v + 1) if v in doubled else (2 * v,)
+        choices.append(range(len(labels), len(labels) + len(signed)))
+        labels += [signed_label(base, sv) for sv in signed]
+    facets = [c for f in k.facets for c in product(*[choices[v] for v in f])]
+    return SimplicialComplex(facets, labels=labels, num_vertices=len(labels))
 
 
 def octahedralize(k: SimplicialComplex) -> SimplicialComplex:

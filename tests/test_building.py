@@ -5,11 +5,12 @@ principles: subspace counts by spanning and deduplicating raw vector
 tuples, flag counts from the group-order formula |GL_n| / |Borel|, and
 first Betti numbers of graphs from E - V + #components via a plain BFS.
 None of those paths touch the enumeration code under test.  Subspace
-incidence is checked against a rank oracle (row reduction over F_q),
-apartments found by AND-ing per-line holder bitsets against apartments
-spanned by row reduction, also on random frames, and the bitset pair
-check of ``verify_dbl_embedding`` against an explicit loop over cell
-pairs.
+incidence is checked against a rank oracle (row reduction over F_q), the
+line masks against masks built by tuple arithmetic, the opposite chambers
+against a filter of every chamber of the building, apartments found by
+AND-ing per-line holder bitsets against apartments spanned by row
+reduction, also on random frames, and the bitset pair check of
+``verify_dbl_embedding`` against an explicit loop over cell pairs.
 """
 
 from __future__ import annotations
@@ -67,11 +68,18 @@ def reversed_flag(b: Building) -> tuple[int, ...]:
     return Apartment(b, coordinate_frame(b)).chamber_of_perm(range(b.n - 1, -1, -1))
 
 
+def general_position(b: Building, u: int, v: int) -> bool:
+    """Vertices ``u`` and ``v`` meet in the least dimension their own
+    dimensions allow, read off their line masks."""
+    least = max(0, b.vertex_dims[u] + b.vertex_dims[v] - b.n)
+    return (b.masks[u] & b.masks[v]).bit_count() == b.lines_in[least]
+
+
 def is_opposite(b: Building, c: Iterable[int], d: Iterable[int]) -> bool:
     """Chambers whose flags are pairwise in general position."""
     ci = b.chamber_ids(c)
     di = b.chamber_ids(d)
-    return all(b.transversal(u, v) for u in ci for v in di)
+    return all(general_position(b, u, v) for u in ci for v in di)
 
 
 def apartment_chambers(apt: Apartment) -> tuple[tuple[int, ...], ...]:
@@ -431,6 +439,33 @@ def test_flag_and_frame_validation(b23):
 # -- line masks ------------------------------------------------------
 
 
+def line_masks_by_tuples(q: int, n: int, vertices: Sequence[tuple[Vector, ...]]) -> list[int]:
+    """The line masks by tuple arithmetic mod q: a line of an echelon
+    subspace has one normalised vector, a row plus any combination of the
+    rows below it, and that vector is a line vertex's own row."""
+    line_of = {rows[0]: i for i, rows in enumerate(vertices) if len(rows) == 1}
+    masks = []
+    for rows in vertices:
+        mask = 0
+        below: list[Vector] = [(0,) * n]  # the span of the rows below ``row``
+        for i in range(len(rows) - 1, -1, -1):
+            row = rows[i]
+            for v in below:
+                mask |= 1 << line_of[tuple([(a + b) % q for a, b in zip(row, v)])]
+            if i:
+                below = [tuple([(c * a + b) % q for a, b in zip(row, v)]) for c in range(q) for v in below]
+        masks.append(mask)
+    return masks
+
+
+def opposite_chambers_by_filter(b: Building, c: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The chambers of ``b`` whose every vertex is in general position
+    with every vertex of ``c``, filtered from all of them."""
+    ci = b.chamber_ids(c)
+    general = {v for v in range(len(b.vertices)) if all(general_position(b, u, v) for u in ci)}
+    return tuple(filter(general.issuperset, b.chambers))
+
+
 def test_masks_match_the_rank_oracle(b23, b33, b24):
     for b in (b23, b33, b24):
         vertices = [subspace(b, v) for v in range(len(b.vertices))]
@@ -439,13 +474,48 @@ def test_masks_match_the_rank_oracle(b23, b33, b24):
                 common = b.masks[u] & b.masks[v]
                 assert common.bit_count() == b.lines_in[intersection_dim(a, c)]
                 assert (common == b.masks[u]) == contains(c, a)
-                assert b.transversal(u, v) == transversal(a, c)
+                assert general_position(b, u, v) == transversal(a, c)
     for b, c in ((b23, b23.chambers[0]), (b33, standard_flag(b33)), (b24, b24.chambers[7])):
         by_rank = tuple(
             d for d in b.chambers
             if all(transversal(subspace(b, u), subspace(b, v)) for u in c for v in d)
         )
         assert opposite_chambers(b, c) == by_rank
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (5, 3), (7, 3), (2, 4), (3, 4), (2, 5), (997, 2)])
+def test_line_masks_match_the_tuple_oracle(q, n):
+    """The integer-coded masks equal those of tuple arithmetic, also at
+    q = 997, where a coordinate takes 11 bits."""
+    b = build(q, n)
+    assert b.masks == tuple(line_masks_by_tuples(q, n, b.vertices))
+
+
+@pytest.mark.parametrize("q, n, step", [(2, 3, 1), (3, 3, 1), (5, 3, 1), (2, 4, 1), (3, 4, 97), (2, 5, 301)])
+def test_opposite_chambers_match_the_filter_oracle(q, n, step):
+    """The flags walked inside ``keep`` are the chambers a filter of every
+    chamber finds, in the same order, on every ``step``-th chamber."""
+    b = build(q, n)
+    for c in b.chambers[::step]:
+        assert opposite_chambers(b, c) == opposite_chambers_by_filter(b, c)
+
+
+def test_build_refuses_more_chambers_than_the_cap_at_once(monkeypatch):
+    """[7]_2! = 78,129,765 and [6]_3! = 91,611,520 chambers pass the field
+    and subspace caps, but not ``DEFAULT_MAX_CELLS``: they are refused
+    before any subspace is enumerated.  The cap itself is allowed."""
+    started = time.perf_counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(bldg, "enumerate_subspaces", lambda *args: pytest.fail("a subspace was enumerated"))
+        for q, n, count in ((2, 7, 78_129_765), (3, 6, 91_611_520)):
+            with pytest.raises(ResourceLimitError, match=f"^{count} chambers exceeds cap 2000000$"):
+                build(q, n)
+    assert time.perf_counter() - started < 1.0
+    monkeypatch.setattr(bldg, "DEFAULT_MAX_CELLS", 315)
+    assert len(build(2, 4).chambers) == 315
+    monkeypatch.setattr(bldg, "DEFAULT_MAX_CELLS", 314)
+    with pytest.raises(ResourceLimitError, match="315 chambers exceeds cap 314"):
+        build(2, 4)
 
 
 def test_construction_cross_checks_raise(b23, monkeypatch):
@@ -603,7 +673,7 @@ def test_opp_complex_matches_the_full_subcomplex_oracle(q, n, step):
     b = build(q, n)
     for c in b.chambers[::step]:
         opp = opp_complex(b, c)
-        oracle = full_subcomplex(b.complex, [v for v in range(len(b.vertices)) if all(b.transversal(u, v) for u in c)])
+        oracle = full_subcomplex(b.complex, [v for v in range(len(b.vertices)) if all(general_position(b, u, v) for u in c)])
         assert (opp.facets, opp.labels, opp.num_vertices) == (oracle.facets, oracle.labels, oracle.num_vertices)
 
 
@@ -613,6 +683,40 @@ def test_opp_complex_refuses_a_non_opposite_chamber(b23, monkeypatch):
     extra = next(d for d in b23.chambers if d not in opp)
     monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: tuple(sorted(opp + (extra,))))
     with pytest.raises(CertificateError):
+        opp_complex(b23, dp)
+
+
+def test_opp_complex_refuses_a_missing_chamber(b24, monkeypatch):
+    """Every two vertices of a chamber opposite C at (2,4) lie on another
+    one too, so the bitset check passes with one missing.  The count sees
+    it dropped, and the ascending, length and ``keep`` checks see it
+    replaced by another one again, by its own panel or by a chamber not
+    opposite C."""
+    dp = standard_flag(b24)
+    opp = opposite_chambers(b24, dp)
+    outside = next(d for d in b24.chambers if d not in opp)
+    for i in (0, len(opp) // 2, len(opp) - 1):
+        rest = opp[:i] + opp[i + 1 :]
+        assert all(any(set(pair) <= set(d) for d in rest) for pair in combinations(opp[i], 2))
+        for extra in ((), (rest[0],), (opp[i][:-1],), (outside,)):
+            patched = tuple(sorted(rest + extra))
+            monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c, patched=patched: patched)
+            with pytest.raises(CertificateError, match="did not return every flag"):
+                opp_complex(b24, dp)
+
+
+def test_opp_complex_refuses_chambers_that_are_not_flags(b23, monkeypatch):
+    """Two chambers opposite C with their planes swapped: as many ascending
+    pairs of vertices opposite C, covering them all, but one line is not in
+    its plane, which the bitset check sees."""
+    dp = standard_flag(b23)
+    opp = opposite_chambers(b23, dp)
+    (l1, p1), (l2, p2) = next((d, e) for d, e in combinations(opp, 2) if {(d[0], e[1]), (e[0], d[1])}.isdisjoint(opp))
+    assert b23.masks[l1] & b23.masks[p2] != b23.masks[l1]
+    swapped = tuple(sorted(set(opp) - {(l1, p1), (l2, p2)} | {(l1, p2), (l2, p1)}))
+    assert len(swapped) == len(opp) and set().union(*swapped) == set().union(*opp)
+    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: swapped)
+    with pytest.raises(CertificateError, match="not the full subcomplex"):
         opp_complex(b23, dp)
 
 
@@ -810,8 +914,8 @@ def gallery_distances(b: Building, start: int) -> list[int]:
 
 
 def test_gallery_distance_between_opposite_chambers(b23):
-    c = b23.chamber_index[standard_flag(b23)]
-    d = b23.chamber_index[reversed_flag(b23)]
+    c = b23.chambers.index(standard_flag(b23))
+    d = b23.chambers.index(reversed_flag(b23))
     dist = gallery_distances(b23, c)
     assert dist[d] == 3  # length of the longest element of S_3
     assert max(dist) == 3

@@ -30,7 +30,7 @@ from obstructor.complexes import (
 )
 from obstructor.errors import ResourceLimitError
 
-from complex_helpers import full_subcomplex
+from complex_helpers import full_subcomplex, signed_complex_by_signings
 
 
 def small_complexes(max_vertices: int = 6):
@@ -323,6 +323,22 @@ def test_double_over_matches_the_restricted_octahedralization_past_200_vertices(
     d = double_over(k, (0, 1))
     assert d == oracle and d.labels == oracle.labels
     assert d.num_vertices == 302 and len(d.facets) == 297 + 2 + 4 + 2  # sum of 2^{|e ∩ delta|}
+
+
+@given(small_complexes(), st.booleans(), st.data())
+def test_signed_complexes_match_the_signings_oracle(k, labelled, data):
+    """``octahedralize`` and ``double_over`` give the facets, labels and
+    vertex count that listing each facet's ``signings`` gives, with and
+    without labels, doubling over any face."""
+    if labelled:
+        k = SimplicialComplex(k.facets, labels=[f"v{v}" for v in range(k.num_vertices)], num_vertices=k.num_vertices)
+    facet = data.draw(st.sampled_from(k.facets))
+    delta = data.draw(st.sets(st.sampled_from(facet)))
+    for got, want in (
+        (octahedralize(k), signed_complex_by_signings(k, range(k.num_vertices))),
+        (double_over(k, delta), signed_complex_by_signings(k, delta)),
+    ):
+        assert (got.facets, got.labels, got.num_vertices) == (want.facets, want.labels, want.num_vertices)
 
 
 # -- JSON interchange ------------------------------------------------
