@@ -28,9 +28,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby, product
+from itertools import accumulate, chain, combinations, groupby, product
 from math import isqrt, prod
-from operator import lt
+from operator import le, lt, or_
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, signings
@@ -134,7 +134,7 @@ class Building:
 
     A vertex is its echelon rows, ``vertices[v]``, and its line mask,
     ``masks[v]``, which sets bit ``l`` iff line ``l`` lies in vertex ``v``.
-    Vertices are sorted by dimension, so the lines are vertex ids
+    Vertices must be sorted by dimension, so the lines are vertex ids
     ``0 .. lines_in[n] - 1``, and ``lines_in[d]`` counts the lines of a
     d-dimensional subspace.  The bitsets ``holders[l]`` (vertices holding
     line ``l``) and ``of_dim[d]`` (vertices of dimension d) are lazy, and
@@ -170,9 +170,12 @@ class Building:
         on_chamber = set().union(*self.chambers)
         if not on_chamber <= set(range(len(self.vertices))):
             raise ValueError("a chamber names a vertex id out of range")
+        if not all(map(le, self.vertex_dims, self.vertex_dims[1:])):
+            raise CertificateError("vertices are not sorted by dimension")
+        start = [bisect_left(self.vertex_dims, k) for k in range(1, n + 1)]  # start[k - 1]: first id of dimension k
         levels = list(zip(*self.chambers))  # levels[k - 1]: the k-th vertex of every chamber
         in_order = set(map(len, self.chambers)) <= {n - 1} and all(all(map(lt, a, b)) for a, b in zip(levels, levels[1:]))
-        flags = in_order and all(set(map(self.vertex_dims.__getitem__, level)) == {k} for k, level in enumerate(levels, 1))
+        flags = in_order and all(start[k - 1] <= min(level) and max(level) < start[k] for k, level in enumerate(levels, 1))
         if not flags and any(len(set(c)) < len(c) for c in self.chambers):
             raise ValueError("a chamber repeats a vertex")
         if not flags or len(on_chamber) < len(self.vertices) or not all(map(lt, self.chambers, self.chambers[1:])):
@@ -393,11 +396,15 @@ class Apartment:
 
 
 @lru_cache(maxsize=None)
-def _level_sets(n: int) -> tuple[tuple[tuple[int, ...], frozenset[int]], ...]:
-    """Every permutation w of S_n with its level set: the right-descent set
-    of w^{-1}, shifted to flag levels 1..n-1."""
+def _level_keys(n: int) -> tuple[tuple[frozenset[int], tuple[tuple[int, ...], ...]], ...]:
+    """Each level set (right descents of w^{-1}, shifted to flag levels) with the
+    prefix keys of its permutations w: w[:1], ..., w[:n-1] as bitmasks."""
     system = symmetric(n)
-    return tuple((w, frozenset(s + 1 for s in system.in_set_inverse(w))) for w in system.elements())
+    classes: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    for w in system.elements():
+        levels = frozenset(s + 1 for s in system.in_set_inverse(w))
+        classes.setdefault(levels, []).append(tuple(accumulate([1 << i for i in w[: n - 1]], or_)))
+    return tuple((levels, tuple(keys)) for levels, keys in classes.items())
 
 
 def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[int], frozenset[Simplex]]:
@@ -408,16 +415,63 @@ def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[i
     levels, i.e. subspace dimensions 1..n-1) maps to the chambers whose
     permutation w has the right-descent set of w^{-1} equal to it, shifted
     to generator indices.  Every level set appears, and the sets partition
-    the apartment.  ``sigma`` must be opposite ``dp`` (it comes from
-    ``opposite_chambers``, so this is not re-tested); otherwise a flag
-    level pair sharing other than one line raises ``CertificateError``, or
-    ``Apartment`` refuses lines not in direct sum with ``ValueError``.
+    the apartment.  The chamber of w is the vertices of its prefix keys,
+    which ascend as the building's ids ascend with dimension.  ``sigma``
+    must be opposite ``dp`` (it comes from ``opposite_chambers``, so this
+    is not re-tested); otherwise a flag level pair sharing other than one
+    line raises ``CertificateError``, or ``Apartment`` refuses lines not in
+    direct sum with ``ValueError``.
     """
-    apt = Apartment(b, _frame_lines(b, dp, sigma))
-    table: dict[frozenset[int], set[Simplex]] = {}
-    for w, levels in _level_sets(b.n):
-        table.setdefault(levels, set()).add(apt.chamber_of_perm(w))
-    return {k: frozenset(v) for k, v in table.items()}
+    vertex = Apartment(b, _frame_lines(b, dp, sigma)).vertex_of_subset.__getitem__
+    return {levels: frozenset([tuple(map(vertex, keys)) for keys in perms]) for levels, perms in _level_keys(b.n)}
+
+
+def _signing_patterns(n: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """The cells of a flag of dimensions 1..n-1, in ``signings`` order: the
+    plus bit of each position, and the levels of the minus positions."""
+    bits = [tuple(sv & 1 for sv in cell) for cell in signings(range(n - 1), range(n - 1))]
+    return [(plus, frozenset(k for k, bit in enumerate(plus, 1) if not bit)) for plus in bits]
+
+
+def _against(cells: Sequence[tuple], others: Sequence[tuple], later: bool) -> tuple[list[int], list[int]]:
+    """For each (sigma, signed vertices, bent chambers) cell, two bitsets
+    over ``others``: the cells sharing no signed vertex with it, and those
+    of them sharing a bent chamber.  With ``later`` the two lists are one,
+    and bit i of cell j's bitsets stands for cell j + 1 + i."""
+    at_vertex: dict[int, int] = {}
+    at_chamber: dict[Simplex, int] = {}
+    for i, (_, cell, bent) in enumerate(others):
+        for sv in cell:
+            at_vertex[sv] = at_vertex.get(sv, 0) | 1 << i
+        for chamber in bent:
+            at_chamber[chamber] = at_chamber.get(chamber, 0) | 1 << i
+    disjoint, colliding = [], []
+    for j, (_, cell, bent) in enumerate(cells):
+        touching = covering = 0
+        for sv in cell:
+            touching |= at_vertex.get(sv, 0)
+        for chamber in bent:
+            covering |= at_chamber.get(chamber, 0)
+        shift = j + 1 if later else 0
+        disjoint.append(((1 << len(others)) - 1 ^ touching) >> shift)
+        colliding.append(disjoint[-1] & covering >> shift)
+    return disjoint, colliding
+
+
+def _scan(disjoint: Sequence[int], colliding: Sequence[int], present: int) -> tuple[int, Optional[tuple[int, int]]]:
+    """Walk the ``present`` cells in order, each counting its later present
+    disjoint partners, up to the first with a colliding one: the pairs
+    counted, and that cell with its earliest colliding partner, if any."""
+    checked, rest = 0, present
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        rest ^= 1 << j
+        partners = present >> (j + 1)
+        checked += (partners & disjoint[j]).bit_count()
+        hits = partners & colliding[j]
+        if hits:
+            return checked, (j, j + (hits & -hits).bit_length())
+    return checked, None
 
 
 @dataclass(frozen=True)
@@ -450,64 +504,50 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
 
     A top cell over Delta is a signing of some sigma whose plus vertices
     lie in Delta; its signed vertices and bent chambers do not depend on
-    Delta.  So the signings of every sigma over all of sigma are numbered
-    once, in (sigma, cell) order, which over one Delta is the order of the
-    signings over Delta.  Cell j keeps two bitsets of later cells: those
-    sharing no signed vertex with it, and those among them sharing a bent
-    chamber with it.  Each Delta then needs only the mask of the cells
-    present over it.  Each present cell counts its present disjoint
-    partners into ``pairs_checked``; the witness is the first present cell
-    with a present colliding partner, over the first Delta that has one,
-    paired with the earliest such partner.
+    Delta.  Each sigma's all-minus cell is present over every Delta, a plus
+    cell (one plus vertex or more) over each Delta that has its plus part
+    as one of its 2^(n-1) - 1 nonempty faces.  So ``pairs_checked``, the
+    disjoint pairs of present cells summed over Delta, is |Opp(C)| times
+    the all-minus cells' disjoint pairs, counted once, plus, per Delta, the
+    disjoint pairs its plus cells make with all-minus cells (a count per
+    plus cell, from bitsets indexed by sigma) and among themselves (bitsets
+    of later plus cells ANDed with those present).  The first Delta with a
+    disjoint colliding pair is scanned again alone, in (sigma, cell) order:
+    the witness is the first cell with a colliding later partner, with the
+    earliest one, and ``pairs_checked`` counts that Delta's pairs up to it.
     """
     dp = b.chamber_ids(delta_plus)
     opp = opposite_chambers(b, dp)
-    # Cell j is (sigma, signed vertices, bent chambers), 2v for the plain
-    # copy of v and 2v+1 for the doubled one; it bends onto the chambers of
-    # the level set of its minus part.  Bit j of at_vertex[sv] /
-    # at_chamber[t]: cell j has signed vertex sv / bends onto chamber t.
-    cells: list[tuple[Simplex, Simplex, frozenset[Simplex]]] = []
-    at_vertex: dict[int, int] = {}
-    at_chamber: dict[Simplex, int] = {}
+    patterns = _signing_patterns(b.n)
+    cells = []  # cells[s]: the (sigma, signed vertices, bent chambers) over opp[s], in signings order
     for sigma in opp:
+        if tuple(map(b.vertex_dims.__getitem__, sigma)) != tuple(range(1, b.n)):
+            raise CertificateError(f"opposite chamber {sigma} is not a flag of dimensions 1..{b.n - 1}")
         table = _bending_table(b, dp, sigma)
-        for cell in signings(sigma, sigma):
-            bent = table[frozenset(b.vertex_dims[sv >> 1] for sv in cell if not sv & 1)]
-            bit = 1 << len(cells)
-            cells.append((sigma, cell, bent))
-            for sv in cell:
-                at_vertex[sv] = at_vertex.get(sv, 0) | bit
-            for chamber in bent:
-                at_chamber[chamber] = at_chamber.get(chamber, 0) | bit
-    every = (1 << len(cells)) - 1
-    disjoint, colliding = [], []  # bit i stands for cell j + 1 + i
-    for j, (_, cell, bent) in enumerate(cells):
-        touching = covering = 0
-        for sv in cell:
-            touching |= at_vertex[sv]
-        for chamber in bent:
-            covering |= at_chamber[chamber]
-        later = (every ^ touching) >> (j + 1)
-        disjoint.append(later)
-        colliding.append(later & covering >> (j + 1))
+        cells.append([(sigma, tuple([2 * v + bit for v, bit in zip(sigma, bits)]), table[minus]) for bits, minus in patterns])
+    minus, plus = [own[0] for own in cells], [cell for own in cells for cell in own[1:]]
+    base, clash = _scan(*_against(minus, minus, True), (1 << len(minus)) - 1)
+    disjoint, colliding = _against(plus, plus, True)
+    by_plus: dict[Simplex, list[int]] = {}  # plus part: [its cells, their pairs with all-minus cells, collisions]
+    for j, ((_, cell, _), free, hits) in enumerate(zip(plus, *_against(plus, minus, False))):
+        entry = by_plus.setdefault(tuple([sv >> 1 for sv in cell if sv & 1]), [0, 0, 0])
+        entry[0] |= 1 << j
+        entry[1] += free.bit_count()
+        entry[2] |= hits
     checked = 0
     for delta in opp:
-        present = every  # the cells with no plus vertex outside delta
-        for sv, holders in at_vertex.items():
-            if sv & 1 and sv >> 1 not in delta:
-                present &= ~holders
-        rest = present
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest ^= 1 << j
-            partners = present >> (j + 1)
-            checked += (partners & disjoint[j]).bit_count()
-            hits = partners & colliding[j]
-            if hits:
-                sigma, cell, bent = cells[j]
-                tau, cell_b, bent_b = cells[j + (hits & -hits).bit_length()]
-                witness = EmbeddingWitness(delta, sigma, cell, tau, cell_b, tuple(sorted(bent & bent_b)))
-                return EmbeddingReport(False, witness, checked)
+        present, count, collides = 0, base, clash is not None
+        for face in chain.from_iterable(combinations(delta, r) for r in range(1, b.n)):
+            mask, pairs, hits = by_plus[face]
+            present, count, collides = present | mask, count + pairs, collides or hits != 0
+        pairs, hit = _scan(disjoint, colliding, present)
+        if collides or hit:
+            over = [c for own in cells for c in own if {sv >> 1 for sv in c[1] if sv & 1} <= set(delta)]
+            partial, (j, k) = _scan(*_against(over, over, True), (1 << len(over)) - 1)
+            (sigma, cell, bent), (tau, cell_b, bent_b) = over[j], over[k]
+            witness = EmbeddingWitness(delta, sigma, cell, tau, cell_b, tuple(sorted(bent & bent_b)))
+            return EmbeddingReport(False, witness, checked + partial)
+        checked += count + pairs
     return EmbeddingReport(True, None, checked)
 
 

@@ -316,7 +316,7 @@ def _suite_maincor(seed: int) -> Iterator[tuple[str, bool]]:
 
 
 def _suite_embed(seed: int) -> Iterator[tuple[str, bool]]:
-    for q, n, chambers in ((2, 3, None), (3, 3, None), (2, 4, 1), (5, 3, 1)):
+    for q, n, chambers in ((2, 3, None), (3, 3, None), (2, 4, 1), (5, 3, 1), (2, 5, 1)):
         b = bldg.build(q, n)
         picks = b.chambers if chambers is None else b.chambers[:chambers]
         ok = all(bldg.verify_dbl_embedding(b, c).ok for c in picks)

@@ -9,8 +9,10 @@ incidence is checked against a rank oracle (row reduction over F_q), the
 line masks against masks built by tuple arithmetic, the opposite chambers
 against a filter of every chamber of the building, apartments found by
 AND-ing per-line holder bitsets against apartments spanned by row
-reduction, also on random frames, and the bitset pair check of
-``verify_dbl_embedding`` against an explicit loop over cell pairs.
+reduction, also on random frames, the bending tables against one
+``chamber_of_perm`` call per permutation, and ``verify_dbl_embedding``
+against an explicit loop over cell pairs and against a bitset scan of the
+present cells over every doubling chamber in turn.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import obstructor.building as bldg
 from obstructor.building import (
     Apartment,
     Building,
+    EmbeddingReport,
     EmbeddingWitness,
     _bending_table,
     build,
@@ -38,7 +41,7 @@ from obstructor.building import (
     standard_flag,
     verify_dbl_embedding,
 )
-from obstructor.complexes import double_over
+from obstructor.complexes import double_over, signings
 from obstructor.coxeter import coxeter_complex, symmetric
 from obstructor.errors import CertificateError, ResourceLimitError
 from obstructor.homology import betti_numbers
@@ -537,6 +540,25 @@ def test_construction_cross_checks_raise(b23, monkeypatch):
         opp_complex(b, dp)
 
 
+def test_embedding_check_refuses_opposite_chambers_out_of_dimension_order(b23, monkeypatch):
+    dp = standard_flag(b23)
+    opp = opposite_chambers(b23, dp)
+    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: tuple(d[::-1] for d in opp))
+    with pytest.raises(CertificateError, match="is not a flag of dimensions 1..2"):
+        verify_dbl_embedding(b23, dp)
+
+
+def test_building_refuses_vertices_out_of_dimension_order(b24):
+    """A plane and a 3-space swapped, with their masks, keep the lines first
+    and every mask's popcount, and are refused before a chamber is read."""
+    plane, space = b24.vertex_dims.index(2), b24.vertex_dims.index(3)
+    order = list(range(len(b24.vertices)))
+    order[plane], order[space] = space, plane
+    vertices, masks = [b24.vertices[v] for v in order], [b24.masks[v] for v in order]
+    with pytest.raises(CertificateError, match="vertices are not sorted by dimension"):
+        Building(b24.q, b24.n, vertices, b24.chambers, masks)
+
+
 def _with(b: Building, chambers: tuple) -> tuple:
     """``Building`` arguments of ``b`` with other chambers."""
     return b.q, b.n, b.vertices, chambers, b.masks
@@ -948,6 +970,35 @@ def test_bending_partitions_the_apartment(b23):
     }
 
 
+def bending_table_by_perms(b: Building, dp, sigma) -> dict:
+    """The bending table from one ``chamber_of_perm`` call per permutation
+    w of S_n, filed under the right-descent set of w^{-1} shifted to flag
+    levels 1..n-1."""
+    apt = Apartment(b, bldg._frame_lines(b, dp, sigma))
+    system = symmetric(b.n)
+    table: dict = {}
+    for w in system.elements():
+        table.setdefault(frozenset(s + 1 for s in system.in_set_inverse(w)), set()).add(apt.chamber_of_perm(w))
+    return {levels: frozenset(chambers) for levels, chambers in table.items()}
+
+
+def test_bending_tables_match_the_permutation_oracle(b23, b33, b24):
+    for b in (b23, b33, b24):
+        dp = b.chambers[len(b.chambers) // 2]
+        for sigma in opposite_chambers(b, dp):
+            assert _bending_table(b, dp, sigma) == bending_table_by_perms(b, dp, sigma)
+
+
+def test_signing_patterns_number_the_cells_as_signings_does(b23, b33, b24):
+    for b in (b23, b33, b24):
+        for sigma in opposite_chambers(b, standard_flag(b)):
+            patterns = bldg._signing_patterns(b.n)
+            cells = [tuple(2 * v + bit for v, bit in zip(sigma, bits)) for bits, _ in patterns]
+            assert cells == list(signings(sigma, sigma))
+            for cell, (_, minus) in zip(cells, patterns):
+                assert minus == frozenset(b.vertex_dims[sv >> 1] for sv in cell if not sv & 1)
+
+
 def test_doubled_opposition_complex_embeds(b23, b33):
     report = verify_dbl_embedding(b23, b23.chambers[0])
     assert report.ok and report.witness is None
@@ -1046,6 +1097,132 @@ def first_collision(b: Building, dp) -> EmbeddingWitness | None:
                     delta, sigma, signed(minus_a, plus_a), tau, signed(minus_b, plus_b), tuple(sorted(set_a & set_b))
                 )
     return None
+
+
+def verify_dbl_embedding_by_scan(b: Building, delta_plus) -> EmbeddingReport:
+    """``verify_dbl_embedding`` as a scan of every doubling chamber in turn.
+
+    The signings of every sigma over all of sigma are numbered once, in
+    (sigma, cell) order.  Cell j keeps two bitsets of later cells: those
+    sharing no signed vertex with it, and those among them sharing a bent
+    chamber with it.  Over each Delta the present cells, those with no plus
+    vertex outside Delta, are walked in order, each counting its present
+    disjoint partners, up to the first with a present colliding one.
+    """
+    dp = b.chamber_ids(delta_plus)
+    opp = opposite_chambers(b, dp)
+    cells: list = []
+    at_vertex: dict = {}
+    at_chamber: dict = {}
+    for sigma in opp:
+        table = bldg._bending_table(b, dp, sigma)
+        for cell in signings(sigma, sigma):
+            bent = table[frozenset(b.vertex_dims[sv >> 1] for sv in cell if not sv & 1)]
+            bit = 1 << len(cells)
+            cells.append((sigma, cell, bent))
+            for sv in cell:
+                at_vertex[sv] = at_vertex.get(sv, 0) | bit
+            for chamber in bent:
+                at_chamber[chamber] = at_chamber.get(chamber, 0) | bit
+    every = (1 << len(cells)) - 1
+    disjoint, colliding = [], []  # bit i stands for cell j + 1 + i
+    for j, (_, cell, bent) in enumerate(cells):
+        touching = covering = 0
+        for sv in cell:
+            touching |= at_vertex[sv]
+        for chamber in bent:
+            covering |= at_chamber[chamber]
+        later = (every ^ touching) >> (j + 1)
+        disjoint.append(later)
+        colliding.append(later & covering >> (j + 1))
+    checked = 0
+    for delta in opp:
+        present = every
+        for sv, holders in at_vertex.items():
+            if sv & 1 and sv >> 1 not in delta:
+                present &= ~holders
+        rest = present
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest ^= 1 << j
+            partners = present >> (j + 1)
+            checked += (partners & disjoint[j]).bit_count()
+            hits = partners & colliding[j]
+            if hits:
+                sigma, cell, bent = cells[j]
+                tau, cell_b, bent_b = cells[j + (hits & -hits).bit_length()]
+                witness = EmbeddingWitness(delta, sigma, cell, tau, cell_b, tuple(sorted(bent & bent_b)))
+                return EmbeddingReport(False, witness, checked)
+    return EmbeddingReport(True, None, checked)
+
+
+def marked(b, dp, sigma):
+    """Every cell bends onto the marker of its minus level set alone, so two
+    cells collide exactly when their minus parts have equal level sets."""
+    levels = range(1, b.n)
+    return {frozenset(s): frozenset({s}) for r in range(b.n) for s in combinations(levels, r)}
+
+
+def shared_marker(shared: dict):
+    """A bending table under which each cell bends onto a marker of its
+    own, except that the cell of ``sigma`` with minus levels ``shared[sigma]``
+    bends onto the one shared marker ``()``."""
+
+    def table(b, dp, sigma):
+        levels = [frozenset(s) for r in range(b.n) for s in combinations(range(1, b.n), r)]
+        return {s: frozenset({()} if shared.get(sigma) == s else {(sigma, tuple(s))}) for s in levels}
+
+    return table
+
+
+def test_split_count_matches_the_scan(b23, b33, b24, monkeypatch):
+    for b, chambers in ((b23, b23.chambers), (b33, b33.chambers), (b24, b24.chambers[::40])):
+        for c in chambers:
+            assert verify_dbl_embedding(b, c) == verify_dbl_embedding_by_scan(b, c)
+    dp = standard_flag(b23)
+    opp = opposite_chambers(b23, dp)
+    line, plane = opp[-1]
+    (sigma,) = [c for c in opp if line in c and c != opp[-1]]
+    (tau,) = [c for c in opp if plane in c and c != opp[-1]]
+    for table in (marked, shared_marker({sigma: frozenset({2}), tau: frozenset({1})})):
+        monkeypatch.setattr("obstructor.building._bending_table", table)
+        for c in b23.chambers[:3] + (dp,):
+            assert verify_dbl_embedding(b23, c) == verify_dbl_embedding_by_scan(b23, c)
+        assert verify_dbl_embedding(b23, dp).ok is False
+
+
+def _one_clash(b: Building, opp, kind: str) -> dict:
+    """Minus level sets, by chamber, of two disjoint cells over a common
+    doubling chamber: two all-minus cells, an all-minus cell and one with
+    its plane plus, or two cells with one plus vertex each.  The plus cells
+    are taken off ``opp[0]``, so their clash is found over a later one."""
+    full, plane_plus, line_plus = frozenset({1, 2}), frozenset({1}), frozenset({2})
+    for sigma, tau in permutations(opp, 2):
+        if kind == "minus-minus" and not set(sigma) & set(tau):
+            return {sigma: full, tau: full}
+        if kind == "minus-plus" and tau[1] not in opp[0] and tau[0] not in sigma:
+            return {sigma: full, tau: plane_plus}
+        if kind == "plus-plus" and not set(sigma) & set(tau) and sigma[0] not in opp[0] and (sigma[0], tau[1]) in opp:
+            return {sigma: line_plus, tau: plane_plus}
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", ["minus-minus", "minus-plus", "plus-plus"])
+def test_a_clash_in_each_pair_class_of_the_split(b23, kind, monkeypatch):
+    """One disjoint pair of cells shares a marker chamber, in each class of
+    pairs the split count counts apart; the report, ``pairs_checked``
+    included, is the scan's, and the witness is the first collision."""
+    dp = standard_flag(b23)
+    opp = opposite_chambers(b23, dp)
+    shared = _one_clash(b23, opp, kind)
+    monkeypatch.setattr("obstructor.building._bending_table", shared_marker(shared))
+    report = verify_dbl_embedding(b23, dp)
+    assert report.ok is False and report == verify_dbl_embedding_by_scan(b23, dp)
+    w = report.witness
+    assert w == first_collision(b23, dp) and w.overlap == ((),) and {w.sigma, w.tau} == set(shared)
+    plus = sorted(any(sv & 1 for sv in cell) for cell in (w.alpha, w.beta))
+    assert plus == {"minus-minus": [False, False], "minus-plus": [False, True], "plus-plus": [True, True]}[kind]
+    assert (w.doubling_chamber == opp[0]) == (kind == "minus-minus")
 
 
 def test_pairs_checked_is_pinned(b23, b33, b24):
