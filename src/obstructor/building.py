@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
 from math import isqrt, prod
-from operator import le, lt, or_
+from operator import itemgetter, le, lt, or_
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, signings
@@ -173,9 +173,12 @@ class Building:
         if not all(map(le, self.vertex_dims, self.vertex_dims[1:])):
             raise CertificateError("vertices are not sorted by dimension")
         start = [bisect_left(self.vertex_dims, k) for k in range(1, n + 1)]  # start[k - 1]: first id of dimension k
-        levels = list(zip(*self.chambers))  # levels[k - 1]: the k-th vertex of every chamber
-        in_order = set(map(len, self.chambers)) <= {n - 1} and all(all(map(lt, a, b)) for a, b in zip(levels, levels[1:]))
-        flags = in_order and all(start[k - 1] <= min(level) and max(level) < start[k] for k, level in enumerate(levels, 1))
+        # Vertex k of a flag, counted from 0, has dimension k + 1, so its id is in
+        # [start[k], start[k + 1]) and the flag's ids ascend.
+        flags = set(map(len, self.chambers)) == {n - 1} and all(
+            start[k] <= min(map(itemgetter(k), self.chambers)) and max(map(itemgetter(k), self.chambers)) < start[k + 1]
+            for k in range(n - 1)
+        )
         if not flags and any(len(set(c)) < len(c) for c in self.chambers):
             raise ValueError("a chamber repeats a vertex")
         if not flags or len(on_chamber) < len(self.vertices) or not all(map(lt, self.chambers, self.chambers[1:])):

@@ -204,7 +204,7 @@ def cmd_opp(args: argparse.Namespace) -> int:
     chamber = b.chambers[args.chamber]
     opp = bldg.opp_complex(b, chamber)
     bettis = homology.betti_numbers(opp)
-    n_chambers = len([f for f in opp.facets if len(f) == args.n - 1])
+    n_chambers = len(opp.facets)
     payload = {
         "command": "opp",
         "input": {"q": args.q, "n": args.n, "chamber": args.chamber},

@@ -259,11 +259,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     if len(a.facets) * len(b.facets) > DEFAULT_MAX_CELLS:
         raise ResourceLimitError(f"{len(a.facets)} x {len(b.facets)} joined facets exceeds cap {DEFAULT_MAX_CELLS}")
     off = a.num_vertices
-    facets = [fa + tuple(v + off for v in fb) for fa in a.facets for fb in b.facets]
-    if not a.facets:
-        facets = [tuple(v + off for v in fb) for fb in b.facets]
-    if not b.facets:
-        facets = list(a.facets)
+    facets = [fa + tuple(v + off for v in fb) for fa in a.facets or [()] for fb in b.facets or [()]]
     labels = None
     if a.labels is not None or b.labels is not None:
         labels = tuple(

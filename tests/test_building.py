@@ -591,6 +591,18 @@ def test_building_rejects_chambers_that_are_not_its_facets(b23, bad, error):
         Building(*bad(b23))
 
 
+def test_building_refuses_no_chambers(b23):
+    with pytest.raises(CertificateError, match="chambers are not the facets of the building"):
+        Building(*_with(b23, ()))
+
+
+def test_building_refuses_a_chamber_of_two_planes(b23):
+    """Two planes ascend and each is at or above its level's first id, but
+    the first is above the lines' id block, so they are no flag."""
+    with pytest.raises(CertificateError, match="chambers are not the facets of the building"):
+        Building(*_with(b23, b23.chambers + ((len(b23.vertices) - 2, len(b23.vertices) - 1),)))
+
+
 def test_building_complex_is_built_when_read():
     b = build(2, 3)
     assert "complex" not in vars(b)

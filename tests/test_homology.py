@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from itertools import combinations
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from obstructor.complexes import (
     SimplicialComplex,
@@ -26,7 +26,8 @@ from obstructor.complexes import (
     path_complex,
     points_complex,
 )
-from obstructor.homology import betti, betti_numbers, boundary_maps, cycle_basis
+from obstructor.gf2 import GF2Vector
+from obstructor.homology import _boundaries, betti, betti_numbers, cycle_basis
 
 
 def sphere_via_boundary(n: int) -> SimplicialComplex:
@@ -120,14 +121,29 @@ def test_empty_complex():
 
 def test_boundary_shapes_and_composition():
     k = octahedralize(full_simplex(3))
-    cells = {d: k.faces(d) for d in range(4)}
-    assert [len(c) for c in cells.values()] == [6, 12, 8, 0]
-    boundary = boundary_maps(cells, lambda s: combinations(s, len(s) - 1))
+    assert [len(k.faces(d)) for d in range(4)] == [6, 12, 8, 0]
+    boundary = _boundaries(k, 0, 3)
     assert sorted(boundary) == [1, 2, 3]  # no layer -1, so no map in dimension 0
     assert (boundary[1].rows, boundary[1].cols) == (6, 12)
     assert (boundary[2].rows, boundary[2].cols) == (12, 8)
     assert (boundary[3].rows, boundary[3].cols) == (8, 0)
     assert (boundary[1] @ boundary[2]).is_zero()
+
+
+@given(small_complexes())
+@example(octahedralize(full_simplex(3)))
+def test_boundary_entries_are_the_incidence(k):
+    """Column j of each map, read as the image of the j-th unit vector, holds
+    exactly the faces s - {v} of the j-th face s; a vertex has none."""
+    boundary = _boundaries(k, -1, k.dimension)
+    for d in range(k.dimension + 1):
+        below = {f: i for i, f in enumerate(k.faces(d - 1))}
+        m = boundary[d]
+        assert (m.rows, m.cols) == (len(below), len(k.faces(d)))
+        for j, s in enumerate(k.faces(d)):
+            image = m.apply(GF2Vector(m.cols, 1 << j)).support()
+            drops = {below[tuple(u for u in s if u != v)] for v in s} if d > 0 else set()
+            assert image == tuple(sorted(drops)), (d, s)
 
 
 def test_five_cycle_cycle_space():
