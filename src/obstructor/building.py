@@ -4,7 +4,9 @@ Vertices are the proper nonzero subspaces of F_q^n (q prime).  A subspace
 is its tuple of reduced row echelon rows, so equality is structural, and
 ``b.vertices[v]`` is the rows of vertex ``v``.  Simplices are chains
 under inclusion and chambers are complete flags.  A chamber is named by
-its sorted tuple of vertex ids.  On top of the complex this module
+its sorted tuple of vertex ids.  The chambers are grown from the line
+masks only when read, and checked by their count, [n]_q!; nothing that
+builds or checks Opp(C) reads them.  On top of the complex this module
 provides what the paper's constructions use: opposite chambers
 (pairwise-transversal flags), the opposition complex Opp(C), the unique
 apartment through two opposite chambers and its coordinates by the
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
 from math import isqrt, prod
-from operator import itemgetter, le, lt, or_
+from operator import le, lt, or_
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, signings
@@ -138,21 +140,11 @@ class Building:
     ``0 .. lines_in[n] - 1``, and ``lines_in[d]`` counts the lines of a
     d-dimensional subspace.  The bitsets ``holders[l]`` (vertices holding
     line ``l``) and ``of_dim[d]`` (vertices of dimension d) are lazy, and
-    so is the labelled ``complex``.  Its facets are the chambers as given,
-    checked eagerly: a chamber's vertices have dimensions 1..n-1 in order
-    and strictly increasing ids, the chambers strictly ascend, and every
-    vertex lies on one.  An id out of range or repeated raises ``ValueError``
-    as ``SimplicialComplex`` would, the rest ``CertificateError``.
+    so are the ``chambers``, grown from the masks and checked by count when
+    first read, and the labelled ``complex`` whose facets they are.
     """
 
-    def __init__(
-        self,
-        q: int,
-        n: int,
-        vertices: Sequence[Rows],
-        chambers: Sequence[Simplex],
-        masks: Sequence[int],
-    ) -> None:
+    def __init__(self, q: int, n: int, vertices: Sequence[Rows], masks: Sequence[int]) -> None:
         self.q = q
         self.n = n
         self.vertices = tuple(vertices)
@@ -166,23 +158,23 @@ class Building:
             raise CertificateError("line masks disagree with the subspace dimensions")
         if self.masks[: self.lines_in[n]] != tuple(1 << line for line in range(self.lines_in[n])):
             raise CertificateError("line vertices are not the first vertex ids")
-        self.chambers = tuple(chambers)
-        on_chamber = set().union(*self.chambers)
-        if not on_chamber <= set(range(len(self.vertices))):
-            raise ValueError("a chamber names a vertex id out of range")
         if not all(map(le, self.vertex_dims, self.vertex_dims[1:])):
             raise CertificateError("vertices are not sorted by dimension")
-        start = [bisect_left(self.vertex_dims, k) for k in range(1, n + 1)]  # start[k - 1]: first id of dimension k
-        # Vertex k of a flag, counted from 0, has dimension k + 1, so its id is in
-        # [start[k], start[k + 1]) and the flag's ids ascend.
-        flags = set(map(len, self.chambers)) == {n - 1} and all(
-            start[k] <= min(map(itemgetter(k), self.chambers)) and max(map(itemgetter(k), self.chambers)) < start[k + 1]
-            for k in range(n - 1)
-        )
-        if not flags and any(len(set(c)) < len(c) for c in self.chambers):
-            raise ValueError("a chamber repeats a vertex")
-        if not flags or len(on_chamber) < len(self.vertices) or not all(map(lt, self.chambers, self.chambers[1:])):
+
+    @cached_property
+    def chambers(self) -> tuple[Simplex, ...]:
+        """Every complete flag, in ascending order.
+
+        The vertices are distinct proper nonzero subspaces, so ``_flags``
+        yields distinct chains, each inside the next, one vertex per
+        dimension present.  F_q^n has [n]_q! flags of dimensions 1..n-1 and
+        fewer chains of any other set of dimensions (Abramenko-Brown,
+        *Buildings*, 2008, ch. 6), so [n]_q! chains are all the flags.
+        """
+        chambers = tuple(_flags(self.masks, self.vertex_dims, range(len(self.vertices))))
+        if len(chambers) != _flag_count(self.q, self.n):
             raise CertificateError("chambers are not the facets of the building")
+        return chambers
 
     @cached_property
     def complex(self) -> SimplicialComplex:
@@ -198,15 +190,22 @@ class Building:
         return tuple(sum(1 << v for v, dim in enumerate(self.vertex_dims) if dim == d) for d in range(self.n))
 
     def chamber_ids(self, chamber: Iterable[int]) -> Simplex:
-        """The sorted vertex ids of a chamber of this building, in any order."""
+        """The sorted vertex ids of a chamber of this building, in any order,
+        read off no chamber list: ids of dimensions 1..n-1, each mask inside
+        the next."""
         ids = tuple(sorted(int(v) for v in chamber))
-        i = bisect_left(self.chambers, ids)
-        if self.chambers[i : i + 1] != (ids,):
+        dims = tuple(self.vertex_dims[v] if 0 <= v < len(self.vertices) else 0 for v in ids)
+        if dims != tuple(range(1, self.n)) or any(self.masks[u] & ~self.masks[w] for u, w in zip(ids, ids[1:])):
             raise ValueError(f"{ids} is not a chamber of this building")
         return ids
 
     def __repr__(self) -> str:
-        return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={len(self.chambers)})"
+        return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={_flag_count(self.q, self.n)})"
+
+
+def _flag_count(q: int, n: int) -> int:
+    """[n]_q!, the number of complete flags of F_q^n."""
+    return prod((q**i - 1) // (q - 1) for i in range(1, n + 1))
 
 
 def _line_masks(q: int, n: int, vertices: Sequence[Rows]) -> list[int]:
@@ -262,12 +261,11 @@ def build(q: int, n: int) -> Building:
     if n < 2:
         raise ValueError(f"need ambient dimension >= 2, got {n}")
     _check_field(q, n)
-    count = prod((q**i - 1) // (q - 1) for i in range(1, n + 1))
+    count = _flag_count(q, n)
     if count > DEFAULT_MAX_CELLS:
         raise ResourceLimitError(f"{count} chambers exceeds cap {DEFAULT_MAX_CELLS}")
     vertices = [rows for k in range(1, n) for rows in enumerate_subspaces(q, n, k)]
-    masks = _line_masks(q, n, vertices)
-    return Building(q, n, vertices, _flags(masks, [len(rows) for rows in vertices], range(len(vertices))), masks)
+    return Building(q, n, vertices, _line_masks(q, n, vertices))
 
 
 # -- opposition ------------------------------------------------------

@@ -6,8 +6,9 @@ tuples, flag counts from the group-order formula |GL_n| / |Borel|, and
 first Betti numbers of graphs from E - V + #components via a plain BFS.
 None of those paths touch the enumeration code under test.  Subspace
 incidence is checked against a rank oracle (row reduction over F_q), the
-line masks against masks built by tuple arithmetic, the opposite chambers
-against a filter of every chamber of the building, apartments found by
+line masks against masks built by tuple arithmetic, ``chamber_ids``
+against bisecting the chamber list, the opposite chambers against a
+filter of every chamber of the building, apartments found by
 AND-ing per-line holder bitsets against apartments spanned by row
 reduction, also on random frames, the bending tables against one
 ``chamber_of_perm`` call per permutation, and ``verify_dbl_embedding``
@@ -18,6 +19,7 @@ present cells over every doubling chamber in turn.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
@@ -523,12 +525,10 @@ def test_build_refuses_more_chambers_than_the_cap_at_once(monkeypatch):
 
 def test_construction_cross_checks_raise(b23, monkeypatch):
     b = b23
-    with pytest.raises(CertificateError):  # a chamber that is not a facet
-        Building(b.q, b.n, b.vertices, b.chambers + (b.chambers[0][:1],), b.masks)
     with pytest.raises(CertificateError):  # a line mask with a bit too many
-        Building(b.q, b.n, b.vertices, b.chambers, (b.masks[0] | 2,) + b.masks[1:])
+        Building(b.q, b.n, b.vertices, (b.masks[0] | 2,) + b.masks[1:])
     with pytest.raises(CertificateError):  # lines not first among the vertices
-        Building(b.q, b.n, b.vertices, b.chambers, (b.masks[1],) + b.masks[1:])
+        Building(b.q, b.n, b.vertices, (b.masks[1],) + b.masks[1:])
     dp = standard_flag(b)
     with pytest.raises(CertificateError):  # flag levels sharing a plane, not a line
         _bending_table(b, dp, dp)
@@ -550,57 +550,100 @@ def test_embedding_check_refuses_opposite_chambers_out_of_dimension_order(b23, m
 
 def test_building_refuses_vertices_out_of_dimension_order(b24):
     """A plane and a 3-space swapped, with their masks, keep the lines first
-    and every mask's popcount, and are refused before a chamber is read."""
+    and every mask's popcount, and are refused at construction."""
     plane, space = b24.vertex_dims.index(2), b24.vertex_dims.index(3)
     order = list(range(len(b24.vertices)))
     order[plane], order[space] = space, plane
     vertices, masks = [b24.vertices[v] for v in order], [b24.masks[v] for v in order]
     with pytest.raises(CertificateError, match="vertices are not sorted by dimension"):
-        Building(b24.q, b24.n, vertices, b24.chambers, masks)
+        Building(b24.q, b24.n, vertices, masks)
 
 
-def _with(b: Building, chambers: tuple) -> tuple:
-    """``Building`` arguments of ``b`` with other chambers."""
-    return b.q, b.n, b.vertices, chambers, b.masks
+def _grown(edit):
+    """Read the chambers of a new ``build(b.q, b.n)`` whose ``_flags``
+    returns ``edit(b, chambers)`` of its own list; none is grown before."""
+    def read(b: Building, monkeypatch) -> tuple:
+        flags = bldg._flags
+        monkeypatch.setattr(bldg, "_flags", lambda *args: edit(b, flags(*args)))
+        fresh = build(b.q, b.n)
+        assert "chambers" not in vars(fresh)
+        return fresh.chambers
+    return read
+
+
+NOT_A_CHAMBER, NOT_THE_FACETS = "is not a chamber of this building", "chambers are not the facets of the building"
 
 
 @pytest.mark.parametrize(
-    "bad, error",
+    "bad, error, match",
     [
-        pytest.param(lambda b: _with(b, (b.chambers[0][::-1],) + b.chambers[1:]), CertificateError,
-                     id="chamber-out-of-dimension-order"),
-        pytest.param(lambda b: _with(b, (b.chambers[1], b.chambers[0]) + b.chambers[2:]), CertificateError,
-                     id="chambers-unsorted"),
-        pytest.param(lambda b: _with(b, b.chambers[:1] + b.chambers), CertificateError, id="chamber-repeated"),
-        pytest.param(lambda b: _with(b, ((b.chambers[0][0],) * 2,) + b.chambers), ValueError,
-                     id="vertex-repeated-in-a-chamber"),
-        pytest.param(lambda b: _with(b, ((-1, b.chambers[0][1]),) + b.chambers), ValueError, id="negative-id"),
-        pytest.param(lambda b: _with(b, b.chambers + ((b.chambers[-1][0], len(b.vertices)),)), ValueError,
+        pytest.param(lambda b, _: b.chamber_ids((-1, b.chambers[0][1])), ValueError, NOT_A_CHAMBER, id="negative-id"),
+        pytest.param(lambda b, _: b.chamber_ids((b.chambers[-1][0], len(b.vertices))), ValueError, NOT_A_CHAMBER,
                      id="id-past-the-last-vertex"),
-        pytest.param(lambda b: _with(b, tuple(c for c in b.chambers if len(b.vertices) - 1 not in c)), CertificateError,
-                     id="vertex-on-no-chamber"),
-        pytest.param(lambda b: (b.q, b.n, b.vertices[:3], b.chambers, b.masks[:3]), CertificateError,
-                     id="fewer-vertices-than-lines"),
+        pytest.param(lambda b, _: b.chamber_ids((b.chambers[0][0],) * 2), ValueError, NOT_A_CHAMBER,
+                     id="vertex-repeated-in-a-chamber"),
+        pytest.param(lambda b, _: b.chamber_ids((len(b.vertices) - 2, len(b.vertices) - 1)), ValueError, NOT_A_CHAMBER,
+                     id="two-planes"),
+        pytest.param(lambda b, _: b.chamber_ids(b.chambers[0][:1]), ValueError, NOT_A_CHAMBER, id="wrong-length"),
+        pytest.param(lambda b, _: b.chamber_ids(()), ValueError, NOT_A_CHAMBER, id="empty"),
+        pytest.param(_grown(lambda b, chambers: chambers[1:]), CertificateError, NOT_THE_FACETS, id="chamber-dropped"),
+        pytest.param(_grown(lambda b, chambers: [c for c in chambers if len(b.vertices) - 1 not in c]), CertificateError,
+                     NOT_THE_FACETS, id="vertex-on-no-chamber"),
+        pytest.param(_grown(lambda b, chambers: chambers[:1] + chambers), CertificateError, NOT_THE_FACETS,
+                     id="chamber-repeated"),
+        pytest.param(lambda b, _: Building(b.q, b.n, b.vertices[:3], b.masks[:3]), CertificateError,
+                     "line vertices are not the first vertex ids", id="fewer-vertices-than-lines"),
     ],
 )
-def test_building_rejects_chambers_that_are_not_its_facets(b23, bad, error):
-    """Each input that ``SimplicialComplex(chambers).facets == chambers``
-    refuses is refused with the same exception type; fewer vertices than
-    lines is refused before any chamber is read."""
-    with pytest.raises(error):
-        Building(*bad(b23))
+def test_building_rejects_chambers_that_are_not_its_facets(b23, monkeypatch, bad, error, match):
+    """An id tuple that is no flag, which ``SimplicialComplex`` would refuse
+    as a facet, is refused by ``chamber_ids`` with ``ValueError``.  Grown
+    chambers short of [n]_q! (one dropped, or all on the last hyperplane)
+    or past it (one repeated) are refused by their count on the first read,
+    and fewer vertices than lines at construction, with
+    ``CertificateError``."""
+    with pytest.raises(error, match=match):
+        bad(b23, monkeypatch)
 
 
-def test_building_refuses_no_chambers(b23):
-    with pytest.raises(CertificateError, match="chambers are not the facets of the building"):
-        Building(*_with(b23, ()))
+def test_building_refuses_no_chambers(b23, monkeypatch):
+    with pytest.raises(CertificateError, match=NOT_THE_FACETS):
+        _grown(lambda b, chambers: [])(b23, monkeypatch)
 
 
-def test_building_refuses_a_chamber_of_two_planes(b23):
-    """Two planes ascend and each is at or above its level's first id, but
-    the first is above the lines' id block, so they are no flag."""
-    with pytest.raises(CertificateError, match="chambers are not the facets of the building"):
-        Building(*_with(b23, b23.chambers + ((len(b23.vertices) - 2, len(b23.vertices) - 1),)))
+def in_chambers_by_bisect(b: Building, ids: tuple[int, ...]) -> bool:
+    """Whether sorted ``ids`` is a chamber, by bisecting the chamber list."""
+    i = bisect_left(b.chambers, ids)
+    return b.chambers[i : i + 1] == (ids,)
+
+
+def test_chamber_ids_matches_the_bisect_oracle(b23, b33, b24):
+    """Every (n-1)-subset of vertex ids, 43,680 of them at (2,4), is taken
+    in reverse order iff it is a chamber of the list."""
+    for b in (b23, b33, b24):
+        accepted = 0
+        for ids in combinations(range(len(b.vertices)), b.n - 1):
+            if in_chambers_by_bisect(b, ids):
+                assert b.chamber_ids(ids[::-1]) == ids
+                accepted += 1
+            else:
+                with pytest.raises(ValueError, match=NOT_A_CHAMBER):
+                    b.chamber_ids(ids[::-1])
+        assert accepted == len(b.chambers)
+
+
+def test_building_chambers_are_built_when_read():
+    """Opp(C), its doubling check and apartments read no chamber list; the
+    first read grows all [4]_2! = 315, the building complex's facets."""
+    b = build(2, 4)
+    assert repr(b) == "Building(q=2, n=4, vertices=65, chambers=315)"
+    dp = standard_flag(b)
+    opposite_chambers(b, dp)
+    opp_complex(b, dp)
+    assert verify_dbl_embedding(b, dp).ok
+    Apartment(b, coordinate_frame(b))
+    assert "chambers" not in vars(b)
+    assert len(b.chambers) == 315 and b.chambers == b.complex.facets
 
 
 def test_building_complex_is_built_when_read():
