@@ -176,6 +176,18 @@ class Building:
             raise CertificateError("chambers are not the facets of the building")
         return chambers
 
+    def chamber(self, i: int) -> Simplex:
+        """``chambers[i]``, walked alone: the flags through a d-subspace number
+        [n-d]_q!, so i is a mixed-radix numeral over the covers, ascending."""
+        if not 0 <= i < _flag_count(self.q, self.n):
+            raise IndexError(f"chamber index {i} out of range")
+        ids: Simplex = ()
+        for d in range(1, self.n):
+            digit, i = divmod(i, _flag_count(self.q, self.n - d))
+            m = self.masks[ids[-1]] if ids else 0
+            ids += ([v for v, (mv, dv) in enumerate(zip(self.masks, self.vertex_dims)) if dv == d and mv & m == m][digit],)
+        return ids
+
     @cached_property
     def complex(self) -> SimplicialComplex:
         labels = tuple(_label(rows) for rows in self.vertices)

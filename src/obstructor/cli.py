@@ -197,12 +197,10 @@ def cmd_homology(args: argparse.Namespace) -> int:
 def cmd_opp(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     b = bldg.build(args.q, args.n)
-    if not 0 <= args.chamber < len(b.chambers):
-        raise ValueError(
-            f"chamber index {args.chamber} out of range 0..{len(b.chambers) - 1}"
-        )
-    chamber = b.chambers[args.chamber]
-    opp = bldg.opp_complex(b, chamber)
+    count = bldg._flag_count(args.q, args.n)
+    if not 0 <= args.chamber < count:
+        raise ValueError(f"chamber index {args.chamber} out of range 0..{count - 1}")
+    opp = bldg.opp_complex(b, b.chamber(args.chamber))
     bettis = homology.betti_numbers(opp)
     n_chambers = len(opp.facets)
     payload = {
@@ -216,7 +214,7 @@ def cmd_opp(args: argparse.Namespace) -> int:
         },
     }
     lines = [
-        f"building q={args.q} n={args.n}: {len(b.chambers)} chambers",
+        f"building q={args.q} n={args.n}: {count} chambers",
         f"opposition complex of chamber {args.chamber}: {n_chambers} chambers, "
         f"{opp.num_vertices} vertices",
         "betti: " + " ".join(f"b{i}={v}" for i, v in enumerate(bettis)),

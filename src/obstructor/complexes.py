@@ -58,7 +58,7 @@ def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets."""
 
-    __slots__ = ("num_vertices", "facets", "labels", "_faces_cache", "_facet_sets")
+    __slots__ = ("num_vertices", "facets", "labels", "_faces_cache")
 
     def __init__(
         self,
@@ -114,7 +114,6 @@ class SimplicialComplex:
         self.facets: tuple[Simplex, ...] = tuple(maximal)
         self.labels: Optional[tuple[str, ...]] = labels
         self._faces_cache: dict[int, tuple[Simplex, ...]] = {}
-        self._facet_sets: Optional[tuple[frozenset[int], ...]] = None
 
     # -- introspection ------------------------------------------------
 
@@ -146,11 +145,7 @@ class SimplicialComplex:
 
     def has_face(self, simplex: Iterable[int]) -> bool:
         s = set(simplex)
-        if not s:
-            return True
-        if self._facet_sets is None:
-            self._facet_sets = tuple(frozenset(f) for f in self.facets)
-        return any(s <= fs for fs in self._facet_sets)
+        return not s or any(s.issubset(f) for f in self.facets)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -172,15 +167,15 @@ class SimplicialComplex:
     # -- flagness -----------------------------------------------------
 
     def is_flag(self) -> bool:
-        """True iff every maximal clique of the 1-skeleton is a face."""
+        """True iff every maximal clique of the 1-skeleton is a face: a face
+        holding one is a clique (its edges are faces), so equals it, and the
+        clique is a face iff it is a facet (or empty, with no vertices)."""
         adj: list[set[int]] = [set() for _ in range(self.num_vertices)]
         for a, b in self.faces(1):
             adj[a].add(b)
             adj[b].add(a)
-        for clique in _maximal_cliques(adj):
-            if not self.has_face(clique):
-                return False
-        return True
+        facets = {(), *self.facets}
+        return all(clique in facets for clique in _maximal_cliques(adj))
 
 
 def _maximal_cliques(adj: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:

@@ -14,6 +14,7 @@ __all__ = [
     "ResourceLimitError",
     "CertificateError",
     "DEFAULT_MAX_CELLS",
+    "MAX_BOUNDARY_BYTES",
 ]
 
 #: Cap on the cells of the configuration-space window a decision reads,
@@ -21,6 +22,9 @@ __all__ = [
 #: It also caps the signed facets of an octahedralization or a double,
 #: counted before any is built.
 DEFAULT_MAX_CELLS = 2_000_000
+
+#: Cap on that window's dense boundary columns, r x c bits a map of c cells.
+MAX_BOUNDARY_BYTES = 1 << 30
 
 
 class ResourceLimitError(RuntimeError):

@@ -6,14 +6,13 @@ handful of XORs on machine words, which is fast enough for every chain
 complex this package produces and stays exact.
 
 Rank, kernel and row reduction all read one column reduction per matrix.
-The columns are reduced left to right, each at its lowest nonzero row
-against the pivots of the columns before it, until it vanishes or founds a
-pivot; each carries a tag, the set of original columns it sums.  The lowest
-row is the top bit, which ``bit_length`` reads at once.  A column that
-vanishes is free, and its tag is its kernel vector.  Reducing a vector v
-reads its residue on each free column as v . tag and finds the sum of
-basis rows by one back-substitution over the pivot rows, which a caller
-that needs only the residue skips.
+The columns are reduced left to right, each at its lowest nonzero row (its
+top bit) against the pivots before it, until it vanishes (is free) or
+founds a pivot.  A column keeps only its history, the set of earlier pivot
+columns XORed into it, so its tag (the original columns it sums, a kernel
+vector if free) is column j plus the tags of its history, unrolled on
+request, and v . tag is v_j plus v . tag over it: one pass, a popcount a
+column, gives the residue and, by back-substitution, the sum of basis rows.
 
 The output is canonical.  A column vanishes iff it lies in the span of the
 columns before it, and a pivot row is a row outside the span of the rows
@@ -28,9 +27,13 @@ echelon form gives, which the obstruction certificates rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import reduce
+from operator import xor
+from typing import Iterable, Optional, Sequence
 
-__all__ = ["GF2Vector", "GF2Matrix"]
+__all__ = ["GF2Vector", "GF2Matrix", "pivot_bits"]
+
+_Reduction = tuple[dict[int, tuple[int, int]], int, Optional[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class GF2Matrix:
         self.rows = rows
         self.cols = cols
         self.columns = tuple(columns)
-        self._reduced: Optional[tuple[tuple[tuple[int, int], ...], dict[int, int]]] = None
+        self._reduced: Optional[_Reduction] = None
 
     # -- basics -------------------------------------------------------
 
@@ -136,74 +139,93 @@ class GF2Matrix:
 
     # -- elimination --------------------------------------------------
 
-    def _eliminate(self) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
-        """Column reduction, once per matrix: (the pivot columns as (pivot
-        row, reduced column), highest pivot row first; {free column: tag}).
-
-        A reduced column keeps its tag in bits 0..cols-1, original column j
-        at bit j, and its rows above them, row 0 at the top.  Its lowest row,
-        where it is reduced, is then its top bit, which ``bit_length`` reads."""
-        if self._reduced is None:
-            rows, cols = self.rows, self.cols
-            pivots: dict[int, int] = {}  # pivot row -> reduced column
-            free: dict[int, int] = {}
-            for j, c in enumerate(self.columns):
-                c = c << cols | 1 << j
-                low = rows + cols - c.bit_length()
-                while low < rows:
-                    pivot = pivots.get(low)
-                    if pivot is None:
-                        pivots[low] = c
-                        break
-                    c ^= pivot
-                    low = rows + cols - c.bit_length()
-                else:
-                    free[j] = c
-            self._reduced = (tuple(sorted(pivots.items(), reverse=True)), free)
+    def _eliminate(self, history: bool = True) -> _Reduction:
+        """``_reduce`` of the columns, once, or again to read a history."""
+        if self._reduced is None or history and self._reduced[2] is None:
+            self._reduced = _reduce(self.columns, history)
         return self._reduced
 
     def rank(self) -> int:
-        return len(self._eliminate()[0])
+        return len(self._eliminate(history=False)[0])
 
     def kernel_vector(self, free: int) -> GF2Vector:
-        """The one kernel vector that is 1 on free column ``free`` and 0 on
-        every other free column: the tag of that column, which reduced to 0."""
-        tag = self._eliminate()[1].get(free)
-        if tag is None:
+        """The one kernel vector 1 on free column ``free`` and 0 on every other
+        free column: its tag, unrolled from the top, as a history names only
+        earlier columns."""
+        _, frees, history = self._eliminate()
+        if not 0 <= free < self.cols or not frees >> free & 1:
             raise ValueError(f"column {free} is not a free column")
+        tag, pending = 0, 1 << free
+        while pending:
+            tag |= 1 << (j := pending.bit_length() - 1)
+            pending ^= 1 << j ^ history[j]
         return GF2Vector(self.cols, tag)
 
     def kernel_basis(self) -> list[GF2Vector]:
         """Basis of {x : Mx = 0}: ``kernel_vector`` of each free column,
         ascending, the same vectors a reduced echelon form gives."""
-        return [GF2Vector(self.cols, tag) for tag in self._eliminate()[1].values()]
+        _, frees, history = self._eliminate()
+        tags: list[int] = []
+        for j, used in enumerate(history):
+            tags.append(reduce(xor, [tags[p] for p in GF2Vector(j, used).support()], 1 << j))
+        return [GF2Vector(self.cols, tags[f]) for f in GF2Vector(self.cols, frees).support()]
+
+    def _pairings(self, v: GF2Vector) -> int:
+        """v . tag_j at bit j: v, with bit j flipped where v . tag is odd over
+        the history of j, left to right."""
+        if v.length != self.cols:
+            raise ValueError(f"vector length {v.length} != cols {self.cols}")
+        pairing = v.bits
+        for j, used in enumerate(self._eliminate()[2]):
+            if used and (pairing & used).bit_count() & 1:
+                pairing ^= 1 << j
+        return pairing
 
     def residue(self, v: GF2Vector) -> GF2Vector:
         """The part of v outside the row space: 0 on every pivot column and
         v . tag on each free column, so a kernel vector pairs with it as
         with v.  It is 0 iff v lies in the row space."""
-        if v.length != self.cols:
-            raise ValueError(f"vector length {v.length} != cols {self.cols}")
-        residue = 0
-        for f, tag in self._eliminate()[1].items():
-            residue |= ((v.bits & tag).bit_count() & 1) << f
-        return GF2Vector(self.cols, residue)
+        return GF2Vector(self.cols, self._pairings(v) & self._eliminate()[1])
 
     def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
         """Split v = residue + y^T M, with ``residue(v)``; y is the one sum
-        of basis rows with y^T M = v + residue, found by back-substitution
-        over the pivot rows, highest first: y pairs with the rows of each
-        reduced column as v pairs with its tag."""
-        residue = self.residue(v)
-        # x holds v in bits 0..cols-1 and y above them, laid out as the
-        # columns are, so one popcount reads y . column + v . tag.  y is set
-        # so far only on rows after the pivot row, so the pivot row's bit
-        # settles the parity.
-        x, top = v.bits, self.rows + self.cols - 1
-        for row, c in self._eliminate()[0]:
-            if (x & c).bit_count() & 1:
-                x |= 1 << (top - row)
-        return residue, GF2Vector(self.rows, _reverse(x >> self.cols, self.rows))
+        of basis rows with y^T M = v + residue, by back-substitution over the
+        pivot rows, highest first: y pairs with each reduced column as v with
+        its tag, and y is set so far only below, so the pivot row settles it."""
+        (pivots, frees, _), pairing, y = self._eliminate(), self._pairings(v), 0
+        for top in sorted(pivots):
+            j, c = pivots[top]
+            if ((y & c).bit_count() ^ pairing >> j) & 1:
+                y |= 1 << top - 1
+        return GF2Vector(self.cols, pairing & frees), GF2Vector(self.rows, _reverse(y, self.rows))
+
+
+def _reduce(columns: Iterable[int], history: bool) -> _Reduction:
+    """The column reduction: ({top bit length of a pivot: (its column, the
+    reduced column)}, the free columns as a bitset, and per column the
+    bitset of pivot columns XORed into it, unless ``history`` is off)."""
+    pivots: dict[int, tuple[int, int]] = {}
+    free, histories = 0, [] if history else None
+    for j, c in enumerate(columns):
+        used = 0
+        while c:
+            pivot = pivots.get(top := c.bit_length())
+            if pivot is None:
+                pivots[top] = (j, c)
+                break
+            c ^= pivot[1]
+            if history:
+                used |= 1 << pivot[0]
+        else:
+            free |= 1 << j
+        if histories is not None:
+            histories.append(used)
+    return pivots, free, histories
+
+
+def pivot_bits(columns: Iterable[int]) -> set[int]:
+    """The pivots' top bits, one per unit of rank, reading a column stream once."""
+    return {top - 1 for top in _reduce(columns, history=False)[0]}
 
 
 def _reverse(bits: int, length: int) -> int:

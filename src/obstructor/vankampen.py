@@ -34,7 +34,7 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, double_over
-from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
+from .errors import DEFAULT_MAX_CELLS, MAX_BOUNDARY_BYTES, CertificateError, ResourceLimitError
 from .gf2 import GF2Matrix, GF2Vector
 from .homology import betti
 
@@ -153,7 +153,8 @@ def configuration_space(
     ``max_cells`` (default ``DEFAULT_MAX_CELLS``) caps the cells of these
     three layers together, checked first against the n-cells of the largest
     facet alone and then after each face's row of partners, and must be
-    positive; the one product of the window,
+    positive; ``MAX_BOUNDARY_BYTES`` caps the two maps' dense columns
+    before any is built.  The one product of the window,
     boundary[n] @ boundary[n+1], is checked to vanish.
     """
     if n < 1:
@@ -178,6 +179,8 @@ def configuration_space(
                 raise ResourceLimitError(f"configuration space exceeds {cap} cells by dimension {d}")
         layer.sort()
         total += len(layer)
+    if (size := len(keys[n]) * (len(keys[n - 1]) + len(keys[n + 1])) // 8) > MAX_BOUNDARY_BYTES:
+        raise ResourceLimitError(f"boundary columns of {size} bytes exceed {MAX_BOUNDARY_BYTES}")
     boundary = {d: cells.boundary(keys, d) for d in (n, n + 1)}
     if keys[n + 1] and not (boundary[n] @ boundary[n + 1]).is_zero():
         raise CertificateError(f"boundary of boundary is nonzero in dimension {n + 1}")

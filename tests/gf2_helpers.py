@@ -7,7 +7,9 @@ entry, with the range checks a hand-written example deserves, and give the
 row-wise oracles the packed rows they read (``by_rows``, ``row_bits``,
 ``transpose``), and compare matrices (``columns_of``) and add vectors
 (``xor``).  ``support_by_top_bits`` is the walk over set bits that
-``GF2Vector.support`` once ran, kept as its oracle.
+``GF2Vector.support`` once ran, and ``TaggedReduction`` the column
+reduction with a tag on every column that ``GF2Matrix`` once ran, each
+kept as the oracle of what replaced it.
 """
 
 from __future__ import annotations
@@ -126,3 +128,62 @@ def support_by_top_bits(v: GF2Vector) -> tuple[int, ...]:
         out.append(top)
         bits ^= 1 << top
     return tuple(reversed(out))
+
+
+def reverse(bits: int, length: int) -> int:
+    """``bits`` read backward over ``length`` places: bit i goes to length-1-i."""
+    return int(f"{bits:0{length}b}"[::-1], 2)
+
+
+class TaggedReduction:
+    """The column reduction with tags.  A reduced column keeps its tag, the
+    set of original columns it sums, in bits 0..cols-1, original column j
+    at bit j, and its rows above them, row 0 at the top; it is reduced at
+    its lowest row, its top bit.  A free column's tag is its kernel vector,
+    and a vector v pairs with a column's tag as v . tag, read off at once."""
+
+    def __init__(self, m: GF2Matrix) -> None:
+        rows, cols = self.rows, self.cols = m.rows, m.cols
+        pivots: dict[int, int] = {}  # pivot row -> reduced column
+        self.free: dict[int, int] = {}
+        for j, c in enumerate(m.columns):
+            c = c << cols | 1 << j
+            low = rows + cols - c.bit_length()
+            while low < rows:
+                pivot = pivots.get(low)
+                if pivot is None:
+                    pivots[low] = c
+                    break
+                c ^= pivot
+                low = rows + cols - c.bit_length()
+            else:
+                self.free[j] = c
+        self.pivots = tuple(sorted(pivots.items(), reverse=True))
+
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def kernel_vector(self, free: int) -> GF2Vector:
+        tag = self.free.get(free)
+        if tag is None:
+            raise ValueError(f"column {free} is not a free column")
+        return GF2Vector(self.cols, tag)
+
+    def kernel_basis(self) -> list[GF2Vector]:
+        return [GF2Vector(self.cols, tag) for tag in self.free.values()]
+
+    def residue(self, v: GF2Vector) -> GF2Vector:
+        residue = 0
+        for f, tag in self.free.items():
+            residue |= ((v.bits & tag).bit_count() & 1) << f
+        return GF2Vector(self.cols, residue)
+
+    def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
+        """Back-substitution over the pivot rows, highest first: x holds v
+        in bits 0..cols-1 and y above them, so one popcount reads
+        y . column + v . tag."""
+        x, top = v.bits, self.rows + self.cols - 1
+        for row, c in self.pivots:
+            if (x & c).bit_count() & 1:
+                x |= 1 << (top - row)
+        return self.residue(v), GF2Vector(self.rows, reverse(x >> self.cols, self.rows))

@@ -646,6 +646,19 @@ def test_building_chambers_are_built_when_read():
     assert len(b.chambers) == 315 and b.chambers == b.complex.facets
 
 
+def test_chamber_walk_matches_the_chamber_list():
+    """``chamber(i)`` is ``chambers[i]`` for every i, grown without the list,
+    and an index out of range is refused."""
+    for q, n in ((2, 3), (3, 3), (2, 4)):
+        b = build(q, n)
+        walked = [b.chamber(i) for i in range(bldg._flag_count(q, n))]
+        assert "chambers" not in vars(b)
+        assert tuple(walked) == b.chambers
+        for i in (-1, len(b.chambers)):
+            with pytest.raises(IndexError):
+                b.chamber(i)
+
+
 def test_building_complex_is_built_when_read():
     b = build(2, 3)
     assert "complex" not in vars(b)

@@ -166,6 +166,26 @@ def test_flag_examples():
     assert not hollow.is_flag()
 
 
+def is_flag_by_subsets(k: SimplicialComplex) -> bool:
+    """The definition: every vertex set whose pairs are all edges is a face,
+    by ``has_face`` on every subset of the vertices."""
+    edges = set(k.faces(1))
+    cliques = (
+        s for r in range(k.num_vertices + 1) for s in combinations(range(k.num_vertices), r)
+        if all(e in edges for e in combinations(s, 2))
+    )
+    return all(k.has_face(s) for s in cliques)
+
+
+@given(small_complexes())
+@example(SimplicialComplex([]))
+@example(cycle_complex(3))
+@example(SimplicialComplex([(0, 1, 2), (2, 3)], num_vertices=5))
+@example(SimplicialComplex([(0, 1), (1, 2), (0, 2), (0, 1, 3)]))
+def test_is_flag_matches_the_has_face_definition(k):
+    assert k.is_flag() == is_flag_by_subsets(k)
+
+
 @given(small_complexes())
 def test_octahedralize_preserves_and_reflects_flagness(k):
     assert octahedralize(k).is_flag() == k.is_flag()

@@ -6,7 +6,8 @@ implementation under test.  Two more oracles are eliminations the package
 once ran: the reduced row echelon form, back-substitution included, and
 the forward row elimination with tagged pivot rows that the column
 reduction replaced.  Rank, kernel basis and row reduction must equal what
-each reads off, bit for bit.
+each reads off, bit for bit.  The column reduction with a tag on every
+column, which pivot histories replaced, is the oracle of every answer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from obstructor.gf2 import GF2Matrix, GF2Vector
 from obstructor.vankampen import configuration_space, obstruction_cocycle
 
 from gf2_helpers import (
+    TaggedReduction,
     by_rows,
     columns_of,
     entry,
@@ -454,3 +456,75 @@ def test_kernel_vector_refuses_pivot_columns():
     for col in (0, 3, 5, -1):
         with pytest.raises(ValueError):
             m.kernel_vector(col)
+
+
+# -- the tagged column reduction -------------------------------------
+
+
+@st.composite
+def oracle_cases(draw, max_dim: int = 9):
+    """A random, empty, zero or full-rank matrix, and vectors to reduce."""
+    kind = draw(st.sampled_from(("random", "empty", "zero", "full rank")))
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    if kind == "empty":
+        rows, cols = draw(st.sampled_from(((0, cols), (rows, 0), (0, 0))))
+    if kind == "full rank":
+        # Unitriangular columns, shuffled: row j is the lowest of column j.
+        rows = cols
+        above = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=cols, max_size=cols))
+        columns = [r >> cols - j << cols - j | 1 << cols - 1 - j for j, r in enumerate(above)]
+        m = GF2Matrix(rows, cols, draw(st.permutations(columns)))
+    else:
+        top = 0 if kind == "zero" else (1 << rows) - 1
+        m = GF2Matrix(rows, cols, draw(st.lists(st.integers(0, top), min_size=cols, max_size=cols)))
+    vectors = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=4))
+    return kind, m, [GF2Vector(cols, v) for v in vectors]
+
+
+def assert_matches_the_tagged_oracle(m: GF2Matrix, vectors: list[GF2Vector]) -> None:
+    """Every answer equals the tagged reduction's, whether the rank (no
+    history) or a kernel vector (with it) is read first."""
+    oracle = TaggedReduction(m)
+    for first in ("rank", "kernel"):
+        fresh = GF2Matrix(m.rows, m.cols, m.columns)
+        if first == "rank":
+            assert fresh.rank() == oracle.rank()
+        for j in range(-1, m.cols + 1):
+            if j in oracle.free:
+                assert fresh.kernel_vector(j) == oracle.kernel_vector(j)
+            else:
+                with pytest.raises(ValueError):
+                    fresh.kernel_vector(j)
+        assert fresh.rank() == oracle.rank()
+        assert fresh.kernel_basis() == oracle.kernel_basis()
+        for v in vectors:
+            assert fresh.residue(v) == oracle.residue(v)
+            assert fresh.row_reduce(v) == oracle.row_reduce(v)
+
+
+@given(oracle_cases())
+@example(("empty", zero(0, 0), [GF2Vector(0, 0)]))
+@example(("empty", zero(0, 3), [GF2Vector(3, 0b101)]))
+@example(("empty", zero(3, 0), [GF2Vector(0, 0)]))
+@example(("zero", zero(2, 3), [GF2Vector(3, 0b110)]))
+@example(("full rank", identity(4), [GF2Vector(4, 0b1011)]))
+def test_reduction_matches_the_tagged_oracle(case):
+    kind, m, vectors = case
+    assert kind != "full rank" or TaggedReduction(m).rank() == m.cols
+    assert_matches_the_tagged_oracle(m, vectors)
+
+
+def test_stretch_boundary_matches_the_tagged_oracle():
+    """The 9,008 x 3,184 top boundary of the doubled stretch, its one free
+    column and the cocycle at seed 3."""
+    b = build(2, 4)
+    opp = opp_complex(b, standard_flag(b))
+    cfg = configuration_space(double_over(opp, opp.facets[0]), 4)
+    m = cfg.boundary[4]
+    oracle = TaggedReduction(m)
+    (free,) = oracle.free
+    cocycle = obstruction_cocycle(cfg, 3).values
+    assert m.kernel_vector(free) == oracle.kernel_vector(free)
+    assert m.residue(cocycle) == oracle.residue(cocycle)
+    assert m.row_reduce(cocycle) == oracle.row_reduce(cocycle)
+    assert m.rank() == oracle.rank() == 3183

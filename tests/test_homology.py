@@ -17,6 +17,7 @@ from itertools import combinations
 
 from hypothesis import example, given, strategies as st
 
+from obstructor.building import build, opp_complex, standard_flag
 from obstructor.complexes import (
     SimplicialComplex,
     cycle_complex,
@@ -26,13 +27,21 @@ from obstructor.complexes import (
     path_complex,
     points_complex,
 )
-from obstructor.gf2 import GF2Vector
-from obstructor.homology import _boundaries, betti, betti_numbers, cycle_basis
+from obstructor import gf2, homology
+from obstructor.gf2 import GF2Matrix, GF2Vector
+from obstructor.homology import _boundary, _ranks, betti, betti_numbers, cycle_basis
+
+from gf2_helpers import TaggedReduction, reverse
 
 
 def sphere_via_boundary(n: int) -> SimplicialComplex:
     """Boundary of the solid (n+1)-simplex: a triangulated n-sphere."""
     return SimplicialComplex(list(combinations(range(n + 2), n + 1)))
+
+
+def opp(q: int, n: int) -> SimplicialComplex:
+    b = build(q, n)
+    return opp_complex(b, standard_flag(b))
 
 
 def small_complexes(max_vertices: int = 6):
@@ -122,28 +131,70 @@ def test_empty_complex():
 def test_boundary_shapes_and_composition():
     k = octahedralize(full_simplex(3))
     assert [len(k.faces(d)) for d in range(4)] == [6, 12, 8, 0]
-    boundary = _boundaries(k, 0, 3)
-    assert sorted(boundary) == [1, 2, 3]  # no layer -1, so no map in dimension 0
+    boundary = {d: _boundary(k, d) for d in (1, 2, 3)}
     assert (boundary[1].rows, boundary[1].cols) == (6, 12)
     assert (boundary[2].rows, boundary[2].cols) == (12, 8)
     assert (boundary[3].rows, boundary[3].cols) == (8, 0)
-    assert (boundary[1] @ boundary[2]).is_zero()
+    # Bit i of a column is the i-th face below, so a column is its chain.
+    assert all(boundary[1].apply(GF2Vector(12, c)).is_zero() for c in boundary[2].columns)
 
 
 @given(small_complexes())
 @example(octahedralize(full_simplex(3)))
 def test_boundary_entries_are_the_incidence(k):
     """Column j of each map, read as the image of the j-th unit vector, holds
-    exactly the faces s - {v} of the j-th face s; a vertex has none."""
-    boundary = _boundaries(k, -1, k.dimension)
+    exactly the faces s - {v} of the j-th face s; a vertex has none.  The
+    rows run in descending face order, so face i is row rows-1-i."""
     for d in range(k.dimension + 1):
-        below = {f: i for i, f in enumerate(k.faces(d - 1))}
-        m = boundary[d]
+        below = {f: len(k.faces(d - 1)) - 1 - i for i, f in enumerate(k.faces(d - 1))}
+        m = _boundary(k, d)
         assert (m.rows, m.cols) == (len(below), len(k.faces(d)))
         for j, s in enumerate(k.faces(d)):
             image = m.apply(GF2Vector(m.cols, 1 << j)).support()
             drops = {below[tuple(u for u in s if u != v)] for v in s} if d > 0 else set()
             assert image == tuple(sorted(drops)), (d, s)
+
+
+@given(small_complexes())
+@example(opp(2, 4))
+@example(opp(3, 4))
+def test_clearing_keeps_the_ranks(k):
+    """Ranks read with clearing equal those of the whole maps, and the Betti
+    numbers they give sum to the Euler characteristic of the face counts."""
+    top = max(k.dimension, 0)
+    whole = {d: _boundary(k, d).rank() for d in range(top + 1, -1, -1)}
+    assert _ranks(k, -1, top + 1) == whole
+    bn = betti_numbers(k)
+    assert bn == tuple(len(k.faces(d)) - whole[d] - whole[d + 1] for d in range(top + 1))
+    assert sum((-1) ** d * b for d, b in enumerate(bn)) == k.euler_characteristic()
+
+
+def test_clearing_skips_the_pivots_one_dimension_up(monkeypatch):
+    """Opp(C) at q=2 n=4: each map is reduced without the columns that are
+    pivots of the map above, so it reads faces(d) - rank boundary[d+1]."""
+    k, read = opp(2, 4), []
+
+    def counted(columns):
+        read.append(list(columns))
+        return gf2.pivot_bits(read[-1])
+
+    monkeypatch.setattr(homology, "pivot_bits", counted)
+    ranks = _ranks(k, -1, k.dimension + 1)
+    assert [len(c) for c in read] == [len(k.faces(d)) - ranks.get(d + 1, 0) for d in range(k.dimension + 1, -1, -1)]
+    assert [len(c) for c in read] == [0, 64, 96 - 63, 32 - 31]
+
+
+@given(small_complexes())
+@example(octahedralize(full_simplex(3)))
+@example(opp(2, 4))
+def test_cycle_basis_is_the_tagged_kernel_in_face_order(k):
+    """The kernel does not depend on the row order: the tagged reduction of
+    each map with its rows in face order, row 0 the first face, gives the
+    same cycle basis."""
+    for d in range(k.dimension + 1):
+        m = _boundary(k, d)
+        face_order = GF2Matrix(m.rows, m.cols, [reverse(c, m.rows) for c in m.columns])
+        assert cycle_basis(k, d) == TaggedReduction(face_order).kernel_basis()
 
 
 def test_five_cycle_cycle_space():

@@ -159,6 +159,30 @@ def test_an_oversized_facet_is_refused_before_any_face_is_built():
     assert time.perf_counter() - started < 1.0
 
 
+def test_oversized_boundary_columns_are_refused_before_any_is_built(monkeypatch):
+    """Dbl(Opp(C)) at q=3 n=4 in R^4 has 588,294 + 297,783 cells, under the
+    cell cap, but its dense boundary columns would take 21.9 GB."""
+
+    def no_columns(*args, **kwargs):
+        pytest.fail("a boundary column was built")
+
+    b = build(3, 4)
+    opp = opp_complex(b, standard_flag(b))
+    monkeypatch.setattr(vankampen._Cells, "boundary", no_columns)
+    with pytest.raises(ResourceLimitError, match="boundary columns of 21897994025 bytes exceed 1073741824"):
+        configuration_space(double_over(opp, opp.facets[0]), 4)
+
+
+def test_the_boundary_budget_counts_rows_times_columns(monkeypatch):
+    """K5 in R^1: 30 1-cells between 10 0-cells and 15 2-cells, so the two
+    maps take 10 x 30 + 30 x 15 bits."""
+    monkeypatch.setattr(vankampen, "MAX_BOUNDARY_BYTES", 30 * (10 + 15) // 8)
+    assert configuration_space(k5(), 1).boundary[1].cols == 30
+    monkeypatch.setattr(vankampen, "MAX_BOUNDARY_BYTES", 30 * (10 + 15) // 8 - 1)
+    with pytest.raises(ResourceLimitError, match="boundary columns of 93 bytes exceed 92"):
+        configuration_space(k5(), 1)
+
+
 @pytest.mark.parametrize("m, n", [(3, 1), (5, 2), (6, 2), (6, 3), (7, 4)])
 def test_one_facet_holds_the_counted_n_cells(m, n):
     """The facet count the budget is checked against is exact on a simplex,
