@@ -30,13 +30,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, groupby, product
+from itertools import chain, combinations, groupby, product
 from math import isqrt, prod
-from operator import le, lt, or_
+from operator import le, lt
 from typing import Iterable, Optional, Sequence
 
 from .complexes import Simplex, SimplicialComplex, signings
-from .coxeter import symmetric
+from .coxeter import prefix_masks, symmetric
 from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
 
 __all__ = [
@@ -85,7 +85,9 @@ def _label(rows: Rows) -> str:
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n."""
+    """Number of k-dimensional subspaces of F_q^n; q < 2 is refused."""
+    if q < 2:
+        raise ValueError(f"need a field size q >= 2, got {q}")
     if not 0 <= k <= n:
         return 0
     num = den = 1
@@ -397,12 +399,7 @@ class Apartment:
             raise ValueError(f"frame {lines} spans only a hyperplane")
 
     def chamber_of_perm(self, w: Sequence[int]) -> Simplex:
-        key = 0
-        out = []
-        for i in range(self.n - 1):
-            key |= 1 << w[i]
-            out.append(self.vertex_of_subset[key])
-        return tuple(sorted(out))
+        return tuple(sorted(map(self.vertex_of_subset.__getitem__, prefix_masks(w))))
 
 
 # -- bending ---------------------------------------------------------
@@ -410,14 +407,11 @@ class Apartment:
 
 @lru_cache(maxsize=None)
 def _level_keys(n: int) -> tuple[tuple[frozenset[int], tuple[tuple[int, ...], ...]], ...]:
-    """Each level set (right descents of w^{-1}, shifted to flag levels) with the
-    prefix keys of its permutations w: w[:1], ..., w[:n-1] as bitmasks."""
+    """Each bending target shifted to flag levels, with the prefix masks of
+    the permutations in its bending image."""
     system = symmetric(n)
-    classes: dict[frozenset[int], list[tuple[int, ...]]] = {}
-    for w in system.elements():
-        levels = frozenset(s + 1 for s in system.in_set_inverse(w))
-        classes.setdefault(levels, []).append(tuple(accumulate([1 << i for i in w[: n - 1]], or_)))
-    return tuple((levels, tuple(keys)) for levels, keys in classes.items())
+    targets = map(frozenset, chain.from_iterable(combinations(system.generators, r) for r in range(n)))
+    return tuple((frozenset(s + 1 for s in t), tuple(map(prefix_masks, system.bending_image(t)))) for t in targets)
 
 
 def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[int], frozenset[Simplex]]:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
+from operator import or_
 from typing import Iterable, Sequence
 
 import pytest
@@ -324,6 +325,18 @@ def test_gaussian_binomial_values():
     for n, k, q in ((4, 1, 2), (4, 3, 2), (5, 2, 3)):
         assert gaussian_binomial(n, k, q) == gaussian_binomial(n, n - k, q)
     assert gaussian_binomial(3, 5, 2) == 0
+
+
+def test_gaussian_binomial_refuses_q_below_two():
+    """It counts subspaces of F_q^n, so q = 1 (a zero denominator), 0 and -1
+    are refused; ``build`` and ``enumerate_subspaces`` refuse them first."""
+    for q in (1, 0, -1):
+        with pytest.raises(ValueError):
+            gaussian_binomial(3, 1, q)
+        with pytest.raises(ValueError):
+            enumerate_subspaces(q, 3, 1)
+        with pytest.raises(ValueError):
+            build(q, 3)
 
 
 def test_enumerate_subspaces_validation():
@@ -1048,6 +1061,24 @@ def bending_table_by_perms(b: Building, dp, sigma) -> dict:
     for w in system.elements():
         table.setdefault(frozenset(s + 1 for s in system.in_set_inverse(w)), set()).add(apt.chamber_of_perm(w))
     return {levels: frozenset(chambers) for levels, chambers in table.items()}
+
+
+def level_keys_by_grouping(n: int) -> dict:
+    """The level keys from one pass over S_n: each w's prefix masks filed
+    under the adjacent descents of its inverse, shifted to flag levels."""
+    classes: dict = {}
+    for w in permutations(range(n)):
+        inv = [w.index(i) for i in range(n)]
+        levels = frozenset(s + 1 for s in range(n - 1) if inv[s] > inv[s + 1])
+        classes.setdefault(levels, []).append(tuple(accumulate([1 << i for i in w[: n - 1]], or_)))
+    return {levels: tuple(keys) for levels, keys in classes.items()}
+
+
+def test_level_keys_match_the_grouping_oracle():
+    for n in range(2, 7):
+        keys = bldg._level_keys(n)
+        assert len(keys) == 2 ** (n - 1)
+        assert dict(keys) == level_keys_by_grouping(n)
 
 
 def test_bending_tables_match_the_permutation_oracle(b23, b33, b24):

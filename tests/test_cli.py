@@ -262,6 +262,32 @@ def test_vk_certificate_output_is_pinned(monkeypatch, capsys, name, seed):
     assert tuple(digests) == CERTIFICATE_DIGESTS[name, seed]
 
 
+# sha256 of each `gen coxeter` output and of `verify coxeter`, plain and as
+# `--json` with its timing_ms line dropped, recorded while length and
+# descents still had a rule per family.
+COXETER_DIGESTS = {
+    ("gen", "coxeter", "symmetric", "2"): "d046234ab6bc0722b8688d129ff13c1da07c1df76d474e7998f1b8c2c1e8ace0",
+    ("gen", "coxeter", "symmetric", "3"): "af01f686118006021ae28f90acc7ff9429fc94f3e84dee9f78deec47b500a759",
+    ("gen", "coxeter", "symmetric", "4"): "3e42fcefe8520c1d830dd4ebfd227e2b8d163e31141824b226f1c11b9ca63343",
+    ("gen", "coxeter", "symmetric", "5"): "b172df120a8204a871c69d291f7fcb45278efa9cbbfa31c280450b2be83d8205",
+    ("gen", "coxeter", "symmetric", "6"): "3055a8f726433d78d21c2f5a1690afc19ed46fb14ac21016249f9271583dbcb0",
+    ("gen", "coxeter", "rightangled", "1"): "ccde5abee1014e3ab3bd2babd5ee4f8993416b9f07c387bd0bfd62e3c26991eb",
+    ("gen", "coxeter", "rightangled", "2"): "a351e8e17fb455fc56a12d3157e198b9291681b5061d510fddc2aeab455c2787",
+    ("gen", "coxeter", "rightangled", "3"): "6aed664ee938b115257861f82ace458b67e52f62ee0ad57d04a82caf0e9b4ada",
+    ("gen", "coxeter", "rightangled", "4"): "da8dd02b499a409ede0dcf5ef452213ade39a410bea9f79a164c50c2332243de",
+    ("verify", "coxeter"): "cd176061bd3654ce1571315ddced9375439eefa1f8d366556282083b5da0266d",
+    ("verify", "coxeter", "--json"): "bae17d2222729e2176099f95e9b9b8d597978bdcb3552971e8659466a434d179",
+}
+
+
+@pytest.mark.parametrize("args", COXETER_DIGESTS, ids=" ".join)
+def test_coxeter_output_is_pinned(capsys, args):
+    assert main(list(args)) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    kept = "".join(line for line in lines if not line.startswith('  "timing_ms":'))
+    assert hashlib.sha256(kept.encode()).hexdigest() == COXETER_DIGESTS[args]
+
+
 def test_vk_json_reports_deterministic_stats(k33_file):
     stats = json.loads(run("vk", k33_file, "2", "--json").stdout)["stats"]
     assert stats == {

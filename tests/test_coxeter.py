@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
 from obstructor.coxeter import (
+    _MAX_LETTERS,
     CoxeterSystem,
     coxeter_complex,
+    prefix_masks,
     rightangled,
     symmetric,
 )
-from obstructor.errors import ResourceLimitError
+from obstructor.errors import DEFAULT_MAX_CELLS, ResourceLimitError
 from obstructor.homology import betti_numbers
 
 
@@ -245,3 +248,114 @@ def test_rank_low_systems_have_no_wall_panels():
         cc = coxeter_complex(system)
         assert len(cc.chamber_of) == len(cc.complex.facets) == 2
         assert cc.complex.dimension == 0
+
+
+def test_reflection_separates_refuses_what_is_not_a_reflection():
+    """Only members of ``reflections()`` are accepted: a transposition
+    written backwards, a fixed pair, an out-of-range bit or a wrongly typed
+    t raises ``ValueError`` instead of answering or failing elsewhere."""
+    s3, w = symmetric(3), (1, 0, 2)
+    assert s3.reflection_separates(w, (0, 1)) is True
+    assert s3.reflection_separates(w, (1, 2)) is False
+    for t in [(1, 0), (0, 0), (0, 3), (-1, 1), (0, 1, 2), (0,), (), -1, 7, 0, "ab", (0, "1"), [0, 1], (0.0, 1), None]:
+        with pytest.raises(ValueError):
+            s3.reflection_separates(w, t)
+    ra = rightangled(3)
+    assert ra.reflection_separates(0b101, 2) is True
+    assert ra.reflection_separates(0b101, 1) is False
+    for t in [7, 3, -1, (0, 1), "1", 1.0, None]:
+        with pytest.raises(ValueError):
+            ra.reflection_separates(0b101, t)
+    s4 = symmetric(4)
+    for pair in product(range(-1, 6), repeat=2):
+        if pair in s4.reflections():
+            assert s4.reflection_separates(s4.identity(), pair) is False
+        else:
+            with pytest.raises(ValueError):
+                s4.reflection_separates(s4.identity(), pair)
+
+
+def test_symmetric_chamber_cap_is_the_largest_order_within_budget():
+    assert factorial(_MAX_LETTERS) <= DEFAULT_MAX_CELLS < factorial(_MAX_LETTERS + 1)
+
+
+def test_prefix_masks_are_the_growing_prefix_sets():
+    assert prefix_masks((2, 0, 1)) == (0b100, 0b101)
+    assert prefix_masks(range(4)) == (0b1, 0b11, 0b111)
+    assert prefix_masks((0,)) == ()
+    for n in range(2, 7):
+        for w in permutations(range(n)):
+            assert prefix_masks(w) == tuple(sum(1 << x for x in w[:k]) for k in range(1, n))
+
+
+# -- the former per-family rules, as oracles -------------------------
+
+
+def inversion_count(w: tuple[int, ...]) -> int:
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def adjacent_descents(w: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(s for s in range(len(w) - 1) if w[s] > w[s + 1])
+
+
+def set_bits(w: int, r: int) -> frozenset[int]:
+    return frozenset(s for s in range(r) if (w >> s) & 1)
+
+
+def frozenset_prefix_complex(n: int) -> tuple[list[str], dict]:
+    """Labels and chambers of the symmetric complex, built with frozenset
+    vertices: subsets by size, then lexicographically, and the chamber of w
+    the sorted ids of its growing prefix sets."""
+    subsets = [frozenset(c) for size in range(1, n) for c in combinations(range(n), size)]
+    vid = {t: i for i, t in enumerate(subsets)}
+    labels = ["{" + ",".join(str(x) for x in sorted(t)) + "}" for t in subsets]
+    chambers = {}
+    for w in permutations(range(n)):
+        prefix: set[int] = set()
+        verts = []
+        for i in range(n - 1):
+            prefix.add(w[i])
+            verts.append(vid[frozenset(prefix)])
+        chambers[w] = tuple(sorted(verts))
+    return labels, chambers
+
+
+def test_symmetric_lengths_and_descents_match_the_former_rules():
+    """Inversion count, adjacent descents of w and of w^{-1}, and the
+    inverse-position wall test, on all of S_2 ... S_6."""
+    for n in range(2, 7):
+        system = symmetric(n)
+        assert system.identity() == tuple(range(n))
+        assert system.order() == len(list(system.elements()))
+        assert system.reflections() == tuple((a, b) for a in range(n) for b in range(a + 1, n))
+        for w in system.elements():
+            inv = tuple(w.index(i) for i in range(n))
+            assert system.inverse(w) == inv
+            assert system.length(w) == inversion_count(w)
+            assert system.in_set(w) == adjacent_descents(w)
+            assert system.in_set_inverse(w) == adjacent_descents(inv)
+            for a, b in system.reflections():
+                assert system.reflection_separates(w, (a, b)) == (inv[a] > inv[b])
+
+
+def test_rightangled_lengths_and_descents_match_the_former_rules():
+    """Popcount and set bits, on all of (Z/2)^1 ... (Z/2)^5."""
+    for r in range(1, 6):
+        system = rightangled(r)
+        assert system.identity() == 0
+        assert system.order() == 2**r
+        assert system.reflections() == tuple(range(r))
+        for w in system.elements():
+            assert system.length(w) == bin(w).count("1")
+            assert system.in_set(w) == system.in_set_inverse(w) == set_bits(w, r)
+            for t in range(r):
+                assert system.reflection_separates(w, t) == bool((w >> t) & 1)
+
+
+def test_symmetric_complex_matches_the_frozenset_prefix_builder():
+    for n in range(2, 7):
+        cc = coxeter_complex(symmetric(n))
+        labels, chambers = frozenset_prefix_complex(n)
+        assert list(cc.complex.labels) == labels
+        assert list(cc.chamber_of.items()) == list(chambers.items())
