@@ -315,12 +315,12 @@ def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
     ci = b.chamber_ids(c)
     keep = _keep(b, ci)
     rename = {v: i for i, v in enumerate(keep)}
-    opp = opposite_chambers(b, ci)
+    opp = _flags(b.masks, b.vertex_dims, keep)
     if (
         len(opp) != b.q ** (b.n * (b.n - 1) // 2) or set(map(len, opp)) != {b.n - 1}
         or not all(map(lt, opp, opp[1:])) or set().union(*opp) != rename.keys()
     ):
-        raise CertificateError("opposite_chambers did not return every flag of the vertices opposite C")
+        raise CertificateError("_flags did not return every flag of the vertices opposite C")
     facets = [tuple([rename[v] for v in d]) for d in opp]
     km, kd = [b.masks[v] for v in keep], [b.vertex_dims[v] for v in keep]
     up, reach = [], [0] * len(keep)  # bit j: keep[j] contains keep[i] / lies above it on a facet
@@ -399,6 +399,8 @@ class Apartment:
             raise ValueError(f"frame {lines} spans only a hyperplane")
 
     def chamber_of_perm(self, w: Sequence[int]) -> Simplex:
+        if sorted(w) != list(range(self.n)):
+            raise ValueError(f"{tuple(w)} is not a permutation of 0..{self.n - 1}")
         return tuple(sorted(map(self.vertex_of_subset.__getitem__, prefix_masks(w))))
 
 
@@ -409,9 +411,7 @@ class Apartment:
 def _level_keys(n: int) -> tuple[tuple[frozenset[int], tuple[tuple[int, ...], ...]], ...]:
     """Each bending target shifted to flag levels, with the prefix masks of
     the permutations in its bending image."""
-    system = symmetric(n)
-    targets = map(frozenset, chain.from_iterable(combinations(system.generators, r) for r in range(n)))
-    return tuple((frozenset(s + 1 for s in t), tuple(map(prefix_masks, system.bending_image(t)))) for t in targets)
+    return tuple((frozenset(s + 1 for s in t), tuple(map(prefix_masks, ws))) for t, ws in symmetric(n).bending_images().items())
 
 
 def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[int], frozenset[Simplex]]:

@@ -262,15 +262,9 @@ def _triangle_free_graphs(n: int) -> Iterator[cx.SimplicialComplex]:
     possible = list(combinations(range(n), 2))
     for mask in range(1, 1 << len(possible)):
         edges = [possible[i] for i in range(len(possible)) if (mask >> i) & 1]
-        adj = {frozenset(e) for e in edges}
-        has_triangle = any(
-            frozenset((a, b)) in adj and frozenset((b, c)) in adj and frozenset((a, c)) in adj
-            for a, b, c in combinations(range(n), 3)
-        )
-        if has_triangle:
-            continue
-        facets = edges + [(v,) for v in range(n)]
-        yield cx.SimplicialComplex(facets, num_vertices=n)
+        graph = cx.SimplicialComplex(edges + [(v,) for v in range(n)], num_vertices=n)
+        if graph.is_flag():  # a graph is flag iff it has no triangle
+            yield graph
 
 
 def _suite_ados(seed: int) -> Iterator[tuple[str, bool]]:
@@ -336,17 +330,9 @@ def _suite_coxeter(seed: int) -> Iterator[tuple[str, bool]]:
             "each element has exactly one opposite",
             unique,
         )
-        seen: list = []
-        for targets in _all_subsets(system.generators):
-            seen.extend(system.bending_image(frozenset(targets)))
-        partition = sorted(seen) == sorted(elements)
+        partition = sorted(w for image in system.bending_images().values() for w in image) == sorted(elements)
         yield (f"{name}: bending images over all target sets partition the group", partition)
         yield (f"{name}: the longest element descends at every generator", system.in_set(w0) == frozenset(system.generators))
-
-
-def _all_subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)
 
 
 _SUITES = {

@@ -12,7 +12,8 @@ and its walls (``reflections``, ``reflection_separates``) differ per family.
 The rest is read off the walls for both: ``length(w)`` counts the walls
 separating w from the identity, ``in_set_inverse(w)`` is the generators
 whose simple wall separates w, and ``in_set(w)`` is that of w^{-1}; each
-call inverts w at most once.
+call inverts w at most once.  ``bending_images()`` partitions the group by
+``in_set_inverse`` in one pass over the elements.
 
 Chamber complexes: the symmetric system yields the barycentric subdivision
 of the boundary of a simplex, whose vertices are the proper nonempty subsets
@@ -159,15 +160,16 @@ class CoxeterSystem:
             raise CertificateError(f"opposition criteria disagree on {u!r}, {v!r}")
         return algebraic
 
-    def bending_image(self, targets: frozenset[int] | set[int]) -> list[Element]:
-        """All w whose inverse has right-descent set exactly ``targets``: the
-        chambers a bending construction sends to that stratum.  Over all
-        subsets of generators the images partition the group."""
-        targets = frozenset(targets)
-        for s in targets:
-            if not (isinstance(s, int) and 0 <= s < self.num_generators):
-                raise ValueError(f"{s!r} is not a generator index (0..{self.num_generators - 1})")
-        return [w for w in self.elements() if self.in_set_inverse(w) == targets]
+    def bending_images(self) -> dict[frozenset[int], list[Element]]:
+        """Every subset of generators, in ``combinations`` order by size, with
+        its bending image: the w whose inverse has exactly that right-descent
+        set, in ``elements`` order.  One pass files each w; the images
+        partition the group."""
+        gens = self.generators
+        images: dict[frozenset[int], list[Element]] = {frozenset(t): [] for r in range(len(gens) + 1) for t in combinations(gens, r)}
+        for w in self.elements():
+            images[self.in_set_inverse(w)].append(w)
+        return images
 
 
 @lru_cache(maxsize=16)

@@ -324,11 +324,8 @@ def test_criterion_6_coxeter_consistency(capsys):
                 )
                 if algebraic != walls:
                     ok = False
-        gathered: list = []
-        for r in range(system.num_generators + 1):
-            for subset in combinations(system.generators, r):
-                gathered.extend(system.bending_image(frozenset(subset)))
-        if sorted(gathered) != sorted(elements):
+        images = list(system.bending_images().values())
+        if sorted(w for image in images for w in image) != sorted(elements) or not all(images):
             ok = False
         if system.in_set(w0) != frozenset(system.generators):
             ok = False

@@ -548,7 +548,7 @@ def test_construction_cross_checks_raise(b23, monkeypatch):
     with pytest.raises(ValueError):  # frame lines not in direct sum
         Apartment(b, (0, 0, 1))
     opp = opposite_chambers(b, dp)
-    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: opp[1:])
+    monkeypatch.setattr("obstructor.building._flags", lambda masks, dims, ids: opp[1:])
     with pytest.raises(CertificateError):
         opp_complex(b, dp)
 
@@ -784,7 +784,7 @@ def test_opp_complex_refuses_a_non_opposite_chamber(b23, monkeypatch):
     dp = standard_flag(b23)
     opp = opposite_chambers(b23, dp)
     extra = next(d for d in b23.chambers if d not in opp)
-    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: tuple(sorted(opp + (extra,))))
+    monkeypatch.setattr("obstructor.building._flags", lambda masks, dims, ids: tuple(sorted(opp + (extra,))))
     with pytest.raises(CertificateError):
         opp_complex(b23, dp)
 
@@ -803,7 +803,7 @@ def test_opp_complex_refuses_a_missing_chamber(b24, monkeypatch):
         assert all(any(set(pair) <= set(d) for d in rest) for pair in combinations(opp[i], 2))
         for extra in ((), (rest[0],), (opp[i][:-1],), (outside,)):
             patched = tuple(sorted(rest + extra))
-            monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c, patched=patched: patched)
+            monkeypatch.setattr("obstructor.building._flags", lambda masks, dims, ids, patched=patched: patched)
             with pytest.raises(CertificateError, match="did not return every flag"):
                 opp_complex(b24, dp)
 
@@ -818,7 +818,7 @@ def test_opp_complex_refuses_chambers_that_are_not_flags(b23, monkeypatch):
     assert b23.masks[l1] & b23.masks[p2] != b23.masks[l1]
     swapped = tuple(sorted(set(opp) - {(l1, p1), (l2, p2)} | {(l1, p2), (l2, p1)}))
     assert len(swapped) == len(opp) and set().union(*swapped) == set().union(*opp)
-    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: swapped)
+    monkeypatch.setattr("obstructor.building._flags", lambda masks, dims, ids: swapped)
     with pytest.raises(CertificateError, match="not the full subcomplex"):
         opp_complex(b23, dp)
 
@@ -843,6 +843,17 @@ def test_apartment_shape(b24):
     # identity gives the standard flag, reversal the reversed flag
     assert apt.chamber_of_perm((0, 1, 2, 3)) == standard_flag(b24)
     assert apt.chamber_of_perm((3, 2, 1, 0)) == reversed_flag(b24)
+
+
+def test_chamber_of_perm_refuses_a_non_permutation_survives_optimize(b23):
+    """A repeated, missing or foreign letter is refused by a raise, not an
+    assert, so under ``python -O`` too; ``range(n)``, which
+    ``standard_flag`` passes, is accepted."""
+    apt = Apartment(b23, coordinate_frame(b23))
+    for w in ((0, 0, 1), (0, 1), (0, 1, 3)):
+        with pytest.raises(ValueError, match="is not a permutation of 0..2"):
+            apt.chamber_of_perm(w)
+    assert apt.chamber_of_perm(range(3)) == standard_flag(b23) == (0, 7)
 
 
 def test_apartment_is_a_coxeter_complex(b24):
