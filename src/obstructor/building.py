@@ -8,10 +8,11 @@ its sorted tuple of vertex ids.  The chambers are grown from the line
 masks only when read, and checked by their count, [n]_q!; nothing that
 builds or checks Opp(C) reads them.  On top of the complex this module
 provides what the paper's constructions use: opposite chambers
-(pairwise-transversal flags), the opposition complex Opp(C), the unique
-apartment through two opposite chambers and its coordinates by the
-symmetric group, and the check that bending the doubled opposition
-complex into apartments never makes two disjoint cells collide.
+(pairwise-transversal flags, walked and proven once for all readers),
+the opposition complex Opp(C), the unique apartment through two opposite
+chambers and its coordinates by the symmetric group, and the check that
+bending the doubled opposition complex into apartments never makes two
+disjoint cells collide.
 
 Incidence runs on line masks.  Lines come first among the vertices, so
 line vertex ``l`` is vertex id ``l``, and ``b.masks[v]`` is the integer
@@ -285,56 +286,58 @@ def build(q: int, n: int) -> Building:
 # -- opposition ------------------------------------------------------
 
 
-def _keep(b: Building, ci: Simplex) -> list[int]:
-    """The vertices transversal to chamber ``ci``: a k-subspace is iff its
-    line mask shares no bit with the chamber's (n-k)-subspace."""
-    level = {b.vertex_dims[v]: b.masks[v] for v in ci}
-    return [v for v, (m, d) in enumerate(zip(b.masks, b.vertex_dims)) if not m & level[b.n - d]]
+def _opposition(b: Building, ci: Simplex) -> tuple[list[int], list[Simplex]]:
+    """The vertices ``keep`` transversal to chamber ``ci``, and the chambers
+    opposite it, walked once by ``_flags`` and proven.
 
-
-def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
-    """The chambers opposite ``c``: the full flags of ``_keep``, in order."""
-    return tuple(_flags(b.masks, b.vertex_dims, _keep(b, b.chamber_ids(c))))
-
-
-def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
-    """The opposition complex Opp(C), relabeled to its own vertex ids.
-
-    Its facets are the chambers opposite C, renumbered in order over the
-    vertices ``keep`` transversal to C, so they stay sorted.  They are
-    checked to be q^(n(n-1)/2) ascending (n-1)-tuples of ``keep`` that cover
-    it, and, by bitsets, to hold two members of ``keep`` together iff one is
-    inside the other.  So each is a flag (n - 1 nested subspaces), all the
-    flags of ``keep`` by that count (Abramenko-Brown, *Buildings*, 2008,
-    ch. 6), and they are the facets of the full subcomplex on ``keep``: a
-    maximal chain of ``keep`` is a flag, as a flag through two consecutive
-    members holds one between them unless their dimensions differ by one,
-    and its least (greatest) member lies on a flag whose line (hyperplane)
-    it must be.
+    A k-subspace is transversal iff its line mask shares no bit with the
+    chamber's (n-k)-subspace.  The chambers are checked to be q^(n(n-1)/2)
+    ascending (n-1)-tuples of ``keep`` that cover it, and, by bitsets, to
+    hold two members of ``keep`` together iff one is inside the other, the
+    later one of higher dimension.  So each is a flag (n - 1 nested
+    subspaces, in dimension order), all the flags of ``keep`` by that count
+    (Abramenko-Brown, *Buildings*, 2008, ch. 6), and they are the facets of
+    the full subcomplex on ``keep``: a maximal chain of ``keep`` is a flag,
+    as a flag through two consecutive members holds one between them unless
+    their dimensions differ by one, and its least (greatest) member lies on
+    a flag whose line (hyperplane) it must be.
     """
-    ci = b.chamber_ids(c)
-    keep = _keep(b, ci)
-    rename = {v: i for i, v in enumerate(keep)}
+    level = {b.vertex_dims[v]: b.masks[v] for v in ci}
+    keep = [v for v, (m, d) in enumerate(zip(b.masks, b.vertex_dims)) if not m & level[b.n - d]]
     opp = _flags(b.masks, b.vertex_dims, keep)
     if (
         len(opp) != b.q ** (b.n * (b.n - 1) // 2) or set(map(len, opp)) != {b.n - 1}
-        or not all(map(lt, opp, opp[1:])) or set().union(*opp) != rename.keys()
+        or not all(map(lt, opp, opp[1:])) or set().union(*opp) != set(keep)
     ):
         raise CertificateError("_flags did not return every flag of the vertices opposite C")
-    facets = [tuple([rename[v] for v in d]) for d in opp]
     km, kd = [b.masks[v] for v in keep], [b.vertex_dims[v] for v in keep]
-    up, reach = [], [0] * len(keep)  # bit j: keep[j] contains keep[i] / lies above it on a facet
+    up, reach = [], [0] * len(b.vertices)  # bit w: w contains v / lies above v on a chamber
     for m, d in zip(km, kd):
         start = bisect_left(kd, d + 1)
-        up.append(sum([1 << j for j, mj in enumerate(km[start:], start) if mj & m == m]))
-    for f in facets:
+        up.append(sum([1 << w for w, mw in zip(keep[start:], km[start:]) if mw & m == m]))
+    for chamber in opp:
         above = 0
-        for i in reversed(f):
-            reach[i] |= above
-            above |= 1 << i
-    if reach != up:
+        for v in reversed(chamber):
+            reach[v] |= above
+            above |= 1 << v
+    if [reach[v] for v in keep] != up:
         raise CertificateError("Opp(C) is not the full subcomplex on the vertices opposite C")
-    return SimplicialComplex(facets, [_label(b.vertices[v]) for v in keep], len(keep))
+    return keep, opp
+
+
+def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
+    """The chambers opposite ``c``, in ascending order, as ``_opposition``
+    walks and proves them."""
+    return tuple(_opposition(b, b.chamber_ids(c))[1])
+
+
+def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
+    """The opposition complex Opp(C), relabeled to its own vertex ids: the
+    chambers of ``_opposition`` renumbered in order over ``keep``, so they
+    stay sorted."""
+    keep, opp = _opposition(b, b.chamber_ids(c))
+    rename = {v: i for i, v in enumerate(keep)}
+    return SimplicialComplex([tuple([rename[v] for v in d]) for d in opp], [_label(b.vertices[v]) for v in keep], len(keep))
 
 
 # -- apartments ------------------------------------------------------
@@ -424,10 +427,11 @@ def _bending_table(b: Building, dp: Simplex, sigma: Simplex) -> dict[frozenset[i
     to generator indices.  Every level set appears, and the sets partition
     the apartment.  The chamber of w is the vertices of its prefix keys,
     which ascend as the building's ids ascend with dimension.  ``sigma``
-    must be opposite ``dp`` (it comes from ``opposite_chambers``, so this
-    is not re-tested); otherwise a flag level pair sharing other than one
-    line raises ``CertificateError``, or ``Apartment`` refuses lines not in
-    direct sum with ``ValueError``.
+    must be opposite ``dp``; the embedding check takes it from
+    ``_opposition``, which proves it, so this is not re-tested.  Otherwise
+    a flag level pair sharing other than one line raises
+    ``CertificateError``, or ``Apartment`` refuses lines not in direct sum
+    with ``ValueError``.
     """
     vertex = Apartment(b, _frame_lines(b, dp, sigma)).vertex_of_subset.__getitem__
     return {levels: frozenset([tuple(map(vertex, keys)) for keys in perms]) for levels, perms in _level_keys(b.n)}
@@ -524,12 +528,10 @@ def verify_dbl_embedding(b: Building, delta_plus: Iterable[int]) -> EmbeddingRep
     earliest one, and ``pairs_checked`` counts that Delta's pairs up to it.
     """
     dp = b.chamber_ids(delta_plus)
-    opp = opposite_chambers(b, dp)
+    opp = _opposition(b, dp)[1]
     patterns = _signing_patterns(b.n)
     cells = []  # cells[s]: the (sigma, signed vertices, bent chambers) over opp[s], in signings order
     for sigma in opp:
-        if tuple(map(b.vertex_dims.__getitem__, sigma)) != tuple(range(1, b.n)):
-            raise CertificateError(f"opposite chamber {sigma} is not a flag of dimensions 1..{b.n - 1}")
         table = _bending_table(b, dp, sigma)
         cells.append([(sigma, tuple([2 * v + bit for v, bit in zip(sigma, bits)]), table[minus]) for bits, minus in patterns])
     minus, plus = [own[0] for own in cells], [cell for own in cells for cell in own[1:]]

@@ -164,7 +164,11 @@ class CoxeterSystem:
         """Every subset of generators, in ``combinations`` order by size, with
         its bending image: the w whose inverse has exactly that right-descent
         set, in ``elements`` order.  One pass files each w; the images
-        partition the group."""
+        partition the group.  An order over ``DEFAULT_MAX_CELLS`` is
+        refused before anything is built, and past n = the cap's bit length
+        before the order is computed: both n! and 2^n are >= 2^(n-1)."""
+        if self.n > DEFAULT_MAX_CELLS.bit_length() or self.order() > DEFAULT_MAX_CELLS:
+            raise ResourceLimitError(f"{self.family}({self.n}) has more than {DEFAULT_MAX_CELLS} elements")
         gens = self.generators
         images: dict[frozenset[int], list[Element]] = {frozenset(t): [] for r in range(len(gens) + 1) for t in combinations(gens, r)}
         for w in self.elements():

@@ -346,14 +346,7 @@ class AdosReport:
     verdict: ObstructionVerdict
 
 
-def verify_ados(
-    l: SimplicialComplex,
-    delta: Iterable[int],
-    k: int,
-    seed: int = 0,
-    *,
-    max_cells: Optional[int] = None,
-) -> AdosReport:
+def verify_ados(l: SimplicialComplex, delta: Iterable[int], k: int, seed: int = 0) -> AdosReport:
     """Compare the doubled complex's obstruction with the homology of the base.
 
     ``l`` must be a flag complex of dimension ``k`` and ``delta`` one of
@@ -385,7 +378,7 @@ def verify_ados(
         # vertex: still planar), so law (a) needs a top cell.
         raise ValueError(f"doubling simplex must be a {k}-simplex, got {delta}")
     d = double_over(l, delta)  # validates that delta is a face
-    verdict = is_trivial(d, 2 * k, seed, max_cells=max_cells)
+    verdict = is_trivial(d, 2 * k, seed)
     lhs = verdict.nontrivial
     rhs = betti(l, k) >= 1
     return AdosReport(lhs, rhs, lhs == rhs, verdict)

@@ -554,10 +554,12 @@ def test_construction_cross_checks_raise(b23, monkeypatch):
 
 
 def test_embedding_check_refuses_opposite_chambers_out_of_dimension_order(b23, monkeypatch):
+    """Every chamber opposite C reversed, then sorted: the count, order and
+    cover checks pass, and the bitset check sees a plane before its line."""
     dp = standard_flag(b23)
     opp = opposite_chambers(b23, dp)
-    monkeypatch.setattr("obstructor.building.opposite_chambers", lambda b, c: tuple(d[::-1] for d in opp))
-    with pytest.raises(CertificateError, match="is not a flag of dimensions 1..2"):
+    monkeypatch.setattr("obstructor.building._flags", lambda masks, dims, ids: sorted(d[::-1] for d in opp))
+    with pytest.raises(CertificateError, match="not the full subcomplex"):
         verify_dbl_embedding(b23, dp)
 
 
@@ -806,6 +808,24 @@ def test_opp_complex_refuses_a_missing_chamber(b24, monkeypatch):
             monkeypatch.setattr("obstructor.building._flags", lambda masks, dims, ids, patched=patched: patched)
             with pytest.raises(CertificateError, match="did not return every flag"):
                 opp_complex(b24, dp)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4)])
+@pytest.mark.parametrize(
+    "edit", [lambda opp: opp[1:], lambda opp: opp[:1] + opp, lambda opp: opp[:-1] + [opp[-1][::-1]]],
+    ids=["dropped", "repeated", "reversed"],
+)
+def test_opposition_walk_is_proven_for_every_reader_survives_optimize(q, n, edit, monkeypatch):
+    """The walk of the chambers opposite C with one dropped, repeated or
+    reversed (the last, so the list still ascends) is refused by each of
+    its readers, with checks that hold under ``python -O``."""
+    b = build(q, n)
+    dp = standard_flag(b)
+    flags = bldg._flags
+    monkeypatch.setattr(bldg, "_flags", lambda *args: edit(flags(*args)))
+    for read in (opposite_chambers, opp_complex, verify_dbl_embedding):
+        with pytest.raises(CertificateError):
+            read(b, dp)
 
 
 def test_opp_complex_refuses_chambers_that_are_not_flags(b23, monkeypatch):

@@ -14,6 +14,7 @@ from math import factorial
 
 import pytest
 
+import obstructor.coxeter as coxeter
 from obstructor.coxeter import (
     _MAX_LETTERS,
     CoxeterSystem,
@@ -193,6 +194,23 @@ def test_bending_image_extremes():
 
 def test_bending_image_rightangled_is_single_mask():
     assert rightangled(4).bending_images()[frozenset({0, 2})] == [0b0101]
+
+
+def test_bending_images_read_the_cap_at_call_time(monkeypatch):
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_CELLS", 24)
+    assert sum(map(len, symmetric(4).bending_images().values())) == 24
+    with pytest.raises(ResourceLimitError, match="more than 24 elements"):
+        symmetric(5).bending_images()
+
+
+def test_bending_images_refuse_an_oversized_group_at_once():
+    """S_10 (3,628,800) and (Z/2)^21 (2,097,152) are over the cap, and are
+    refused before an element is filed; S_1000000 before 1000000! is."""
+    started = time.perf_counter()
+    for system in (symmetric(10), rightangled(21), symmetric(10**6), rightangled(10**9)):
+        with pytest.raises(ResourceLimitError, match=f"more than {DEFAULT_MAX_CELLS} elements"):
+            system.bending_images()
+    assert time.perf_counter() - started < 1.0
 
 
 # -- chamber complexes -----------------------------------------------
