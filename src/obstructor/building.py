@@ -80,9 +80,11 @@ def _check_field(q: int, n: int) -> None:
 # -- subspaces -------------------------------------------------------
 
 
-def _label(rows: Rows) -> str:
-    """``"2-subspace:100,010"``: the dimension, then the echelon rows."""
-    return f"{len(rows)}-subspace:" + ",".join("".join(map(str, row)) for row in rows)
+def _label(rows: Rows, q: int) -> str:
+    """``"2-subspace:100,010"``: the dimension, then the echelon rows.  Over
+    F_q with q > 10 an entry may take two digits or more, so the entries of
+    a row are then spaced: ``"1-subspace:1 1 10"``."""
+    return f"{len(rows)}-subspace:" + ",".join(("" if q <= 10 else " ").join(map(str, row)) for row in rows)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -193,7 +195,7 @@ class Building:
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        labels = tuple(_label(rows) for rows in self.vertices)
+        labels = tuple(_label(rows, self.q) for rows in self.vertices)
         return SimplicialComplex(self.chambers, labels=labels, num_vertices=len(self.vertices))
 
     @cached_property
@@ -337,7 +339,7 @@ def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
     stay sorted."""
     keep, opp = _opposition(b, b.chamber_ids(c))
     rename = {v: i for i, v in enumerate(keep)}
-    return SimplicialComplex([tuple([rename[v] for v in d]) for d in opp], [_label(b.vertices[v]) for v in keep], len(keep))
+    return SimplicialComplex([tuple([rename[v] for v in d]) for d in opp], [_label(b.vertices[v], b.q) for v in keep], len(keep))
 
 
 # -- apartments ------------------------------------------------------

@@ -16,7 +16,7 @@ signed facets, then sign each facet by one ``product`` of its vertices' copies.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import chain, combinations, groupby, product, repeat
 from operator import lt
 from typing import IO, Container, Iterable, Iterator, Optional, Sequence
 
@@ -55,6 +55,39 @@ def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
+def _length_classes(faces: list[Simplex]) -> dict[int, list[Simplex]]:
+    """The distinct nonempty ``faces`` (sorted tuples) by length, each class
+    in input order.  A dict, not a set, drops duplicates in input order, so
+    input that is already sorted sorts in one pass later.
+
+    Each class is checked a column at a time by the comparisons that
+    ``_canonical_simplex`` makes: each vertex below the next, and the first
+    not below 0.  Only if a check fails, or raises, are the faces walked in
+    order by ``_canonical_simplex``, which raises at the first bad face."""
+    try:
+        classes = _by_length(dict.fromkeys(faces))
+        if all(map(_rises_from_0, classes.values())):
+            return classes
+    except Exception:
+        pass
+    return _by_length(dict.fromkeys(map(_canonical_simplex, faces)))
+
+
+def _by_length(distinct: dict[Simplex, None]) -> dict[int, list[Simplex]]:
+    distinct.pop((), None)
+    return {length: list(group) for length, group in groupby(sorted(distinct, key=len), len)}
+
+
+def _rises_from_0(faces: list[Simplex]) -> bool:
+    """Whether every face, all of one length, rises strictly from at least 0.
+    The columns are sliced from one flat list: ``zip(*faces)`` would hold an
+    iterator a face, and that many live objects set off the cyclic GC."""
+    length = len(faces[0])
+    flat = list(chain.from_iterable(faces))
+    columns = [flat[j::length] for j in range(length)]
+    return all(map(all, map(map, repeat(lt), columns, columns[1:]))) and not any(map(lt, columns[0], repeat(0)))
+
+
 class SimplicialComplex:
     """Immutable simplicial complex given by its facets."""
 
@@ -66,10 +99,17 @@ class SimplicialComplex:
         labels: Optional[Sequence[str]] = None,
         num_vertices: Optional[int] = None,
     ) -> None:
-        # A dict, not a set, drops duplicates in input order, so input that
-        # is already sorted (a join, a generator) sorts below in one pass.
-        cleaned = dict.fromkeys(map(_canonical_simplex, facets))
-        cleaned.pop((), None)
+        # Every facet is sorted in one pass.  If a facet does not sort (or the
+        # input does not iterate), ``extend`` has kept the facets sorted
+        # before it, and those are walked first, so that the first bad facet
+        # raises, as in a walk of the input by ``_canonical_simplex``.
+        faces: list[Simplex] = []
+        try:
+            faces.extend(map(tuple, map(sorted, facets)))
+        except Exception:
+            dict.fromkeys(map(_canonical_simplex, faces))
+            raise
+        classes = _length_classes(faces)
         # Drop faces nested inside other input faces.  Faces go longest
         # first, and a length class is indexed by vertex only once all of it
         # is tested, so a face meets only strictly longer maximal faces (a
@@ -77,23 +117,19 @@ class SimplicialComplex:
         # superset of a face contains its least-shared vertex, so only the
         # faces listed under that vertex are tested.  A pure complex has one
         # class and so no test at all, and is not even bucketed.
-        maximal: list[Simplex] = list(cleaned)
-        if len(set(map(len, maximal))) > 1:
-            by_length: dict[int, list[Simplex]] = {}
-            for f in maximal:
-                by_length.setdefault(len(f), []).append(f)
-            lengths = sorted(by_length, reverse=True)
-            under: dict[int, list[frozenset[int]]] = {}
-            maximal = []
-            for i, length in enumerate(lengths):
-                kept = by_length[length]
-                if under:
-                    kept = [f for f in kept if not any(g.issuperset(f) for g in min((under.get(v, ()) for v in f), key=len))]
-                maximal += kept
-                if i + 1 < len(lengths):
-                    for f in kept:
-                        for v in f:
-                            under.setdefault(v, []).append(frozenset(f))
+        lengths = sorted(classes, reverse=True)
+        under: dict[int, list[frozenset[int]]] = {}
+        maximal: list[Simplex] = []
+        for length in lengths:
+            kept = classes[length]
+            if under:
+                kept = [f for f in kept if not any(map(frozenset.issuperset, min(map(under.get, f, repeat(())), key=len), repeat(f)))]
+            maximal += kept
+            if length != lengths[-1]:
+                for f in kept:
+                    face = frozenset(f)
+                    for v in f:
+                        under.setdefault(v, []).append(face)
         maximal.sort()
         seen = set().union(*maximal)
         top = max(seen) + 1 if seen else 0
@@ -102,10 +138,9 @@ class SimplicialComplex:
         if num_vertices < top:
             raise ValueError(f"num_vertices {num_vertices} below max vertex id {top - 1}")
         _require_vertex_budget(num_vertices)
-        missing = set(range(num_vertices)) - seen
-        if missing:
+        if not seen.issuperset(range(num_vertices)):
             # Isolated vertices are legitimate; store them as singleton facets.
-            maximal = sorted(maximal + [(v,) for v in missing])
+            maximal = sorted(maximal + [(v,) for v in set(range(num_vertices)) - seen])
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != num_vertices:
@@ -320,9 +355,12 @@ def from_json_dict(data: object) -> SimplicialComplex:
     facets = data["facets"]
     if not isinstance(facets, list):
         raise ValueError("'facets' must be a list of vertex lists")
-    for i, f in enumerate(facets):
-        if not isinstance(f, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
-            raise ValueError(f"facet #{i} must be a list of integers, got {f!r}")
+    # Facets that are all lists of plain ints pass in two passes over types;
+    # any other input is walked, so the first facet that fails is named.
+    if set(map(type, facets)) - {list} or set(map(type, chain.from_iterable(facets))) - {int}:
+        for i, f in enumerate(facets):
+            if not isinstance(f, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
+                raise ValueError(f"facet #{i} must be a list of integers, got {f!r}")
     labels = data.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

@@ -7,13 +7,17 @@ the oracle of both.  ``signed_complex_by_signings`` lists every facet's
 signed copies with ``signings`` and renames them through a sorted id
 list; the package signs a facet with one ``product`` of the ids its
 vertices may take, so this stays here as the oracle of that.
+``complex_by_facet_walk`` is the constructor that checked and sorted
+each facet by its own ``_canonical_simplex`` call; the package sorts
+every facet in one pass and checks them in bulk, so this stays here as
+the oracle of its facets, vertex count, labels and errors.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Optional, Sequence
 
-from obstructor.complexes import SimplicialComplex, signed_label, signings
+from obstructor.complexes import SimplicialComplex, _canonical_simplex, _require_vertex_budget, signed_label, signings
 
 
 def full_subcomplex(k: SimplicialComplex, vertices: Iterable[int]) -> SimplicialComplex:
@@ -44,3 +48,47 @@ def signed_complex_by_signings(k: SimplicialComplex, doubled: Collection[int]) -
     facets = [tuple(rename[sv] for sv in c) for f in k.facets for c in signings(f, doubled)]
     labels = tuple(signed_label(k.vertex_label(sv // 2), sv) for sv in ids)
     return SimplicialComplex(facets, labels=labels, num_vertices=len(ids))
+
+
+def complex_by_facet_walk(
+    facets: Iterable[Iterable[int]],
+    labels: Optional[Sequence[str]] = None,
+    num_vertices: Optional[int] = None,
+) -> tuple[tuple[tuple[int, ...], ...], int, Optional[tuple[str, ...]]]:
+    """``(facets, num_vertices, labels)`` of ``SimplicialComplex(facets,
+    labels, num_vertices)``, each input facet checked in turn."""
+    cleaned = dict.fromkeys(map(_canonical_simplex, facets))
+    cleaned.pop((), None)
+    maximal = list(cleaned)
+    if len(set(map(len, maximal))) > 1:
+        by_length: dict[int, list[tuple[int, ...]]] = {}
+        for f in maximal:
+            by_length.setdefault(len(f), []).append(f)
+        lengths = sorted(by_length, reverse=True)
+        under: dict[int, list[frozenset[int]]] = {}
+        maximal = []
+        for i, length in enumerate(lengths):
+            kept = by_length[length]
+            if under:
+                kept = [f for f in kept if not any(g.issuperset(f) for g in min((under.get(v, ()) for v in f), key=len))]
+            maximal += kept
+            if i + 1 < len(lengths):
+                for f in kept:
+                    for v in f:
+                        under.setdefault(v, []).append(frozenset(f))
+    maximal.sort()
+    seen = set().union(*maximal)
+    top = max(seen) + 1 if seen else 0
+    if num_vertices is None:
+        num_vertices = top
+    if num_vertices < top:
+        raise ValueError(f"num_vertices {num_vertices} below max vertex id {top - 1}")
+    _require_vertex_budget(num_vertices)
+    missing = set(range(num_vertices)) - seen
+    if missing:
+        maximal = sorted(maximal + [(v,) for v in missing])
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != num_vertices:
+            raise ValueError(f"{len(labels)} labels for {num_vertices} vertices")
+    return tuple(maximal), num_vertices, labels

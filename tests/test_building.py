@@ -679,7 +679,29 @@ def test_building_complex_is_built_when_read():
     assert "complex" not in vars(b)
     k = b.complex
     assert k is b.complex and k.facets == b.chambers and k.num_vertices == len(b.vertices)
-    assert k.labels == tuple(bldg._label(rows) for rows in b.vertices)
+    assert k.labels == tuple(bldg._label(rows, b.q) for rows in b.vertices)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 4), (7, 3), (11, 3), (13, 3), (997, 2)])
+def test_building_labels_name_their_subspaces(q, n):
+    """A label reads back to its vertex's echelon rows, so no two vertices
+    share one, also when an entry over F_q takes two digits or more."""
+    b = build(q, n)
+    labels = tuple(bldg._label(rows, q) for rows in b.vertices)
+    for label, rows in zip(labels, b.vertices):
+        dim, _, entries = label.partition("-subspace:")
+        read = tuple(tuple(map(int, row.split(" ") if q > 10 else row)) for row in entries.split(","))
+        assert (int(dim), read) == (len(rows), tuple(map(tuple, rows)))
+    assert len(set(labels)) == len(labels)
+
+
+def test_labels_at_q_13_are_distinct():
+    b = build(13, 3)
+    assert len(b.vertices) == 366
+    assert len(set(b.complex.labels)) == 366
+    assert "1-subspace:1 1 10" in b.complex.labels and "1-subspace:1 11 0" in b.complex.labels
+    opp = opp_complex(b, standard_flag(b))
+    assert len(set(opp.labels)) == opp.num_vertices
 
 
 # -- opposition ------------------------------------------------------

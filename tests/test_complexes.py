@@ -30,7 +30,7 @@ from obstructor.complexes import (
 )
 from obstructor.errors import ResourceLimitError
 
-from complex_helpers import full_subcomplex, signed_complex_by_signings
+from complex_helpers import complex_by_facet_walk, full_subcomplex, signed_complex_by_signings
 
 
 def small_complexes(max_vertices: int = 6):
@@ -91,6 +91,63 @@ def test_one_shot_facets_are_read_once():
     assert k.facets == ((0, 1), (1, 2))
     assert k.num_vertices == 3
     assert SimplicialComplex([iter(()), (0,)]).facets == ((0,),)
+
+
+CONTAINERS = {"list": list, "tuple": tuple, "set": set, "generator": lambda vs: (v for v in vs)}
+
+
+@st.composite
+def facet_inputs(draw):
+    """Facets as (container, vertices): duplicates, nested faces and mixed
+    lengths, now and then a repeated vertex, a negative id, or a vertex
+    that does not compare with an int; with or without labels and a
+    vertex count, which may not match."""
+    good = st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True)
+    bad = st.one_of(
+        st.lists(st.integers(0, 7), min_size=2, max_size=4).filter(lambda vs: len(set(vs)) < len(vs)),
+        st.lists(st.integers(-2, 7), min_size=1, max_size=4, unique=True).filter(lambda vs: min(vs) < 0),
+        st.lists(st.integers(0, 7), max_size=3, unique=True).map(lambda vs: vs + ["a"]),
+    )
+    faces = draw(st.lists(st.one_of(good, good, good, bad, st.just([])), max_size=10))
+    for _ in range(draw(st.integers(0, 4))):
+        if faces:
+            f = draw(st.sampled_from(faces))
+            faces.append(draw(st.permutations(f)) if draw(st.booleans()) else f[: draw(st.integers(0, len(f)))])
+    faces = draw(st.permutations(faces))
+    specs = [(draw(st.sampled_from(sorted(CONTAINERS))), f) for f in faces]
+    labels = draw(st.none() | st.integers(0, 10).map(lambda n: [f"v{i}" for i in range(n)]))
+    return specs, labels, draw(st.none() | st.integers(0, 10)), draw(st.booleans())
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(deadline=None)
+@given(facet_inputs())
+@example(([("list", [0, 0]), ("list", [1, "a"])], None, None, False))
+@example(([("tuple", [-1, 2]), ("set", [3, "a"])], None, None, True))
+@example(([("list", [1, "a"]), ("list", [0, 0])], None, None, False))
+@example(([("generator", [2, 0]), ("generator", [1, 1])], ["x", "y", "z"], None, True))
+@example(([("list", [0, 1, 2]), ("tuple", [1, 2]), ("set", [4]), ("list", [2, 0, 1])], None, 6, False))
+def test_bulk_canonicalization_matches_the_facet_walk(spec):
+    """Whatever the facets, their containers and the outer iterable, the
+    constructor gives the facet walk's facets, vertex count and labels, or
+    raises the same exception with the same message."""
+    specs, labels, num_vertices, one_shot = spec
+
+    def facets():
+        made = (CONTAINERS[kind](vs) for kind, vs in specs)
+        return made if one_shot else list(made)
+
+    def build():
+        k = SimplicialComplex(facets(), labels=labels, num_vertices=num_vertices)
+        return k.facets, k.num_vertices, k.labels
+
+    assert _outcome(build) == _outcome(lambda: complex_by_facet_walk(facets(), labels, num_vertices))
 
 
 def test_vertex_count_resource_cap():
@@ -417,6 +474,18 @@ def test_json_rejects_malformed():
         from_json_dict({"facets": [[0, 1]], "labels": [1, 2]})
     with pytest.raises(ValueError):
         from_json_dict({"facets": [[0, 1]], "labels": ["only-one"]})
+
+
+@pytest.mark.parametrize("facet", [[0, True], [False, 1], [0, 1.0], [2.5], [0, "3"], [None], (0, 1), {"v": 0}, 7, "01", None])
+@pytest.mark.parametrize("i", [0, 1, 3])
+def test_json_names_the_first_facet_that_is_not_a_list_of_ints(facet, i):
+    """A bool or float vertex, or a facet that is not a list, is refused by
+    its index, and the first bad facet is the one named."""
+    facets = [[0, 1], [1, 2], [2, 3], [3, 4], [4, True]]
+    facets[i] = facet
+    with pytest.raises(ValueError) as info:
+        from_json_dict({"facets": facets})
+    assert str(info.value) == f"facet #{i} must be a list of integers, got {facet!r}"
 
 
 def test_json_labels_pin_vertex_count():

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 from hypothesis import example, given, strategies as st
 
@@ -182,6 +183,26 @@ def test_clearing_skips_the_pivots_one_dimension_up(monkeypatch):
     ranks = _ranks(k, -1, k.dimension + 1)
     assert [len(c) for c in read] == [len(k.faces(d)) - ranks.get(d + 1, 0) for d in range(k.dimension + 1, -1, -1)]
     assert [len(c) for c in read] == [0, 64, 96 - 63, 32 - 31]
+
+
+@given(small_complexes())
+@example(opp(2, 4))
+def test_ranks_stream_the_faces_in_colex_order(k):
+    """The ranks read each map with both layers in colex order (sorted by
+    reversed tuple): the top map streams every column, and column j is the
+    boundary of the j-th top face, bit i the i-th face below."""
+    read = []
+
+    def recorded(columns):
+        read.append(list(columns))
+        return gf2.pivot_bits(read[-1])
+
+    with mock.patch.object(homology, "pivot_bits", recorded):
+        _ranks(k, -1, k.dimension)
+    top, below = (sorted(k.faces(d), key=lambda f: f[::-1]) for d in (k.dimension, k.dimension - 1))
+    index = {f: i for i, f in enumerate(below)}
+    want = [sum(1 << index[f] for f in combinations(s, k.dimension)) if k.dimension else 0 for s in top]
+    assert read[0] == want
 
 
 @given(small_complexes())
