@@ -16,8 +16,9 @@ signed facets, then sign each facet by one ``product`` of its vertices' copies.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import chain, combinations, groupby, product, repeat
-from operator import lt
+from operator import and_, lt
 from typing import IO, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import DEFAULT_MAX_CELLS, ResourceLimitError
@@ -49,7 +50,10 @@ def _require_vertex_budget(count: int) -> None:
 def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
     vs = tuple(sorted(vertices))
     if not all(map(lt, vs, vs[1:])):
-        raise ValueError(f"simplex {vs} repeats vertex {next(a for a, b in zip(vs, vs[1:]) if a == b)}")
+        repeated = next((a for a, b in zip(vs, vs[1:]) if a == b), None)
+        if repeated is None:
+            raise ValueError(f"simplex {vs} has vertices that are not totally ordered")
+        raise ValueError(f"simplex {vs} repeats vertex {repeated}")
     if vs and vs[0] < 0:
         raise ValueError(f"negative vertex id in {vs}")
     return vs
@@ -202,31 +206,24 @@ class SimplicialComplex:
     # -- flagness -----------------------------------------------------
 
     def is_flag(self) -> bool:
-        """True iff every maximal clique of the 1-skeleton is a face: a face
-        holding one is a clique (its edges are faces), so equals it, and the
-        clique is a face iff it is a facet (or empty, with no vertices)."""
-        adj: list[set[int]] = [set() for _ in range(self.num_vertices)]
+        """True iff every clique of the 1-skeleton is a face, tested as: for
+        every face s of dimension >= 1, the common neighbours of its vertices
+        are exactly the vertices v with s + v a face.  If so, every clique is
+        a face, by induction on its size: vertices and edges are faces, and a
+        clique s + v with s a face of dimension >= 1 has v a common neighbour
+        of s.  Conversely, in a flag complex s + v is a clique, so a face."""
+        adj = [0] * self.num_vertices
         for a, b in self.faces(1):
-            adj[a].add(b)
-            adj[b].add(a)
-        facets = {(), *self.facets}
-        return all(clique in facets for clique in _maximal_cliques(adj))
-
-
-def _maximal_cliques(adj: Sequence[set[int]]) -> Iterator[tuple[int, ...]]:
-    """Bron-Kerbosch with pivoting; yields each maximal clique once."""
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> Iterator[tuple[int, ...]]:
-        if not p and not x:
-            yield tuple(sorted(r))
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            yield from expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    yield from expand(set(), set(range(len(adj))), set())
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        for d in range(1, self.dimension + 1):
+            up = dict.fromkeys(self.faces(d), 0)
+            for f in self.faces(d + 1):
+                for i, v in enumerate(f):
+                    up[f[:i] + f[i + 1 :]] |= 1 << v
+            if any(reduce(and_, map(adj.__getitem__, s)) != bits for s, bits in up.items()):
+                return False
+        return True
 
 
 # -- signed vertex encoding ------------------------------------------

@@ -90,9 +90,10 @@ class GF2Matrix:
             raise ValueError(f"negative shape ({rows}, {cols})")
         if len(columns) != cols:
             raise ValueError(f"expected {cols} columns, got {len(columns)}")
-        for c in columns:
-            if c < 0 or c >> rows:
-                raise ValueError(f"column 0x{c:x} does not fit in {rows} rows")
+        if columns and (min(columns) < 0 or max(columns) >> rows):
+            for c in columns:
+                if c < 0 or c >> rows:
+                    raise ValueError(f"column 0x{c:x} does not fit in {rows} rows")
         self.rows = rows
         self.cols = cols
         self.columns = tuple(columns)

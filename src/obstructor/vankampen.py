@@ -20,9 +20,16 @@ back-substitutes for the primitive.
 No coordinates are computed.  Points on the moment curve with distinct
 parameters are in general position, and two complementary simplices cross
 exactly when their vertices interlace in parameter order (the cyclic
-polytope theorem), so every parity is an exact integer comparison.  The
-cocycle condition and the certificate's substitution are checked at run
-time and raise ``CertificateError``, also under ``python -O``.
+polytope theorem), so every parity is an exact bit test.  Each face gets
+two masks over the vertices' parameter ranks: m, a bit at each vertex's
+rank, and p, whose bit j is the parity of the face's vertices of rank <= j
+(the XOR of ``-(1 << rank)`` over them).  For disjoint faces s and t, bit
+j of p_s ^ p_t is then the parity of their vertices together of rank <= j,
+so ``(m_s | m_t) & (p_s ^ p_t)`` keeps the 1st, 3rd, 5th, ... of them in
+parameter order.  They alternate iff those are all of s or all of t: iff
+that mask is m_s or m_t.  The cocycle condition and the certificate's
+substitution are checked at run time and raise ``CertificateError``, also
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -108,7 +115,7 @@ class _Cells:
         if not keys[d]:
             return GF2Matrix(len(keys[d - 1]), 0, [])
         count, facet_ids = self.count, self.facet_ids
-        below = {c: i for i, c in enumerate(reversed(keys[d - 1]))}
+        below = dict(zip(reversed(keys[d - 1]), range(len(keys[d - 1]))))
         columns = []
         for cell in keys[d]:
             s, t = divmod(cell, count)
@@ -226,13 +233,30 @@ def pair_intersection_parity(params: Sequence[int], sigma: Simplex, tau: Simplex
     the open simplices on sigma and tau meet, in exactly one point, iff
     their vertices alternate in parameter order.
     """
-    return _interlace(sorted([params[v] for v in sigma]), sorted([params[v] for v in tau]))
+    return _interlace(*_rank_masks(params, (sigma, tau)))
 
 
-def _interlace(a: list[int], b: list[int]) -> int:
-    """1 iff sorted disjoint lists a, b alternate: every other entry of the merge is a or b."""
-    every_other = sorted(a + b)[::2]
-    return 1 if every_other == a or every_other == b else 0
+def _rank_masks(params: Sequence[int], faces: Iterable[Simplex]) -> list[tuple[int, int]]:
+    """Per face, (m, p) over the vertices' ranks in ``params``: bit r of m
+    for each vertex of rank r, and bit j of p the parity of those of rank <= j."""
+    bits = [0] * len(params)
+    for rank, v in enumerate(sorted(range(len(params)), key=params.__getitem__)):
+        bits[v] = 1 << rank
+    out = []
+    for f in faces:
+        m = p = 0
+        for v in f:
+            m |= bits[v]
+            p ^= -bits[v]
+        out.append((m, p))
+    return out
+
+
+def _interlace(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """1 iff the (m, p) masks of disjoint faces a, b alternate: the odd places
+    of their union in rank order are all of a or all of b."""
+    odd = (a[0] | b[0]) & (a[1] ^ b[1])
+    return 1 if odd == a[0] or odd == b[0] else 0
 
 
 # -- the obstruction -------------------------------------------------
@@ -248,13 +272,11 @@ class ObstructionCocycle:
 
 def obstruction_cocycle(space: ConfigurationSpace, seed: int = 0) -> ObstructionCocycle:
     """Evaluate the parity of every n-cell of ``space`` by the rule of
-    ``pair_intersection_parity``, sorting each face's parameters once; the
-    cocycle condition is checked on its (n+1)-cells."""
-    n, faces = space.n, space.faces
-    count = len(faces)
-    params = _seeded_values(seed, space.source.num_vertices)
-    ordered = [sorted([params[v] for v in f]) for f in faces]
-    values = GF2Vector.from_list([_interlace(ordered[c // count], ordered[c % count]) for c in space.keys[n]])
+    ``pair_intersection_parity``, ranking the parameters and masking each
+    face once; the cocycle condition is checked on its (n+1)-cells."""
+    n, count = space.n, len(space.faces)
+    masks = _rank_masks(_seeded_values(seed, space.source.num_vertices), space.faces)
+    values = GF2Vector.from_list([_interlace(masks[c // count], masks[c % count]) for c in space.keys[n]])
     if not space.boundary[n + 1].apply_transpose(values).is_zero():
         raise CertificateError("obstruction failed the cocycle condition")
     return ObstructionCocycle(n, values)
@@ -329,7 +351,7 @@ def is_trivial(
         "certificate_weight": certificate.weight(),
     }
     layer = cfg.keys[n if kind == "cycle" else n - 1]
-    named = tuple(cfg.decode(layer[i]) for i in certificate.support())
+    named = tuple([cfg.decode(layer[i]) for i in certificate.support()])
     return ObstructionVerdict(n, kind == "cycle", certificate, kind, cocycle, seed, stats, named)
 
 

@@ -150,6 +150,17 @@ def test_bulk_canonicalization_matches_the_facet_walk(spec):
     assert _outcome(build) == _outcome(lambda: complex_by_facet_walk(facets(), labels, num_vertices))
 
 
+@pytest.mark.parametrize("bad", [(float("nan"), 0), (0, float("nan")), (float("nan"), float("nan"))])
+def test_a_facet_whose_vertices_do_not_order_is_named(bad):
+    """NaN compares false both ways, so its facet fails the order check with
+    no repeated vertex: it is refused by name, where it and every facet after
+    it were once dropped without a word."""
+    with pytest.raises(ValueError, match=r"^simplex \(.*nan.*\) has vertices that are not totally ordered$"):
+        SimplicialComplex([(0, 1), bad, (1, 2)])
+    with pytest.raises(ValueError, match="^simplex \\(1, 1\\) repeats vertex 1$"):
+        SimplicialComplex([(0, 1), (1, 1), bad])
+
+
 def test_vertex_count_resource_cap():
     with pytest.raises(ResourceLimitError):
         SimplicialComplex([], num_vertices=2_000_000)

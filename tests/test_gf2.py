@@ -278,6 +278,13 @@ def test_matrix_validation():
         from_entries(2, 2, [(2, 0)])
 
 
+@pytest.mark.parametrize("columns, bad", [([0b11, -1, 0b100], "0x-1"), ([0b1, 0b100, -1], "0x4"), ([0, 0b1000, -2], "0x8")])
+def test_matrix_names_the_first_column_that_does_not_fit(columns, bad):
+    """The bulk range check finds a bad column; the walk names the first."""
+    with pytest.raises(ValueError, match=f"^column {bad} does not fit in 2 rows$"):
+        GF2Matrix(2, len(columns), columns)
+
+
 # -- randomized properties -------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """The mod-2 obstruction pipeline, from cell pairs to verdicts.
 
 The program reads crossing parity off the vertex order on the moment
-curve.  An exact ``Fraction`` solve of the incidence system, kept here as
-a test-only oracle, is checked against pictures one can draw (segment
-crossings, a point inside a triangle) and then against the interlacing
-rule on random cells of the moment curve.  Verdict-level cases are the
+curve, as a bit test on two rank masks per face.  An exact ``Fraction``
+solve of the incidence system, kept here as a test-only oracle, is checked
+against pictures one can draw (segment crossings, a point inside a
+triangle) and then against the interlacing rule on random cells of the
+moment curve; the former rule, which merged sorted parameter lists, is kept
+here as the reference of the mask rule.  Verdict-level cases are the
 classics: complete and complete bipartite graphs fail in the plane, cycles
 fail on the line, and everything planar or collapsible comes out trivial.
 Cocycle and certificate bits are pinned, so a change of the parity rule or
@@ -439,6 +441,49 @@ def test_interlacing_matches_the_exact_solve(drawn, seed):
     assert pair_intersection_parity(params, *cell) == exact_parity(coords, cell)
 
 
+def interlace_by_merge(a: list[int], b: list[int]) -> int:
+    """The former parity rule, on sorted disjoint parameter lists: 1 iff
+    every other entry of their merge, from the first, is all of a or all of b."""
+    every_other = sorted(a + b)[::2]
+    return 1 if every_other == a or every_other == b else 0
+
+
+def assert_masks_interlace_as_the_merge(ranks: list[int], sigma: tuple[int, ...], tau: tuple[int, ...]) -> None:
+    """The (m, p) mask rule agrees with the merge on sigma and tau, both ways round."""
+    masks = vankampen._rank_masks(ranks, (sigma, tau))
+    expected = interlace_by_merge(sorted(ranks[v] for v in sigma), sorted(ranks[v] for v in tau))
+    assert vankampen._interlace(*masks) == vankampen._interlace(*masks[::-1]) == expected
+
+
+def test_rank_masks_interlace_as_the_merge_on_every_split():
+    """Every pair of disjoint nonempty faces on 7 ranked vertices: sizes 1 to
+    6, each face with or without the lowest and the highest rank."""
+    for sigma_bits in range(1, 1 << 7):
+        rest = [v for v in range(7) if not sigma_bits >> v & 1]
+        sigma = tuple(v for v in range(7) if sigma_bits >> v & 1)
+        for r in range(1, len(rest) + 1):
+            for tau in combinations(rest, r):
+                assert_masks_interlace_as_the_merge(list(range(7)), sigma, tau)
+
+
+@st.composite
+def disjoint_faces(draw):
+    """Two disjoint faces of sizes 1 to 6 over distinct ranks of up to 40
+    vertices, each face sometimes holding the lowest or the highest rank."""
+    num_vertices = draw(st.integers(2, 40))
+    vertices = draw(st.permutations(range(num_vertices)))
+    ranks = draw(st.permutations(range(num_vertices)))
+    a = draw(st.integers(1, min(6, num_vertices - 1)))
+    b = draw(st.integers(1, min(6, num_vertices - a)))
+    return ranks, tuple(sorted(vertices[:a])), tuple(sorted(vertices[a : a + b]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_faces())
+def test_rank_masks_interlace_as_the_merge(drawn):
+    assert_masks_interlace_as_the_merge(*drawn)
+
+
 # -- cocycles and verdicts -------------------------------------------
 
 
@@ -832,6 +877,22 @@ def test_ados_validation():
         verify_ados(cycle_complex(5), (0,), 1)  # delta below top dimension
     with pytest.raises(ValueError):
         verify_ados(cycle_complex(4), (), 1)  # empty delta
+
+
+def test_ados_refuses_a_non_flag_base_survives_optimize():
+    """The hollow triangle's three edges form a clique that is no face, and
+    ``verify_ados`` refuses it by a raise, so under ``python -O`` too; the
+    flag 5-cycle still passes there."""
+    script = "\n".join([
+        "assert False, 'asserts are not stripped'",
+        "from obstructor.complexes import cycle_complex",
+        "from obstructor.vankampen import verify_ados",
+        "print(verify_ados(cycle_complex(5), (0, 1), 1).lhs)",
+        "verify_ados(cycle_complex(3), (0, 1), 1)",
+    ])
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=300)
+    assert res.stdout == "True\n", res.stderr
+    assert res.stderr.endswith("ValueError: base complex is not flag; the doubling laws assume flagness\n"), res.stderr
 
 
 def test_why_the_doubling_simplex_must_be_top_dimensional():
