@@ -88,16 +88,12 @@ def _label(rows: Rows, q: int) -> str:
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n; q < 2 is refused."""
+    """Number of k-dimensional subspaces of F_q^n, [n]_q! / ([k]_q! [n-k]_q!); q < 2 is refused."""
     if q < 2:
         raise ValueError(f"need a field size q >= 2, got {q}")
     if not 0 <= k <= n:
         return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    out, rem = divmod(num, den)
+    out, rem = divmod(_flag_count(q, n), _flag_count(q, k) * _flag_count(q, n - k))
     if rem:
         raise CertificateError(f"Gaussian binomial [{n} choose {k}]_{q} is not an integer")
     return out
@@ -113,10 +109,8 @@ def enumerate_subspaces(q: int, n: int, k: int) -> list[Rows]:
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     _check_field(q, n)
-    if gaussian_binomial(n, k, q) > MAX_SUBSPACES:
-        raise ResourceLimitError(
-            f"{gaussian_binomial(n, k, q)} subspaces requested, cap is {MAX_SUBSPACES}"
-        )
+    if (count := gaussian_binomial(n, k, q)) > MAX_SUBSPACES:
+        raise ResourceLimitError(f"{count} subspaces requested, cap is {MAX_SUBSPACES}")
     out: list[Rows] = []
     for pivots in combinations(range(n), k):
         choices = []  # choices[i]: every row i with its pivot and free entries

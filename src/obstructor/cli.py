@@ -39,6 +39,7 @@ EXIT_CERTIFICATE = 4
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -125,10 +126,10 @@ def _dump_json(obj: object, fp: TextIO) -> None:
     fp.write("\n")
 
 
-def _report(args: argparse.Namespace, payload: dict, lines: Sequence[str], started: float) -> int:
+def _report(args: argparse.Namespace, payload: dict, lines: Sequence[str]) -> int:
     if getattr(args, "json", False):
         payload = dict(payload)
-        payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
+        payload["timing_ms"] = round((time.perf_counter() - args.started) * 1000, 3)
         _dump_json(payload, sys.stdout)
     else:
         for line in lines:
@@ -179,7 +180,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     k = _read_complex(args.file)
     bettis = homology.betti_numbers(k)
     payload = {
@@ -191,11 +191,10 @@ def cmd_homology(args: argparse.Namespace) -> int:
         f"complex: {k.num_vertices} vertices, {len(k.facets)} facets, dimension {k.dimension}",
         "betti: " + " ".join(f"b{i}={b}" for i, b in enumerate(bettis)),
     ]
-    return _report(args, payload, lines, started)
+    return _report(args, payload, lines)
 
 
 def cmd_opp(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     b = bldg.build(args.q, args.n)
     count = bldg._flag_count(args.q, args.n)
     if not 0 <= args.chamber < count:
@@ -221,11 +220,10 @@ def cmd_opp(args: argparse.Namespace) -> int:
     ]
     if args.output:
         _write_complex(opp, args.output)
-    return _report(args, payload, lines, started)
+    return _report(args, payload, lines)
 
 
 def cmd_vk(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     k = _read_complex(args.file)
     verdict = vk.is_trivial(k, args.n, args.seed, max_cells=args.max_cells)
     result = {
@@ -251,7 +249,7 @@ def cmd_vk(args: argparse.Namespace) -> int:
         lines.append(f"certificate ({verdict.certificate_kind}): {len(named)} cells")
         for pair in named:
             lines.append(f"  {tuple(pair[0])} | {tuple(pair[1])}")
-    return _report(args, payload, lines, started)
+    return _report(args, payload, lines)
 
 
 # -- verification suites ---------------------------------------------
@@ -344,7 +342,6 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     results = list(_SUITES[args.suite](args.seed))
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in results]
     all_ok = all(ok for _, ok in results)
@@ -358,7 +355,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "ok": all_ok,
         },
     }
-    code = _report(args, payload, lines, started)
+    code = _report(args, payload, lines)
     return code if all_ok else EXIT_VERIFY_FAILED
 
 

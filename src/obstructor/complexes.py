@@ -136,6 +136,9 @@ class SimplicialComplex:
                         under.setdefault(v, []).append(face)
         maximal.sort()
         seen = set().union(*maximal)
+        if not all(map(isinstance, seen, repeat(int))):
+            bad = next(f for f in faces if not all(map(isinstance, f, repeat(int))))
+            raise ValueError(f"simplex {bad} has a vertex that is not an int")
         top = max(seen) + 1 if seen else 0
         if num_vertices is None:
             num_vertices = top

@@ -85,7 +85,7 @@ class CoxeterSystem:
 
     def _check(self, w: Element) -> None:
         if self.family == "symmetric":
-            if not (isinstance(w, tuple) and len(w) == self.n and set(w) == _letters(self.n)):
+            if not (isinstance(w, tuple) and len(w) == self.n and set(w) == set(range(self.n))):
                 raise ValueError(f"{w!r} is not a permutation of 0..{self.n - 1}")
         elif not (isinstance(w, int) and 0 <= w < (1 << self.n)):
             raise ValueError(f"{w!r} is not a {self.n}-bit mask")
@@ -174,12 +174,6 @@ class CoxeterSystem:
         for w in self.elements():
             images[self.in_set_inverse(w)].append(w)
         return images
-
-
-@lru_cache(maxsize=16)
-def _letters(n: int) -> frozenset[int]:
-    """The letters a permutation of 0..n-1 holds, built once per n for ``_check``."""
-    return frozenset(range(n))
 
 
 @lru_cache(maxsize=16)

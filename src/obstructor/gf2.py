@@ -140,14 +140,14 @@ class GF2Matrix:
 
     # -- elimination --------------------------------------------------
 
-    def _eliminate(self, history: bool = True) -> _Reduction:
-        """``_reduce`` of the columns, once, or again to read a history."""
-        if self._reduced is None or history and self._reduced[2] is None:
-            self._reduced = _reduce(self.columns, history)
+    def _eliminate(self) -> _Reduction:
+        """``_reduce`` of the columns with histories, once per matrix."""
+        if self._reduced is None:
+            self._reduced = _reduce(self.columns, history=True)
         return self._reduced
 
     def rank(self) -> int:
-        return len(self._eliminate(history=False)[0])
+        return len(self._eliminate()[0])
 
     def kernel_vector(self, free: int) -> GF2Vector:
         """The one kernel vector 1 on free column ``free`` and 0 on every other

@@ -8,12 +8,11 @@ complementary disjoint pair, and decide whether the resulting cocycle is
 a coboundary.  A nonzero pairing with an explicit cycle certifies that
 the complex does not embed in R^n.
 
-A cell is an int: the faces of K up to dimension n+1 are numbered once,
-in lexicographic order, and {sigma, tau} with ids s < t is ``s * F + t``
-for F faces.  Ascending keys are then the lexicographic order of the
-pairs, each boundary column is XORed in one pass over a table of facet
-ids, and a cell stays an int from enumeration to verdict: only the cells
-a certificate names are decoded to ``CellPair`` tuples.  A nontrivial
+A cell is an int key over one numbering of the faces (see
+``ConfigurationSpace``).  Ascending keys are the lexicographic order of
+the pairs, each boundary column is XORed in one pass over a table of
+facet ids, and a cell stays an int from enumeration to verdict: only the
+cells a certificate names are decoded to ``CellPair`` tuples.  A nontrivial
 verdict reads the residue of the cocycle alone; only a trivial one
 back-substitutes for the primitive.
 
@@ -66,58 +65,72 @@ class CellPair(NamedTuple):
     tau: Simplex
 
 
-class _Cells:
-    """Cells over one lexicographic numbering of the faces of K up to ``top``.
+class ConfigurationSpace:
+    """The window of disjoint-pair cells that a decision in R^n reads.
 
-    Face ``i`` is ``faces[i]``, with vertex mask ``masks[i]`` and facet ids
-    ``facet_ids[i]`` (drop the first vertex, then the second, ...), built
-    for the first boundary with a column; ``by_dim[a]`` lists the a-faces'
-    ids, ascending, and ``ids`` maps a face to its id.  Cell {sigma, tau}
-    with ids s < t is ``s * count + t``.
+    The faces of ``source`` up to dimension n+1 are numbered once, in
+    lexicographic order, as ``faces``, and cell {sigma, tau} with ids s < t
+    is the int ``s * len(faces) + t``; ``decode`` turns one key into its
+    ``CellPair``.  ``keys[d]`` lists the d-cells for d = n-1, n and n+1,
+    ascending: the n-cells carry the cocycle, the (n-1)-cells index a
+    cochain certificate and the (n+1)-cells give the cocycle check.
+    ``boundary[d]`` maps d-chains to (d-1)-chains for d = n and n+1; the
+    boundary of {sigma, tau} is the sum of {sigma', tau} over facets
+    sigma' of sigma plus {sigma, tau'} over facets tau' of tau.
+    ``configuration_space`` fills both layer by layer, within its budgets.
     """
 
-    def __init__(self, k: SimplicialComplex, top: int) -> None:
+    def __init__(self, k: SimplicialComplex, n: int, top: int) -> None:
+        self.source, self.n = k, n
         self.faces = sorted(f for a in range(top + 1) for f in k.faces(a))
-        self.count, self.vertices = len(self.faces), k.num_vertices
-        self.ids = ids = {f: i for i, f in enumerate(self.faces)}
-        self.masks = [sum(1 << v for v in f) for f in self.faces]
-        self.by_dim = [[ids[f] for f in k.faces(a)] for a in range(top + 1)]
+        self.keys: dict[int, list[int]] = {}
+        self.boundary: dict[int, GF2Matrix] = {}
+        self._ids = ids = {f: i for i, f in enumerate(self.faces)}
+        self._masks = [sum(1 << v for v in f) for f in self.faces]
+        self._by_dim = [[ids[f] for f in k.faces(a)] for a in range(top + 1)]
+
+    def decode(self, key: int) -> CellPair:
+        s, t = divmod(key, len(self.faces))
+        return CellPair(self.faces[s], self.faces[t])
 
     @cached_property
-    def facet_ids(self) -> list[tuple[int, ...]]:
-        ids = self.ids
+    def _facet_ids(self) -> list[tuple[int, ...]]:
+        """Per face, the ids of its facets: drop the first vertex, then the second, ..."""
+        ids = self._ids
         return [tuple(ids[f[:i] + f[i + 1 :]] for i in range(len(f))) if len(f) > 1 else () for f in self.faces]
 
-    def rows(self, d: int) -> Iterator[list[int]]:
+    def _rows(self, d: int) -> Iterator[list[int]]:
         """Per split and face s, the d-cells {s, t} with dim s <= dim t: each
         (d-a)-face t is tested against s's mask or, when under half as many
         (a lookup costs about two tests), each set of d-a+1 vertices outside
         s is looked up; on one big facet, most t meet s."""
-        count, masks, ids, top = self.count, self.masks, self.ids, len(self.by_dim) - 1
+        count, masks, ids, top = len(self.faces), self._masks, self._ids, len(self._by_dim) - 1
+        vertices = self.source.num_vertices
         for a in range(max(0, d - top), min(d // 2, top) + 1):
-            partners, size = self.by_dim[d - a], d - a + 1
-            lookup = 2 * comb(self.vertices - a - 1, size) < len(partners)
-            for i, s in enumerate(self.by_dim[a]):
+            partners, size = self._by_dim[d - a], d - a + 1
+            lookup = 2 * comb(vertices - a - 1, size) < len(partners)
+            for i, s in enumerate(self._by_dim[a]):
                 ms = masks[s]
                 if lookup:
-                    rest = [v for v in range(self.vertices) if not ms >> v & 1]
+                    rest = [v for v in range(vertices) if not ms >> v & 1]
                     later = [t for t in map(ids.get, combinations(rest, size)) if t is not None and (2 * a < d or t > s)]
                 else:
                     later = partners[i + 1 :] if 2 * a == d else partners
                 yield [s * count + t if s < t else t * count + s for t in later if not ms & masks[t]]
 
-    def boundary(self, keys: dict[int, list[int]], d: int) -> GF2Matrix:
-        """The boundary from the d-cells to the (d-1)-cells, row i at bit
-        rows-1-i, each column XORed straight from the two facet-id tuples.
-        A face of a disjoint pair is disjoint, so only the order can change,
-        and only when sigma shrinks: s < t with s, t disjoint means
-        s[0] < t[0], and a facet of t starts at t[0] or later."""
-        if not keys[d]:
-            return GF2Matrix(len(keys[d - 1]), 0, [])
-        count, facet_ids = self.count, self.facet_ids
-        below = dict(zip(reversed(keys[d - 1]), range(len(keys[d - 1]))))
+    def _boundary(self, d: int) -> GF2Matrix:
+        """boundary[d], row i at bit rows-1-i, each column XORed straight from
+        the two facet-id tuples.  A face of a disjoint pair is disjoint, so
+        only the order can change, and only when sigma shrinks: s < t with
+        s, t disjoint means s[0] < t[0], and a facet of t starts at t[0] or
+        later."""
+        cells, lower = self.keys[d], self.keys[d - 1]
+        if not cells:
+            return GF2Matrix(len(lower), 0, [])
+        count, facet_ids = len(self.faces), self._facet_ids
+        below = dict(zip(reversed(lower), range(len(lower))))
         columns = []
-        for cell in keys[d]:
+        for cell in cells:
             s, t = divmod(cell, count)
             column, head, tail = 0, t * count, cell - t
             for f in facet_ids[s]:
@@ -125,31 +138,7 @@ class _Cells:
             for f in facet_ids[t]:
                 column ^= 1 << below[tail + f]
             columns.append(column)
-        return GF2Matrix(len(keys[d - 1]), len(columns), columns)
-
-
-@dataclass(frozen=True)
-class ConfigurationSpace:
-    """The window of disjoint-pair cells that a decision in R^n reads.
-
-    ``keys[d]`` lists the d-cells for d = n-1, n and n+1 as ascending int
-    keys over the face numbering ``faces``, and ``decode`` turns one key
-    into its ``CellPair``: the n-cells carry the cocycle, the (n-1)-cells
-    index a cochain certificate and the (n+1)-cells give the cocycle check.
-    ``boundary[d]`` maps d-chains to (d-1)-chains for d = n and n+1; the
-    boundary of {sigma, tau} is the sum of {sigma', tau} over facets
-    sigma' of sigma plus {sigma, tau'} over facets tau' of tau.
-    """
-
-    source: SimplicialComplex
-    n: int
-    faces: list[Simplex]
-    keys: dict[int, list[int]]
-    boundary: dict[int, GF2Matrix]
-
-    def decode(self, key: int) -> CellPair:
-        s, t = divmod(key, len(self.faces))
-        return CellPair(self.faces[s], self.faces[t])
+        return GF2Matrix(len(lower), len(columns), columns)
 
 
 def configuration_space(
@@ -175,12 +164,11 @@ def configuration_space(
         raise ResourceLimitError(f"configuration space exceeds {cap} cells in one facet of {m} vertices")
     # When no two disjoint faces hold the n+1 vertices of a lowest cell, the
     # window is empty and no face is numbered.
-    cells = _Cells(k, min(n + 1, m - 1) if n + 1 <= min(k.num_vertices, 2 * m) else -1)
-    keys: dict[int, list[int]] = {}
-    total = 0
+    space = ConfigurationSpace(k, n, min(n + 1, m - 1) if n + 1 <= min(k.num_vertices, 2 * m) else -1)
+    keys, total = space.keys, 0
     for d in (n - 1, n, n + 1):
         layer = keys[d] = []
-        for row in cells.rows(d):
+        for row in space._rows(d):
             layer += row
             if total + len(layer) > cap:
                 raise ResourceLimitError(f"configuration space exceeds {cap} cells by dimension {d}")
@@ -188,10 +176,10 @@ def configuration_space(
         total += len(layer)
     if (size := len(keys[n]) * (len(keys[n - 1]) + len(keys[n + 1])) // 8) > MAX_BOUNDARY_BYTES:
         raise ResourceLimitError(f"boundary columns of {size} bytes exceed {MAX_BOUNDARY_BYTES}")
-    boundary = {d: cells.boundary(keys, d) for d in (n, n + 1)}
+    boundary = space.boundary = {d: space._boundary(d) for d in (n, n + 1)}
     if keys[n + 1] and not (boundary[n] @ boundary[n + 1]).is_zero():
         raise CertificateError(f"boundary of boundary is nonzero in dimension {n + 1}")
-    return ConfigurationSpace(k, n, cells.faces, keys, boundary)
+    return space
 
 
 # -- crossing parity on the moment curve -----------------------------
@@ -273,9 +261,11 @@ class ObstructionCocycle:
 def obstruction_cocycle(space: ConfigurationSpace, seed: int = 0) -> ObstructionCocycle:
     """Evaluate the parity of every n-cell of ``space`` by the rule of
     ``pair_intersection_parity``, ranking the parameters and masking each
-    face once; the cocycle condition is checked on its (n+1)-cells."""
+    face once, unless no n-cell reads them; the cocycle condition is checked
+    on its (n+1)-cells."""
     n, count = space.n, len(space.faces)
-    masks = _rank_masks(_seeded_values(seed, space.source.num_vertices), space.faces)
+    params = _seeded_values(seed, space.source.num_vertices)
+    masks = _rank_masks(params, space.faces) if space.keys[n] else []
     values = GF2Vector.from_list([_interlace(masks[c // count], masks[c % count]) for c in space.keys[n]])
     if not space.boundary[n + 1].apply_transpose(values).is_zero():
         raise CertificateError("obstruction failed the cocycle condition")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import time
 from itertools import combinations
 
@@ -159,6 +160,19 @@ def test_a_facet_whose_vertices_do_not_order_is_named(bad):
         SimplicialComplex([(0, 1), bad, (1, 2)])
     with pytest.raises(ValueError, match="^simplex \\(1, 1\\) repeats vertex 1$"):
         SimplicialComplex([(0, 1), (1, 1), bad])
+
+
+@pytest.mark.parametrize(
+    "facets, named",
+    [([(0, 1), (float("nan"),), (1, 2)], "(nan,)"), ([(0, 1.5)], "(0, 1.5)"), ([(1, 2), (0.5,), (0, 0.5)], "(0.5,)")],
+)
+def test_a_vertex_that_is_not_an_int_is_refused_by_its_facet(facets, named):
+    """A one-vertex facet passes every order check, and a float sorts among
+    ints, so the vertex census refuses the vertex by type, naming the first
+    input facet that holds one; bools are ints and stay accepted."""
+    with pytest.raises(ValueError, match=f"^simplex {re.escape(named)} has a vertex that is not an int$"):
+        SimplicialComplex(facets)
+    assert SimplicialComplex([(False, True), (True, 2)]).facets == ((False, True), (True, 2))
 
 
 def test_vertex_count_resource_cap():

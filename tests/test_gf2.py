@@ -13,10 +13,12 @@ column, which pivot histories replaced, is the oracle of every answer.
 from __future__ import annotations
 
 import time
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from obstructor import gf2
 from obstructor.building import build, opp_complex, standard_flag
 from obstructor.complexes import double_over
 from obstructor.gf2 import GF2Matrix, GF2Vector
@@ -457,6 +459,34 @@ def test_edge_shape_answers():
     assert repeated.row_reduce(GF2Vector(3, 0b001)) == (GF2Vector(3, 0b100), GF2Vector(3, 0b101))
 
 
+ANSWERS = {
+    "rank": lambda m, v: m.rank(),
+    "residue": lambda m, v: m.residue(v),
+    "kernel_vector": lambda m, v: m.kernel_vector(4),
+    "row_reduce": lambda m, v: m.row_reduce(v),
+    "kernel_basis": lambda m, v: m.kernel_basis(),
+}
+
+
+def test_a_matrix_is_reduced_once_whatever_is_asked_first(monkeypatch):
+    """Every answer reads one cached reduction, with histories, in all 120
+    orders of the five questions: a rank read first leaves no history-free
+    reduction behind to be redone."""
+    real, reductions = gf2._reduce, []
+
+    def counted(columns, history):
+        reductions.append(history)
+        return real(columns, history)
+
+    monkeypatch.setattr(gf2, "_reduce", counted)
+    for order in permutations(ANSWERS):
+        reductions.clear()
+        m = cycle_boundary(5)
+        for name in order:
+            ANSWERS[name](m, GF2Vector(5, 0b10110))
+        assert reductions == [True], order
+
+
 def test_kernel_vector_refuses_pivot_columns():
     m = cycle_boundary(5)
     assert m.kernel_vector(4).bits == 0b11111
@@ -489,8 +519,8 @@ def oracle_cases(draw, max_dim: int = 9):
 
 
 def assert_matches_the_tagged_oracle(m: GF2Matrix, vectors: list[GF2Vector]) -> None:
-    """Every answer equals the tagged reduction's, whether the rank (no
-    history) or a kernel vector (with it) is read first."""
+    """Every answer equals the tagged reduction's, whether the rank or a
+    kernel vector is read first."""
     oracle = TaggedReduction(m)
     for first in ("rank", "kernel"):
         fresh = GF2Matrix(m.rows, m.cols, m.columns)

@@ -170,7 +170,7 @@ def test_oversized_boundary_columns_are_refused_before_any_is_built(monkeypatch)
 
     b = build(3, 4)
     opp = opp_complex(b, standard_flag(b))
-    monkeypatch.setattr(vankampen._Cells, "boundary", no_columns)
+    monkeypatch.setattr(vankampen.ConfigurationSpace, "_boundary", no_columns)
     with pytest.raises(ResourceLimitError, match="boundary columns of 21897994025 bytes exceed 1073741824"):
         configuration_space(double_over(opp, opp.facets[0]), 4)
 
@@ -775,6 +775,25 @@ def test_more_vertices_than_moment_curve_parameters_are_refused():
     assert sorted(values) == list(range(1 << 16))
 
 
+def test_no_face_is_ranked_when_no_n_cell_reads_the_masks(monkeypatch):
+    """One 8-vertex facet in R^7 has no 7-cell, as a 7-cell needs 9 vertices,
+    so no face gets rank masks; K33 in the plane ranks every numbered face
+    once.  The parameters are still drawn, so a direct call on an empty
+    window still refuses more vertices than there are parameters."""
+    real, ranked = vankampen._rank_masks, []
+    monkeypatch.setattr(vankampen, "_rank_masks", lambda params, faces: ranked.append(len(faces)) or real(params, faces))
+    assert is_trivial(full_simplex(8), 7).trivial
+    assert ranked == []
+    cfg = configuration_space(k33(), 2)
+    assert obstruction_cocycle(cfg).values.length == 18
+    assert ranked == [len(cfg.faces)]
+    empty = configuration_space(points_complex(70_000), 4)
+    assert empty.faces == [] and not empty.keys[4]
+    with pytest.raises(ResourceLimitError, match="70000 vertices exceed the 65536"):
+        obstruction_cocycle(empty)
+    assert ranked == [len(cfg.faces)]
+
+
 def test_too_many_vertices_are_refused_before_the_window_is_built(monkeypatch):
     """The vertex count is checked first: no configuration space is built
     for a complex whose vertices cannot all get distinct parameters."""
@@ -813,11 +832,11 @@ def test_configuration_boundary_check_survives_optimize(tmp_path):
         "from obstructor.complexes import full_simplex",
         "from obstructor.errors import CertificateError",
         "from obstructor.gf2 import GF2Matrix",
-        "real = vankampen._Cells.boundary",
-        "def broken(self, keys, d):",
-        "    m = real(self, keys, d)",
+        "real = vankampen.ConfigurationSpace._boundary",
+        "def broken(self, d):",
+        "    m = real(self, d)",
         "    return m if d != 3 else GF2Matrix(m.rows, m.cols, [c & (c - 1) for c in m.columns])",
-        "vankampen._Cells.boundary = broken",
+        "vankampen.ConfigurationSpace._boundary = broken",
         "try:",
         "    vankampen.is_trivial(full_simplex(5), 2)",
         "except CertificateError as exc:",
