@@ -4,8 +4,8 @@ A complex is stored by its facets (inclusion-maximal simplices).  Vertices
 are exactly ``0 .. num_vertices-1`` with no gaps; a simplex is a strictly
 increasing tuple of vertex ids.  Constructors canonicalize: faces nested in
 other input faces are dropped, duplicates removed, facets sorted
-lexicographically.  Optional human-readable labels ride along and survive
-subcomplex operations.
+lexicographically.  Optional human-readable labels, strings, ride along and
+survive subcomplex operations.
 
 Signed vertices (for octahedralization and doubling) are encoded
 arithmetically: vertex ``v`` of the base complex yields ``2*v`` (minus
@@ -56,40 +56,9 @@ def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
         raise ValueError(f"simplex {vs} repeats vertex {repeated}")
     if vs and vs[0] < 0:
         raise ValueError(f"negative vertex id in {vs}")
+    if not all(map(isinstance, vs, repeat(int))):
+        raise ValueError(f"simplex {vs} has a vertex that is not an int")
     return vs
-
-
-def _length_classes(faces: list[Simplex]) -> dict[int, list[Simplex]]:
-    """The distinct nonempty ``faces`` (sorted tuples) by length, each class
-    in input order.  A dict, not a set, drops duplicates in input order, so
-    input that is already sorted sorts in one pass later.
-
-    Each class is checked a column at a time by the comparisons that
-    ``_canonical_simplex`` makes: each vertex below the next, and the first
-    not below 0.  Only if a check fails, or raises, are the faces walked in
-    order by ``_canonical_simplex``, which raises at the first bad face."""
-    try:
-        classes = _by_length(dict.fromkeys(faces))
-        if all(map(_rises_from_0, classes.values())):
-            return classes
-    except Exception:
-        pass
-    return _by_length(dict.fromkeys(map(_canonical_simplex, faces)))
-
-
-def _by_length(distinct: dict[Simplex, None]) -> dict[int, list[Simplex]]:
-    distinct.pop((), None)
-    return {length: list(group) for length, group in groupby(sorted(distinct, key=len), len)}
-
-
-def _rises_from_0(faces: list[Simplex]) -> bool:
-    """Whether every face, all of one length, rises strictly from at least 0.
-    The columns are sliced from one flat list: ``zip(*faces)`` would hold an
-    iterator a face, and that many live objects set off the cyclic GC."""
-    length = len(faces[0])
-    flat = list(chain.from_iterable(faces))
-    columns = [flat[j::length] for j in range(length)]
-    return all(map(all, map(map, repeat(lt), columns, columns[1:]))) and not any(map(lt, columns[0], repeat(0)))
 
 
 class SimplicialComplex:
@@ -103,21 +72,41 @@ class SimplicialComplex:
         labels: Optional[Sequence[str]] = None,
         num_vertices: Optional[int] = None,
     ) -> None:
-        # Every facet is sorted in one pass.  If a facet does not sort (or the
-        # input does not iterate), ``extend`` has kept the facets sorted
-        # before it, and those are walked first, so that the first bad facet
-        # raises, as in a walk of the input by ``_canonical_simplex``.
+        # One try sorts every facet, checks every vertex to be an int before
+        # duplicates go, as (1.0, 2) == (1, 2), drops duplicates in input order
+        # (a dict, not a set, so input that is already sorted sorts in one
+        # pass later), groups the nonempty faces by length, and checks each
+        # class a column at a time by the comparisons of ``_canonical_simplex``:
+        # each vertex below the next, the first not below 0.  Columns are
+        # sliced from one flat list, as ``zip(*faces)`` would hold an iterator
+        # a face, and that many live objects set off the cyclic GC; each is as
+        # long as the class, so both are dropped once checked.  On any failure
+        # the facets sorted so far are walked in input order by
+        # ``_canonical_simplex``, which names the first bad one; if none is,
+        # the input or a facet did not iterate or sort, and that error stands.
         faces: list[Simplex] = []
         try:
             faces.extend(map(tuple, map(sorted, facets)))
+            if not all(map(isinstance, chain.from_iterable(faces), repeat(int))):
+                raise ValueError("a facet has a vertex that is not an int")
+            distinct = dict.fromkeys(faces)
+            distinct.pop((), None)
+            classes = {length: list(group) for length, group in groupby(sorted(distinct, key=len), len)}
+            del distinct
+            for length in classes:
+                flat = list(chain.from_iterable(classes[length]))
+                columns = [flat[j::length] for j in range(length)]
+                if any(map(lt, columns[0], repeat(0))) or not all(map(all, map(map, repeat(lt), columns, columns[1:]))):
+                    raise ValueError("a facet has a repeated or negative vertex")
+                del flat, columns
         except Exception:
-            dict.fromkeys(map(_canonical_simplex, faces))
+            for f in faces:
+                _canonical_simplex(f)
             raise
-        classes = _length_classes(faces)
-        # Drop faces nested inside other input faces.  Faces go longest
-        # first, and a length class is indexed by vertex only once all of it
-        # is tested, so a face meets only strictly longer maximal faces (a
-        # face inside a non-maximal one is inside a maximal one too).  Every
+        # Drop faces nested inside other input faces.  Faces go longest first,
+        # and a length class is indexed by vertex only once all of it is
+        # tested, so a face meets only strictly longer maximal faces (a face
+        # inside a non-maximal one is inside a maximal one too).  Every
         # superset of a face contains its least-shared vertex, so only the
         # faces listed under that vertex are tested.  A pure complex has one
         # class and so no test at all, and is not even bucketed.
@@ -136,9 +125,6 @@ class SimplicialComplex:
                         under.setdefault(v, []).append(face)
         maximal.sort()
         seen = set().union(*maximal)
-        if not all(map(isinstance, seen, repeat(int))):
-            bad = next(f for f in faces if not all(map(isinstance, f, repeat(int))))
-            raise ValueError(f"simplex {bad} has a vertex that is not an int")
         top = max(seen) + 1 if seen else 0
         if num_vertices is None:
             num_vertices = top
@@ -152,6 +138,9 @@ class SimplicialComplex:
             labels = tuple(labels)
             if len(labels) != num_vertices:
                 raise ValueError(f"{len(labels)} labels for {num_vertices} vertices")
+            if not all(map(isinstance, labels, repeat(str))):
+                v = next(v for v, s in enumerate(labels) if not isinstance(s, str))
+                raise ValueError(f"label {labels[v]!r} of vertex {v} is not a string")
         self.num_vertices = num_vertices
         self.facets: tuple[Simplex, ...] = tuple(maximal)
         self.labels: Optional[tuple[str, ...]] = labels

@@ -164,15 +164,38 @@ def test_a_facet_whose_vertices_do_not_order_is_named(bad):
 
 @pytest.mark.parametrize(
     "facets, named",
-    [([(0, 1), (float("nan"),), (1, 2)], "(nan,)"), ([(0, 1.5)], "(0, 1.5)"), ([(1, 2), (0.5,), (0, 0.5)], "(0.5,)")],
+    [
+        ([(0, 1), (float("nan"),), (1, 2)], "(nan,)"),
+        ([(0, 1.5)], "(0, 1.5)"),
+        ([(1, 2), (0.5,), (0, 0.5)], "(0.5,)"),
+        ([(0, 1), (1.0, 2)], "(1.0, 2)"),
+        ([(0, 1), (1, 2), (1.0, 2)], "(1.0, 2)"),
+    ],
 )
 def test_a_vertex_that_is_not_an_int_is_refused_by_its_facet(facets, named):
     """A one-vertex facet passes every order check, and a float sorts among
-    ints, so the vertex census refuses the vertex by type, naming the first
-    input facet that holds one; bools are ints and stay accepted."""
+    ints, so every vertex of the input is checked by type, and the first
+    input facet that holds one that is not an int is named: a float equal to
+    an int id, as 1.0 is to 1, is refused too, even in a facet that equals an
+    earlier int facet.  Bools are ints and stay accepted."""
     with pytest.raises(ValueError, match=f"^simplex {re.escape(named)} has a vertex that is not an int$"):
         SimplicialComplex(facets)
     assert SimplicialComplex([(False, True), (True, 2)]).facets == ((False, True), (True, 2))
+
+
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ([(0, 1.5), (2, 2)], "simplex (0, 1.5) has a vertex that is not an int"),
+        ([(2, 2), (0, 1.5)], "simplex (2, 2) repeats vertex 2"),
+        ([(0, 1), (-1, 2), (0.5,)], "negative vertex id in (-1, 2)"),
+        ([(1.0,), (0, 0), (-1,)], "simplex (1.0,) has a vertex that is not an int"),
+    ],
+)
+def test_the_first_bad_facet_in_input_order_is_named_whatever_its_fault(facets, message):
+    with pytest.raises(ValueError) as info:
+        SimplicialComplex(facets)
+    assert str(info.value) == message
 
 
 def test_vertex_count_resource_cap():
@@ -185,6 +208,21 @@ def test_labels_must_match_vertex_count():
     assert k.vertex_label(1) == "b"
     with pytest.raises(ValueError):
         SimplicialComplex([(0, 1)], labels=("a",))
+
+
+@pytest.mark.parametrize("labels, v", [([0, 1, 2], 0), (["a", 1, "c"], 1), (("a", "b", None), 2), (["a", "b", b"c"], 2)])
+def test_a_label_that_is_not_a_string_is_refused_by_its_vertex(labels, v):
+    """A label that is not a string would break ``double_over``'s signed
+    labels with a bare TypeError and make ``dump_complex`` write a file that
+    ``load_complex`` refuses, so the constructor names it."""
+    with pytest.raises(ValueError) as info:
+        SimplicialComplex([(0, 1), (1, 2)], labels=labels)
+    assert str(info.value) == f"label {labels[v]!r} of vertex {v} is not a string"
+    k = SimplicialComplex([(0, 1), (1, 2)], labels=["0", "1", "2"])
+    assert double_over(k, (0, 1)).labels == ("0-", "0+", "1-", "1+", "2-")
+    written = io.StringIO()
+    dump_complex(k, written)
+    assert load_complex(io.StringIO(written.getvalue())).labels == k.labels
 
 
 # -- basic queries ---------------------------------------------------
@@ -408,6 +446,12 @@ def test_double_over_empty_delta_recovers_the_complex():
 def test_double_over_rejects_non_faces():
     with pytest.raises(ValueError):
         double_over(cycle_complex(4), (0, 2))  # diagonal, not an edge
+
+
+def test_double_over_refuses_a_delta_vertex_that_is_not_an_int():
+    """0.0 == 0, so a float delta passes the face test; the double names it."""
+    with pytest.raises(ValueError, match=r"^simplex \(0\.0, 1\) has a vertex that is not an int$"):
+        double_over(cycle_complex(4), (0.0, 1))
 
 
 def test_double_over_full_facet_contains_octahedralization_of_it():

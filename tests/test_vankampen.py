@@ -44,7 +44,7 @@ from obstructor.complexes import (
     path_complex,
     points_complex,
 )
-from obstructor.errors import ResourceLimitError
+from obstructor.errors import CertificateError, ResourceLimitError
 from obstructor.gf2 import GF2Matrix, GF2Vector
 from obstructor.homology import cycle_basis
 from obstructor.vankampen import (
@@ -850,6 +850,73 @@ def test_configuration_boundary_check_survives_optimize(tmp_path):
     assert "caught: boundary of boundary is nonzero in dimension 3" in res.stdout, res.stderr
     assert res.returncode == 4
     assert res.stderr == "error: boundary of boundary is nonzero in dimension 3\n"
+
+
+def _flip_bit_0(v: GF2Vector) -> GF2Vector:
+    return GF2Vector(v.length, v.bits ^ 1)
+
+
+def test_a_cycle_certificate_that_fails_substitution_is_refused(monkeypatch):
+    """K33 in the plane is nontrivial; a witness cycle with its cell 0
+    flipped is no cycle pairing to 1, and the verdict says so by a raise."""
+    real = GF2Matrix.kernel_vector
+    monkeypatch.setattr(GF2Matrix, "kernel_vector", lambda self, free: _flip_bit_0(real(self, free)))
+    with pytest.raises(CertificateError, match="^certificate is not a cycle pairing to 1$"):
+        is_trivial(k33(), 2)
+
+
+def test_a_primitive_that_fails_substitution_is_refused(monkeypatch):
+    """K4 in the plane is trivial; a primitive with its cell 0 flipped has
+    a coboundary other than the cocycle, and the verdict says so by a raise."""
+    real = GF2Matrix.row_reduce
+
+    def broken(self, v):
+        residue, y = real(self, v)
+        return residue, _flip_bit_0(y)
+
+    monkeypatch.setattr(GF2Matrix, "row_reduce", broken)
+    with pytest.raises(CertificateError, match="^primitive substitution failed$"):
+        is_trivial(SimplicialComplex(combinations(range(4), 2)), 2)
+
+
+@pytest.mark.parametrize(
+    "facets, patch, message",
+    [
+        (
+            [list(f) for f in k33().facets],
+            "real = GF2Matrix.kernel_vector\n"
+            "GF2Matrix.kernel_vector = lambda self, free: flip(real(self, free))",
+            "certificate is not a cycle pairing to 1",
+        ),
+        (
+            [list(e) for e in combinations(range(4), 2)],
+            "real = GF2Matrix.row_reduce\n"
+            "GF2Matrix.row_reduce = lambda self, v: (lambda residue, y: (residue, flip(y)))(*real(self, v))",
+            "primitive substitution failed",
+        ),
+    ],
+    ids=["cycle", "primitive"],
+)
+def test_certificate_checks_survive_optimize(tmp_path, facets, patch, message):
+    """Both substitution checks of a verdict hold with asserts stripped:
+    with the certificate's bit 0 flipped, ``vk`` refuses K33 and K4 in the
+    plane with exit code 4."""
+    f = tmp_path / "graph.json"
+    f.write_text(json.dumps({"facets": facets}))
+    script = "\n".join([
+        "import sys",
+        "assert False, 'asserts are not stripped'",
+        "from obstructor.cli import main",
+        "from obstructor.gf2 import GF2Matrix, GF2Vector",
+        "flip = lambda v: GF2Vector(v.length, v.bits ^ 1)",
+        patch,
+        "sys.exit(main(['vk', sys.argv[1], '2']))",
+    ])
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(f)], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 4, res.stderr
+    assert res.stderr == f"error: {message}\n"
 
 
 # -- doubled-complex criterion ---------------------------------------
