@@ -36,7 +36,7 @@ from math import isqrt, prod
 from operator import le, lt
 from typing import Iterable, Optional, Sequence
 
-from .complexes import Simplex, SimplicialComplex, signings
+from .complexes import Simplex, SimplicialComplex, _ids_in, signings
 from .coxeter import prefix_masks, symmetric
 from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
 
@@ -177,9 +177,10 @@ class Building:
 
     def chamber(self, i: int) -> Simplex:
         """``chambers[i]``, walked alone: the flags through a d-subspace number
-        [n-d]_q!, so i is a mixed-radix numeral over the covers, ascending."""
-        if not 0 <= i < _flag_count(self.q, self.n):
-            raise IndexError(f"chamber index {i} out of range")
+        [n-d]_q!, so i is a mixed-radix numeral over the covers, ascending.
+        An i that is not an int in ``range([n]_q!)`` is refused."""
+        if not _ids_in((i,), count := _flag_count(self.q, self.n)):
+            raise ValueError(f"chamber index {i} out of range 0..{count - 1}")
         ids: Simplex = ()
         for d in range(1, self.n):
             digit, i = divmod(i, _flag_count(self.q, self.n - d))
@@ -202,13 +203,15 @@ class Building:
 
     def chamber_ids(self, chamber: Iterable[int]) -> Simplex:
         """The sorted vertex ids of a chamber of this building, in any order,
-        read off no chamber list: ids of dimensions 1..n-1, each mask inside
-        the next."""
-        ids = tuple(sorted(int(v) for v in chamber))
-        dims = tuple(self.vertex_dims[v] if 0 <= v < len(self.vertices) else 0 for v in ids)
-        if dims != tuple(range(1, self.n)) or any(self.masks[u] & ~self.masks[w] for u, w in zip(ids, ids[1:])):
-            raise ValueError(f"{ids} is not a chamber of this building")
-        return ids
+        read off no chamber list: exact int ids of dimensions 1..n-1, each
+        mask inside the next."""
+        ids = tuple(chamber)
+        if _ids_in(ids, len(self.vertices)):
+            ids = tuple(sorted(ids))
+            dims = tuple(map(self.vertex_dims.__getitem__, ids))
+            if dims == tuple(range(1, self.n)) and not any(self.masks[u] & ~self.masks[w] for u, w in zip(ids, ids[1:])):
+                return ids
+        raise ValueError(f"{ids} is not a chamber of this building")
 
     def __repr__(self) -> str:
         return f"Building(q={self.q}, n={self.n}, vertices={len(self.vertices)}, chambers={_flag_count(self.q, self.n)})"
@@ -377,10 +380,10 @@ class Apartment:
 
     def __init__(self, building: Building, lines: Sequence[int]) -> None:
         n = building.n
-        lines = tuple(int(line) for line in lines)
+        lines = tuple(lines)
         if len(lines) != n:
             raise ValueError(f"frame has {len(lines)} lines in dimension {n}")
-        if any(not 0 <= line < building.lines_in[n] for line in lines):
+        if not _ids_in(lines, building.lines_in[n]):
             raise ValueError(f"frame {lines} names a vertex that is not a line")
         self.lines = lines
         self.n = n
@@ -398,7 +401,7 @@ class Apartment:
             raise ValueError(f"frame {lines} spans only a hyperplane")
 
     def chamber_of_perm(self, w: Sequence[int]) -> Simplex:
-        if sorted(w) != list(range(self.n)):
+        if not (len(w) == self.n and _ids_in(w, self.n) and len(set(w)) == self.n):
             raise ValueError(f"{tuple(w)} is not a permutation of 0..{self.n - 1}")
         return tuple(sorted(map(self.vertex_of_subset.__getitem__, prefix_masks(w))))
 

@@ -196,9 +196,6 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 def cmd_opp(args: argparse.Namespace) -> int:
     b = bldg.build(args.q, args.n)
-    count = bldg._flag_count(args.q, args.n)
-    if not 0 <= args.chamber < count:
-        raise ValueError(f"chamber index {args.chamber} out of range 0..{count - 1}")
     opp = bldg.opp_complex(b, b.chamber(args.chamber))
     bettis = homology.betti_numbers(opp)
     n_chambers = len(opp.facets)
@@ -213,7 +210,7 @@ def cmd_opp(args: argparse.Namespace) -> int:
         },
     }
     lines = [
-        f"building q={args.q} n={args.n}: {count} chambers",
+        f"building q={args.q} n={args.n}: {bldg._flag_count(args.q, args.n)} chambers",
         f"opposition complex of chamber {args.chamber}: {n_chambers} chambers, "
         f"{opp.num_vertices} vertices",
         "betti: " + " ".join(f"b{i}={v}" for i, v in enumerate(bettis)),

@@ -47,6 +47,11 @@ def _require_vertex_budget(count: int) -> None:
         raise ResourceLimitError(f"{count} vertices is beyond any supported scale")
 
 
+def _ids_in(values: Iterable[object], bound: int) -> bool:
+    """True iff every value is exactly an int, not a bool, float or str, in ``range(bound)``."""
+    return all(type(v) is int and 0 <= v < bound for v in values)
+
+
 def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
     vs = tuple(sorted(vertices))
     if not all(map(lt, vs, vs[1:])):
@@ -56,7 +61,7 @@ def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
         raise ValueError(f"simplex {vs} repeats vertex {repeated}")
     if vs and vs[0] < 0:
         raise ValueError(f"negative vertex id in {vs}")
-    if not all(map(isinstance, vs, repeat(int))):
+    if set(map(type, vs)) - {int}:
         raise ValueError(f"simplex {vs} has a vertex that is not an int")
     return vs
 
@@ -72,22 +77,22 @@ class SimplicialComplex:
         labels: Optional[Sequence[str]] = None,
         num_vertices: Optional[int] = None,
     ) -> None:
-        # One try sorts every facet, checks every vertex to be an int before
-        # duplicates go, as (1.0, 2) == (1, 2), drops duplicates in input order
-        # (a dict, not a set, so input that is already sorted sorts in one
-        # pass later), groups the nonempty faces by length, and checks each
-        # class a column at a time by the comparisons of ``_canonical_simplex``:
-        # each vertex below the next, the first not below 0.  Columns are
-        # sliced from one flat list, as ``zip(*faces)`` would hold an iterator
-        # a face, and that many live objects set off the cyclic GC; each is as
-        # long as the class, so both are dropped once checked.  On any failure
-        # the facets sorted so far are walked in input order by
-        # ``_canonical_simplex``, which names the first bad one; if none is,
-        # the input or a facet did not iterate or sort, and that error stands.
+        # One try sorts every facet, checks every vertex to be exactly an int
+        # (no bool, which JSON writes as a word) before duplicates go, as
+        # (1.0, 2) == (1, 2), drops duplicates in input order (a dict, not a
+        # set, so sorted input sorts in one pass later), groups the nonempty
+        # faces by length, and checks each class a column at a time by the
+        # comparisons of ``_canonical_simplex``: each vertex below the next,
+        # the first not below 0.  Columns are sliced from one flat list, as
+        # ``zip(*faces)`` would hold an iterator a face, and that many live
+        # objects set off the cyclic GC; each is as long as the class, so both
+        # are dropped once checked.  On any failure the facets sorted so far
+        # are walked in input order by ``_canonical_simplex``, which names the
+        # first bad one; if none does, the error that stopped the try stands.
         faces: list[Simplex] = []
         try:
             faces.extend(map(tuple, map(sorted, facets)))
-            if not all(map(isinstance, chain.from_iterable(faces), repeat(int))):
+            if set(map(type, chain.from_iterable(faces))) - {int}:
                 raise ValueError("a facet has a vertex that is not an int")
             distinct = dict.fromkeys(faces)
             distinct.pop((), None)
@@ -153,7 +158,7 @@ class SimplicialComplex:
         return max((len(f) for f in self.facets), default=0) - 1
 
     def vertex_label(self, v: int) -> str:
-        if not 0 <= v < self.num_vertices:
+        if not _ids_in((v,), self.num_vertices):
             raise ValueError(f"vertex {v} out of range")
         return self.labels[v] if self.labels is not None else str(v)
 
@@ -348,7 +353,7 @@ def from_json_dict(data: object) -> SimplicialComplex:
     # any other input is walked, so the first facet that fails is named.
     if set(map(type, facets)) - {list} or set(map(type, chain.from_iterable(facets))) - {int}:
         for i, f in enumerate(facets):
-            if not isinstance(f, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in f):
+            if not isinstance(f, list) or set(map(type, f)) - {int}:
                 raise ValueError(f"facet #{i} must be a list of integers, got {f!r}")
     labels = data.get("labels")
     if labels is not None:

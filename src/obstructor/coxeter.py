@@ -32,7 +32,7 @@ from math import factorial
 from operator import or_
 from typing import Iterator, Sequence, Union
 
-from .complexes import Simplex, SimplicialComplex, full_simplex, octahedralize
+from .complexes import Simplex, SimplicialComplex, _ids_in, full_simplex, octahedralize
 from .errors import DEFAULT_MAX_CELLS, CertificateError, ResourceLimitError
 
 __all__ = ["CoxeterSystem", "CoxeterComplex", "Element", "Reflection",
@@ -85,9 +85,9 @@ class CoxeterSystem:
 
     def _check(self, w: Element) -> None:
         if self.family == "symmetric":
-            if not (isinstance(w, tuple) and len(w) == self.n and set(w) == set(range(self.n))):
+            if not (isinstance(w, tuple) and len(w) == self.n and _ids_in(w, self.n) and len(set(w)) == self.n):
                 raise ValueError(f"{w!r} is not a permutation of 0..{self.n - 1}")
-        elif not (isinstance(w, int) and 0 <= w < (1 << self.n)):
+        elif not _ids_in((w,), 1 << self.n):
             raise ValueError(f"{w!r} is not a {self.n}-bit mask")
 
     def multiply(self, u: Element, v: Element) -> Element:
@@ -123,10 +123,7 @@ class CoxeterSystem:
     def reflection_separates(self, w: Element, t: Reflection) -> bool:
         """True iff the wall of t separates chamber w from the identity chamber,
         that is, length(t*w) < length(w).  A t not in ``reflections()`` is refused."""
-        if self.family == "symmetric":
-            ok = isinstance(t, tuple) and len(t) == 2 and isinstance(t[0], int) and isinstance(t[1], int) and 0 <= t[0] < t[1] < self.n
-        else:
-            ok = isinstance(t, int) and 0 <= t < self.n
+        ok = _ids_in((t,), self.n) if self.family == "rightangled" else isinstance(t, tuple) and len(t) == 2 and _ids_in(t, self.n) and t[0] < t[1]
         if not ok:
             raise ValueError(f"{t!r} is not a reflection of {self.family}({self.n})")
         return bool(self._separating(self.inverse(w), (t,)))

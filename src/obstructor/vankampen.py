@@ -39,7 +39,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .complexes import Simplex, SimplicialComplex, double_over
+from .complexes import Simplex, SimplicialComplex, _ids_in, double_over
 from .errors import DEFAULT_MAX_CELLS, MAX_BOUNDARY_BYTES, CertificateError, ResourceLimitError
 from .gf2 import GF2Matrix, GF2Vector
 from .homology import betti
@@ -66,7 +66,9 @@ class CellPair(NamedTuple):
 
 
 class ConfigurationSpace:
-    """The window of disjoint-pair cells that a decision in R^n reads.
+    """The window of disjoint-pair cells that a decision in R^n reads: the
+    cells of dimension n-1, n and n+1 and the boundary maps between them,
+    built and checked by the constructor.
 
     The faces of ``source`` up to dimension n+1 are numbered once, in
     lexicographic order, as ``faces``, and cell {sigma, tau} with ids s < t
@@ -77,17 +79,50 @@ class ConfigurationSpace:
     ``boundary[d]`` maps d-chains to (d-1)-chains for d = n and n+1; the
     boundary of {sigma, tau} is the sum of {sigma', tau} over facets
     sigma' of sigma plus {sigma, tau'} over facets tau' of tau.
-    ``configuration_space`` fills both layer by layer, within its budgets.
+
+    ``n`` must be an int >= 1.  ``max_cells`` (default ``DEFAULT_MAX_CELLS``),
+    a positive int, caps the cells of the three layers together, checked
+    first against the n-cells of the largest facet alone and then after each
+    face's row of partners; ``MAX_BOUNDARY_BYTES`` caps the two maps' dense
+    columns before any is built.  The one product of the window,
+    boundary[n] @ boundary[n+1], is checked to vanish.
     """
 
-    def __init__(self, k: SimplicialComplex, n: int, top: int) -> None:
+    def __init__(self, k: SimplicialComplex, n: int, max_cells: Optional[int] = None) -> None:
+        if type(n) is not int or not (max_cells is None or type(max_cells) is int):
+            raise ValueError(f"target dimension and max_cells must be ints, got {n!r} and {max_cells!r}")
+        if n < 1:
+            raise ValueError(f"target dimension must be >= 1, got {n}")
+        cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
+        if cap < 1:
+            raise ValueError(f"max_cells must be positive, got {cap}")
+        # One facet of m vertices alone holds C(m, n+2) * (2^(n+1) - 1) n-cells.
+        m = max(map(len, k.facets), default=0)
+        if m >= n + 2 and comb(m, n + 2) * ((2 << n) - 1) > cap:
+            raise ResourceLimitError(f"configuration space exceeds {cap} cells in one facet of {m} vertices")
+        # When no two disjoint faces hold the n+1 vertices of a lowest cell, the
+        # window is empty and no face is numbered.
+        top = min(n + 1, m - 1) if n + 1 <= min(k.num_vertices, 2 * m) else -1
         self.source, self.n = k, n
         self.faces = sorted(f for a in range(top + 1) for f in k.faces(a))
-        self.keys: dict[int, list[int]] = {}
-        self.boundary: dict[int, GF2Matrix] = {}
         self._ids = ids = {f: i for i, f in enumerate(self.faces)}
         self._masks = [sum(1 << v for v in f) for f in self.faces]
         self._by_dim = [[ids[f] for f in k.faces(a)] for a in range(top + 1)]
+        self.keys: dict[int, list[int]] = {}
+        keys, total = self.keys, 0
+        for d in (n - 1, n, n + 1):
+            layer = keys[d] = []
+            for row in self._rows(d):
+                layer += row
+                if total + len(layer) > cap:
+                    raise ResourceLimitError(f"configuration space exceeds {cap} cells by dimension {d}")
+            layer.sort()
+            total += len(layer)
+        if (size := len(keys[n]) * (len(keys[n - 1]) + len(keys[n + 1])) // 8) > MAX_BOUNDARY_BYTES:
+            raise ResourceLimitError(f"boundary columns of {size} bytes exceed {MAX_BOUNDARY_BYTES}")
+        boundary = self.boundary = {d: self._boundary(d) for d in (n, n + 1)}
+        if keys[n + 1] and not (boundary[n] @ boundary[n + 1]).is_zero():
+            raise CertificateError(f"boundary of boundary is nonzero in dimension {n + 1}")
 
     def decode(self, key: int) -> CellPair:
         s, t = divmod(key, len(self.faces))
@@ -141,45 +176,7 @@ class ConfigurationSpace:
         return GF2Matrix(len(lower), len(columns), columns)
 
 
-def configuration_space(
-    k: SimplicialComplex, n: int, max_cells: Optional[int] = None
-) -> ConfigurationSpace:
-    """The cells of dimension n-1, n and n+1 and the boundary maps between them.
-
-    ``max_cells`` (default ``DEFAULT_MAX_CELLS``) caps the cells of these
-    three layers together, checked first against the n-cells of the largest
-    facet alone and then after each face's row of partners, and must be
-    positive; ``MAX_BOUNDARY_BYTES`` caps the two maps' dense columns
-    before any is built.  The one product of the window,
-    boundary[n] @ boundary[n+1], is checked to vanish.
-    """
-    if n < 1:
-        raise ValueError(f"target dimension must be >= 1, got {n}")
-    cap = DEFAULT_MAX_CELLS if max_cells is None else max_cells
-    if cap < 1:
-        raise ValueError(f"max_cells must be positive, got {cap}")
-    # One facet of m vertices alone holds C(m, n+2) * (2^(n+1) - 1) n-cells.
-    m = max(map(len, k.facets), default=0)
-    if m >= n + 2 and comb(m, n + 2) * ((2 << n) - 1) > cap:
-        raise ResourceLimitError(f"configuration space exceeds {cap} cells in one facet of {m} vertices")
-    # When no two disjoint faces hold the n+1 vertices of a lowest cell, the
-    # window is empty and no face is numbered.
-    space = ConfigurationSpace(k, n, min(n + 1, m - 1) if n + 1 <= min(k.num_vertices, 2 * m) else -1)
-    keys, total = space.keys, 0
-    for d in (n - 1, n, n + 1):
-        layer = keys[d] = []
-        for row in space._rows(d):
-            layer += row
-            if total + len(layer) > cap:
-                raise ResourceLimitError(f"configuration space exceeds {cap} cells by dimension {d}")
-        layer.sort()
-        total += len(layer)
-    if (size := len(keys[n]) * (len(keys[n - 1]) + len(keys[n + 1])) // 8) > MAX_BOUNDARY_BYTES:
-        raise ResourceLimitError(f"boundary columns of {size} bytes exceed {MAX_BOUNDARY_BYTES}")
-    boundary = space.boundary = {d: space._boundary(d) for d in (n, n + 1)}
-    if keys[n + 1] and not (boundary[n] @ boundary[n + 1]).is_zero():
-        raise CertificateError(f"boundary of boundary is nonzero in dimension {n + 1}")
-    return space
+configuration_space = ConfigurationSpace
 
 
 # -- crossing parity on the moment curve -----------------------------
@@ -197,7 +194,9 @@ def _require_parameters(count: int) -> None:
 
 
 def _seeded_values(seed: int, count: int) -> list[int]:
-    """Distinct 16-bit integers from a 64-bit LCG, reproducible per seed."""
+    """Distinct 16-bit integers from a 64-bit LCG, reproducible per int seed."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     _require_parameters(count)
     state = (seed ^ 0x9E3779B97F4A7C15) & _LCG_MASK
     out: list[int] = []
@@ -219,8 +218,10 @@ def pair_intersection_parity(params: Sequence[int], sigma: Simplex, tau: Simplex
     polytope: every n+1 of them are affinely independent, and their only
     Radon partition is the alternating one (Gale 1963; Breen 1973).  So
     the open simplices on sigma and tau meet, in exactly one point, iff
-    their vertices alternate in parameter order.
-    """
+    their vertices alternate in parameter order.  Faces that share or repeat
+    a vertex, a vertex outside ``params`` or a repeated parameter are refused."""
+    if not _ids_in((*sigma, *tau), len(params)) or len({*sigma, *tau}) < len(sigma) + len(tau) or len(set(params)) < len(params):
+        raise ValueError(f"need disjoint faces of vertices 0..{len(params) - 1} at distinct parameters, got {sigma} and {tau}")
     return _interlace(*_rank_masks(params, (sigma, tau)))
 
 

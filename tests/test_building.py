@@ -621,6 +621,38 @@ def test_building_rejects_chambers_that_are_not_its_facets(b23, monkeypatch, bad
         bad(b23, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(lambda b: b.chamber_ids((0, 7.9)), "(0, 7.9) is not a chamber of this building", id="float-chamber-id"),
+        pytest.param(lambda b: b.chamber_ids(("0", "7")), "('0', '7') is not a chamber of this building", id="str-chamber-ids"),
+        pytest.param(lambda b: b.chamber_ids((False, 7)), "(False, 7) is not a chamber of this building", id="bool-chamber-id"),
+        pytest.param(lambda b: opposite_chambers(b, (0, 7.9)), "(0, 7.9) is not a chamber of this building",
+                     id="opposite-chambers-of-floats"),
+        pytest.param(lambda b: opp_complex(b, (0.0, 7)), "(0.0, 7) is not a chamber of this building", id="opp-complex-of-floats"),
+        pytest.param(lambda b: verify_dbl_embedding(b, (0.4, 7.6)), "(0.4, 7.6) is not a chamber of this building",
+                     id="embedding-check-of-floats"),
+        pytest.param(lambda b: Apartment(b, (0.9, 1, 2)), "frame (0.9, 1, 2) names a vertex that is not a line", id="float-line"),
+        pytest.param(lambda b: Apartment(b, (0, 1, "2")), "frame (0, 1, '2') names a vertex that is not a line", id="str-line"),
+        pytest.param(lambda b: Apartment(b, (0, 1, 1.9)), "frame (0, 1, 1.9) names a vertex that is not a line",
+                     id="float-line-near-an-int"),
+        pytest.param(lambda b: b.chamber(1.5), "chamber index 1.5 out of range 0..20", id="float-chamber-index"),
+        pytest.param(lambda b: b.chamber(True), "chamber index True out of range 0..20", id="bool-chamber-index"),
+        pytest.param(lambda b: Apartment(b, coordinate_frame(b)).chamber_of_perm((0.0, 1, 2)),
+                     "(0.0, 1, 2) is not a permutation of 0..2", id="float-letter"),
+        pytest.param(lambda b: Apartment(b, coordinate_frame(b)).chamber_of_perm((True, 0, 2)),
+                     "(True, 0, 2) is not a permutation of 0..2", id="bool-letter"),
+    ],
+)
+def test_an_id_that_is_not_exactly_an_int_is_refused(b23, bad, message):
+    """Chamber, frame and letter ids are taken as they are, not through
+    ``int()``: a float, str or bool id is refused with ``ValueError`` by the
+    call that takes it, never read as a nearby id."""
+    with pytest.raises(ValueError) as info:
+        bad(b23)
+    assert str(info.value) == message
+
+
 def test_building_refuses_no_chambers(b23, monkeypatch):
     with pytest.raises(CertificateError, match=NOT_THE_FACETS):
         _grown(lambda b, chambers: [])(b23, monkeypatch)
@@ -670,7 +702,7 @@ def test_chamber_walk_matches_the_chamber_list():
         assert "chambers" not in vars(b)
         assert tuple(walked) == b.chambers
         for i in (-1, len(b.chambers)):
-            with pytest.raises(IndexError):
+            with pytest.raises(ValueError, match=f"^chamber index {i} out of range 0..{len(b.chambers) - 1}$"):
                 b.chamber(i)
 
 

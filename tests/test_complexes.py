@@ -170,6 +170,7 @@ def test_a_facet_whose_vertices_do_not_order_is_named(bad):
         ([(1, 2), (0.5,), (0, 0.5)], "(0.5,)"),
         ([(0, 1), (1.0, 2)], "(1.0, 2)"),
         ([(0, 1), (1, 2), (1.0, 2)], "(1.0, 2)"),
+        ([(False, True), (True, 2)], "(False, True)"),
     ],
 )
 def test_a_vertex_that_is_not_an_int_is_refused_by_its_facet(facets, named):
@@ -177,10 +178,27 @@ def test_a_vertex_that_is_not_an_int_is_refused_by_its_facet(facets, named):
     ints, so every vertex of the input is checked by type, and the first
     input facet that holds one that is not an int is named: a float equal to
     an int id, as 1.0 is to 1, is refused too, even in a facet that equals an
-    earlier int facet.  Bools are ints and stay accepted."""
+    earlier int facet.  A bool is refused as well: ids are exactly ints, as
+    the JSON loader requires, so every accepted complex round-trips."""
     with pytest.raises(ValueError, match=f"^simplex {re.escape(named)} has a vertex that is not an int$"):
         SimplicialComplex(facets)
-    assert SimplicialComplex([(False, True), (True, 2)]).facets == ((False, True), (True, 2))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(lambda: cycle_complex(5).vertex_label(1.0), "vertex 1.0 out of range", id="float-vertex-label"),
+        pytest.param(lambda: cycle_complex(5).vertex_label(True), "vertex True out of range", id="bool-vertex-label"),
+        pytest.param(lambda: double_over(cycle_complex(4), (False, True)), "simplex (False, True) has a vertex that is not an int",
+                     id="bool-delta"),
+    ],
+)
+def test_an_id_that_is_not_exactly_an_int_is_refused(bad, message):
+    """A vertex id is exactly an int: a float or bool equal to one is
+    refused with ``ValueError``, not read as that vertex."""
+    with pytest.raises(ValueError) as info:
+        bad()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -526,6 +544,8 @@ def test_dump_complex_writes_what_the_indenting_encoder_writes(k):
     dump_complex(k, written)
     json.dump(to_json_dict(k), expected, indent=2)
     assert written.getvalue() == expected.getvalue() + "\n"
+    back = load_complex(io.StringIO(written.getvalue()))
+    assert back == k and back.labels == k.labels
 
 
 def test_json_rejects_malformed():

@@ -74,6 +74,27 @@ def test_validation():
         s.multiply((0, 1), (1, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(lambda: symmetric(3).multiply((0.0, 1, 2), (1, 0, 2)), "(0.0, 1, 2) is not a permutation of 0..2",
+                     id="float-letter"),
+        pytest.param(lambda: symmetric(3).inverse((True, 0, 2)), "(True, 0, 2) is not a permutation of 0..2", id="bool-letter"),
+        pytest.param(lambda: rightangled(2).length(True), "True is not a 2-bit mask", id="bool-mask"),
+        pytest.param(lambda: symmetric(3).reflection_separates((1, 0, 2), (0, True)), "(0, True) is not a reflection of symmetric(3)",
+                     id="bool-transposition"),
+        pytest.param(lambda: rightangled(3).reflection_separates(1, True), "True is not a reflection of rightangled(3)",
+                     id="bool-generator"),
+    ],
+)
+def test_an_element_or_wall_that_is_not_made_of_ints_is_refused(bad, message):
+    """Letters, masks and walls are ids: exactly ints, so a float or bool
+    equal to one is refused with ``ValueError``, not computed with."""
+    with pytest.raises(ValueError) as info:
+        bad()
+    assert str(info.value) == message
+
+
 def test_orders_and_element_counts():
     for system in SYSTEMS:
         elems = list(system.elements())

@@ -817,6 +817,49 @@ def test_cell_budget_must_be_positive(cap):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: is_trivial(cycle_complex(5), 2.0), "target dimension and max_cells must be ints, got 2.0 and None",
+                     id="float-n"),
+        pytest.param(lambda: is_trivial(cycle_complex(5), True), "target dimension and max_cells must be ints, got True and None",
+                     id="bool-n"),
+        pytest.param(lambda: is_trivial(cycle_complex(5), 2, max_cells=100.5),
+                     "target dimension and max_cells must be ints, got 2 and 100.5", id="float-budget"),
+        pytest.param(lambda: is_trivial(cycle_complex(5), 2, max_cells=1.5),
+                     "target dimension and max_cells must be ints, got 2 and 1.5", id="float-budget-below-the-window"),
+        pytest.param(lambda: is_trivial(cycle_complex(5), 2, seed=1.5), "seed must be an int, got 1.5", id="float-seed"),
+        pytest.param(lambda: is_trivial(cycle_complex(5), 2, seed="1"), "seed must be an int, got '1'", id="str-seed"),
+        pytest.param(lambda: pair_intersection_parity([5, 1, 9, 3], (0, 1), (1, 2)),
+                     "need disjoint faces of vertices 0..3 at distinct parameters, got (0, 1) and (1, 2)", id="shared-vertex"),
+        pytest.param(lambda: pair_intersection_parity([1, 2, 3, 4], (0, 1), (1, 2)),
+                     "need disjoint faces of vertices 0..3 at distinct parameters, got (0, 1) and (1, 2)",
+                     id="shared-vertex-other-order"),
+        pytest.param(lambda: pair_intersection_parity([5, 5, 9, 3], (0, 2), (1, 3)),
+                     "need disjoint faces of vertices 0..3 at distinct parameters, got (0, 2) and (1, 3)", id="repeated-parameter"),
+        pytest.param(lambda: pair_intersection_parity([5, 1, 9, 3], (0, 4), (1, 2)),
+                     "need disjoint faces of vertices 0..3 at distinct parameters, got (0, 4) and (1, 2)", id="vertex-past-params"),
+    ],
+)
+def test_vk_refuses_numbers_and_faces_it_cannot_take(call, message):
+    """The target dimension and the cell budget are taken by the window's
+    constructor, the seed by the parameter draw and the faces and
+    parameters by the per-pair parity, and each is refused there with
+    ``ValueError``: a float, bool or str is not an int, and faces that meet,
+    a vertex outside the parameters or a repeated parameter have no parity."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_any_int_seed_is_taken():
+    """Negative seeds and seeds wider than 64 bits are folded into the LCG
+    state, not refused."""
+    for seed in (-1, 1 << 70):
+        assert len(set(_seeded_values(seed, 50))) == 50
+        assert is_trivial(k33(), 2, seed).nontrivial
+
+
 def test_configuration_boundary_check_survives_optimize(tmp_path):
     """The configuration space's d o d check holds with asserts stripped:
     each 3-cell here loses one facet, the last row of its column in d_3, so
