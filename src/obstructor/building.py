@@ -66,11 +66,13 @@ Rows = tuple[Vector, ...]  # a subspace: its reduced row echelon rows
 def _check_field(q: int, n: int) -> None:
     """Refuse F_q^n unless q is prime and q^n is at most ``MAX_FIELD_SIZE``.
 
-    The cap is tested first, so a huge q is refused before trial division,
+    After q's type, the cap is tested, so a huge q is refused before trial division,
     and for n of ``MAX_FIELD_SIZE.bit_length()`` or more q^n is over the
     cap without computing it (q >= 2).  The message quotes neither q nor n,
     which may be too long to print.
     """
+    if type(q) is not int:
+        raise ValueError(f"q must be an int, got {q!r}")
     if q > MAX_FIELD_SIZE or (q >= 2 and (n >= MAX_FIELD_SIZE.bit_length() or q**n > MAX_FIELD_SIZE)):
         raise ResourceLimitError(f"F_q^n is beyond the desk-scale cap of {MAX_FIELD_SIZE} vectors")
     if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
@@ -89,8 +91,10 @@ def _label(rows: Rows, q: int) -> str:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n, [n]_q! / ([k]_q! [n-k]_q!); q < 2 is refused."""
-    if q < 2:
-        raise ValueError(f"need a field size q >= 2, got {q}")
+    if type(q) is not int or q < 2:
+        raise ValueError(f"field size q must be an int >= 2, got {q!r}")
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 0 <= k <= n:
         return 0
     out, rem = divmod(_flag_count(q, n), _flag_count(q, k) * _flag_count(q, n - k))
@@ -272,8 +276,8 @@ def _flags(masks: Sequence[int], dims: Sequence[int], ids: Iterable[int]) -> lis
 def build(q: int, n: int) -> Building:
     """Construct the building of F_q^n flags, refusing more than
     ``DEFAULT_MAX_CELLS`` chambers before any subspace is enumerated."""
-    if n < 2:
-        raise ValueError(f"need ambient dimension >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"ambient dimension must be an int >= 2, got {n!r}")
     _check_field(q, n)
     count = _flag_count(q, n)
     if count > DEFAULT_MAX_CELLS:
@@ -332,11 +336,12 @@ def opposite_chambers(b: Building, c: Iterable[int]) -> tuple[Simplex, ...]:
 
 def opp_complex(b: Building, c: Iterable[int]) -> SimplicialComplex:
     """The opposition complex Opp(C), relabeled to its own vertex ids: the
-    chambers of ``_opposition`` renumbered in order over ``keep``, so they
-    stay sorted."""
+    chambers of ``_opposition``, proven canonical there, renumbered in order
+    over ``keep``, so they stay sorted.  Labels are formatted when first read."""
     keep, opp = _opposition(b, b.chamber_ids(c))
     rename = {v: i for i, v in enumerate(keep)}
-    return SimplicialComplex([tuple([rename[v] for v in d]) for d in opp], [_label(b.vertices[v], b.q) for v in keep], len(keep))
+    rows, q = [b.vertices[v] for v in keep], b.q
+    return SimplicialComplex._proven([tuple([rename[v] for v in d]) for d in opp], len(keep), lambda: [_label(r, q) for r in rows])
 
 
 # -- apartments ------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A complex is stored by its facets (inclusion-maximal simplices).  Vertices
 are exactly ``0 .. num_vertices-1`` with no gaps; a simplex is a strictly
-increasing tuple of vertex ids.  Constructors canonicalize: faces nested in
-other input faces are dropped, duplicates removed, facets sorted
-lexicographically.  Optional human-readable labels, strings, ride along and
-survive subcomplex operations.
+increasing tuple of vertex ids.  The constructor canonicalizes: faces nested
+in other input faces are dropped, duplicates removed, facets sorted
+lexicographically.  Optional labels, strings, ride along; a complex built
+from proven facets formats them when first read.
 
 Signed vertices (for octahedralization and doubling) are encoded
 arithmetically: vertex ``v`` of the base complex yields ``2*v`` (minus
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import chain, combinations, groupby, product, repeat
+from itertools import accumulate, chain, combinations, groupby, pairwise, product, repeat
 from operator import and_, lt
-from typing import IO, Container, Iterable, Iterator, Optional, Sequence
+from typing import IO, Callable, Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DEFAULT_MAX_CELLS, ResourceLimitError
 
@@ -67,9 +67,9 @@ def _canonical_simplex(vertices: Iterable[int]) -> Simplex:
 
 
 class SimplicialComplex:
-    """Immutable simplicial complex given by its facets."""
+    """Immutable simplicial complex given by its facets; the constructor is the one gate for outside input."""
 
-    __slots__ = ("num_vertices", "facets", "labels", "_faces_cache")
+    __slots__ = ("num_vertices", "facets", "_labels", "_faces_cache")
 
     def __init__(
         self,
@@ -148,8 +148,23 @@ class SimplicialComplex:
                 raise ValueError(f"label {labels[v]!r} of vertex {v} is not a string")
         self.num_vertices = num_vertices
         self.facets: tuple[Simplex, ...] = tuple(maximal)
-        self.labels: Optional[tuple[str, ...]] = labels
+        self._labels: Union[None, tuple[str, ...], Callable[[], Iterable[str]]] = labels
         self._faces_cache: dict[int, tuple[Simplex, ...]] = {}
+
+    @classmethod
+    def _proven(cls, facets: list[Simplex], num_vertices: int, labels: Callable[[], Iterable[str]]) -> SimplicialComplex:
+        """The complex on ``facets`` that the caller has proven sorted int tuples, distinct, maximal,
+        in ascending order and covering ``range(num_vertices)``; ``labels()`` runs on first read."""
+        _require_vertex_budget(num_vertices)
+        self = cls.__new__(cls)
+        self.num_vertices, self.facets, self._labels, self._faces_cache = num_vertices, tuple(facets), labels, {}
+        return self
+
+    @property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        if callable(self._labels):
+            self._labels = tuple(self._labels())
+        return self._labels
 
     # -- introspection ------------------------------------------------
 
@@ -163,7 +178,9 @@ class SimplicialComplex:
         return self.labels[v] if self.labels is not None else str(v)
 
     def faces(self, d: int) -> tuple[Simplex, ...]:
-        """All d-dimensional faces, sorted lexicographically."""
+        """All d-dimensional faces, sorted lexicographically; d must be an int."""
+        if type(d) is not int:
+            raise ValueError(f"d must be an int, got {d!r}")
         if d < 0:
             return ()
         cached = self._faces_cache.get(d)
@@ -180,8 +197,10 @@ class SimplicialComplex:
         return sum((-1) ** d * n for d, n in enumerate(self.face_counts()))
 
     def has_face(self, simplex: Iterable[int]) -> bool:
-        s = set(simplex)
-        return not s or any(s.issubset(f) for f in self.facets)
+        s = tuple(simplex)
+        if set(map(type, s)) - {int}:
+            raise ValueError(f"simplex {s} has a vertex that is not an int")
+        return not s or any(map(set(s).issubset, self.facets))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -242,18 +261,19 @@ def signings(facet: Simplex, doubled: Container[int]) -> Iterator[Simplex]:
 
 def _signed_complex(k: SimplicialComplex, doubled: Container[int]) -> SimplicialComplex:
     """The signings of every facet of ``k``, with the signed ids numbered in
-    increasing order: ``v``'s minus copy, then its plus copy if doubled."""
+    increasing order: ``v``'s minus copy, then its plus copy if doubled.
+    Each is sorted and, as ``k``'s facets, they are distinct, maximal and
+    cover every id; ``product`` order is not sorted, so the list is sorted."""
     total = sum(1 << sum(v in doubled for v in f) for f in k.facets)
     if total > DEFAULT_MAX_CELLS:
         raise ResourceLimitError(f"{total} signed facets exceeds cap {DEFAULT_MAX_CELLS}")
-    choices: list[range] = []  # the new ids of v's signed copies
-    labels: list[str] = []
-    for v, base in enumerate(k.labels if k.labels is not None else map(str, range(k.num_vertices))):
-        signed = (2 * v, 2 * v + 1) if v in doubled else (2 * v,)
-        choices.append(range(len(labels), len(labels) + len(signed)))
-        labels += [signed_label(base, sv) for sv in signed]
-    facets = [c for f in k.facets for c in product(*[choices[v] for v in f])]
-    return SimplicialComplex(facets, labels=labels, num_vertices=len(labels))
+    signed = [(2 * v, 2 * v + 1) if v in doubled else (2 * v,) for v in range(k.num_vertices)]
+    ends = list(accumulate(map(len, signed), initial=0))
+    choices = [range(a, b) for a, b in pairwise(ends)]  # the new ids of v's signed copies
+    facets = sorted([c for f in k.facets for c in product(*[choices[v] for v in f])])
+    return SimplicialComplex._proven(facets, ends[-1], lambda: [
+        signed_label(base, sv) for base, s in zip(k.labels or map(str, range(k.num_vertices)), signed) for sv in s
+    ])
 
 
 def octahedralize(k: SimplicialComplex) -> SimplicialComplex:
@@ -286,10 +306,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     facets = [fa + tuple(v + off for v in fb) for fa in a.facets or [()] for fb in b.facets or [()]]
     labels = None
     if a.labels is not None or b.labels is not None:
-        labels = tuple(
-            [a.vertex_label(v) for v in range(a.num_vertices)]
-            + [b.vertex_label(v) for v in range(b.num_vertices)]
-        )
+        labels = [*map(a.vertex_label, range(a.num_vertices)), *map(b.vertex_label, range(b.num_vertices))]
     return SimplicialComplex(facets, labels=labels, num_vertices=off + b.num_vertices)
 
 
@@ -298,32 +315,32 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 
 def cycle_complex(n: int) -> SimplicialComplex:
     """The n-gon: vertices 0..n-1, edges between cyclic neighbours (n >= 3)."""
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"cycle size must be an int >= 3, got {n!r}")
     _require_vertex_budget(n)
     return SimplicialComplex([(i, (i + 1) % n) for i in range(n)])
 
 
 def path_complex(n: int) -> SimplicialComplex:
     """A path with n edges (n+1 vertices)."""
-    if n < 1:
-        raise ValueError(f"path needs at least 1 edge, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"path length must be an int >= 1, got {n!r}")
     _require_vertex_budget(n + 1)
     return SimplicialComplex([(i, i + 1) for i in range(n)])
 
 
 def points_complex(n: int) -> SimplicialComplex:
     """n isolated vertices."""
-    if n < 1:
-        raise ValueError(f"need at least 1 point, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"point count must be an int >= 1, got {n!r}")
     _require_vertex_budget(n)
     return SimplicialComplex([(i,) for i in range(n)])
 
 
 def full_simplex(n: int) -> SimplicialComplex:
     """The solid simplex on n vertices (dimension n-1)."""
-    if n < 1:
-        raise ValueError(f"need at least 1 vertex, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"simplex size must be an int >= 1, got {n!r}")
     _require_vertex_budget(n)
     return SimplicialComplex([tuple(range(n))])
 

@@ -62,9 +62,9 @@ class CoxeterSystem:
     def __post_init__(self) -> None:
         if self.family not in ("symmetric", "rightangled"):
             raise ValueError(f"unknown family {self.family!r}")
-        least, unit = (2, "letters") if self.family == "symmetric" else (1, "generator")
-        if self.n < least:
-            raise ValueError(f"{self.family} system needs at least {least} {unit}, got {self.n}")
+        least = 2 if self.family == "symmetric" else 1
+        if type(self.n) is not int or self.n < least:
+            raise ValueError(f"{self.family} system size must be an int >= {least}, got {self.n!r}")
 
     @property
     def num_generators(self) -> int:

@@ -314,8 +314,10 @@ def is_trivial(
     configuration space; the witness cycle (or, when trivial, an explicit
     primitive for the cocycle) is re-verified by direct substitution before
     being returned.  Too many vertices to place are refused before any
-    cell is enumerated.
+    cell is enumerated, and so is a seed that is not an int.
     """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     _require_parameters(k.num_vertices)
     cfg = configuration_space(k, n, max_cells=max_cells)
     cocycle = obstruction_cocycle(cfg, seed)
@@ -382,8 +384,8 @@ def verify_ados(l: SimplicialComplex, delta: Iterable[int], k: int, seed: int = 
     """
     if not l.is_flag():
         raise ValueError("base complex is not flag; the doubling laws assume flagness")
-    if l.dimension != k:
-        raise ValueError(f"k must equal the complex dimension {l.dimension}, got {k}")
+    if type(k) is not int or l.dimension != k:
+        raise ValueError(f"k must be an int equal to the complex dimension {l.dimension}, got {k!r}")
     delta = tuple(delta)
     if len(delta) != k + 1:
         # Doubling over a lower-dimensional simplex can leave an embeddable

@@ -18,6 +18,8 @@ present cells over every doubling chamber in turn.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -44,7 +46,8 @@ from obstructor.building import (
     standard_flag,
     verify_dbl_embedding,
 )
-from obstructor.complexes import double_over, signings
+from obstructor import complexes
+from obstructor.complexes import SimplicialComplex, double_over, octahedralize, signings, to_json_dict
 from obstructor.coxeter import coxeter_complex, symmetric
 from obstructor.errors import CertificateError, ResourceLimitError
 from obstructor.homology import betti_numbers
@@ -834,6 +837,73 @@ def test_opp_complex_matches_the_full_subcomplex_oracle(q, n, step):
         opp = opp_complex(b, c)
         oracle = full_subcomplex(b.complex, [v for v in range(len(b.vertices)) if all(general_position(b, u, v) for u in c)])
         assert (opp.facets, opp.labels, opp.num_vertices) == (oracle.facets, oracle.labels, oracle.num_vertices)
+
+
+#: sha256 of ``json.dumps(to_json_dict(k))`` for Opp(C) of the standard flag,
+#: its double over its first facet and its octahedralization, recorded while
+#: every complex still went through the public constructor.
+BUILT_DIGESTS = {
+    (2, 3): ("8601d9f33b200f8c9bc6015071a7c5b2484c9cd80c9808ddf00ed88952d12210",
+             "72165ecb88694809fd63335d61e8ba7aecfa83e89d8d317da334e78c9bc71785",
+             "7e66b41186d75543a59d46289710813bbb5121d5c9533bc3548f630e7a258423"),
+    (3, 3): ("7cd1ab8ee75f9523cfd557678ff384dd931df4cae54748130556da67f559d19a",
+             "9bdd2e23661fcd7c8df6e0b7464edaf30b5963bf2cf95c2186c5f020a81f8e6e",
+             "7c57734d27c19a1235366d727e7e53e1a4226bb6d73752e3b5e722d6b1a7f785"),
+    (2, 4): ("b4c808822910ad67aa6ac9cd7fef57b96bd47479d056b4c63f0e42b8e3844b35",
+             "8ba0b0978d6e526ea3dd5a76582e75dcc04b478a6dd5179083a7e843e06065a5",
+             "e566d166b5b166cd1bfee42b1b27e45eee2ada6e07285eb73c1c497373d7f137"),
+    (5, 3): ("30f13609d5a20a4e6a5d951b4fc1a1bcb5c735aa3b287268ad1d7a6a4ed3e2b0",
+             "70ae60d12e51f6474d02f92c6795de2a6a466b74667c9831a27db477fba6195e",
+             "c3c18b9aa160592ebabe1bc7729c53440b0c732b4de24526ac6eecb69fec756e"),
+    (3, 4): ("ef2a36af0423788d27456e7cac3e6db7acd35baa80854396b8da8fc804780de5",
+             "5b1d0c494f68b32afe0e24872ec8df3bf8bd3b174b40327c20da0ac6069808df",
+             "c77e42fc8249bd4d36b935da56de3b6d77be6bddc0fb0a5d38eee33cae51da9d"),
+}
+
+
+@pytest.mark.parametrize("q, n", sorted(BUILT_DIGESTS))
+def test_built_complexes_are_what_the_public_constructor_makes_of_them(q, n):
+    """Opp(C), two of its doubles and its octahedralization skip the public
+    constructor; given their facets backwards and their labels, it returns
+    the same facets, vertex count and labels, for two chambers.  Their JSON
+    is pinned byte for byte."""
+    b = build(q, n)
+    for c in (standard_flag(b), b.chamber(bldg._flag_count(q, n) - 1)):
+        opp = opp_complex(b, c)
+        built = (opp, double_over(opp, opp.facets[0]), double_over(opp, opp.facets[-1][1:]), octahedralize(opp))
+        for k in built:
+            want = SimplicialComplex(reversed(k.facets), labels=k.labels, num_vertices=k.num_vertices)
+            assert (k.facets, k.num_vertices, k.labels) == (want.facets, want.num_vertices, want.labels)
+        if c == standard_flag(b):
+            digests = [hashlib.sha256(json.dumps(to_json_dict(k)).encode()).hexdigest() for k in (opp, built[1], built[3])]
+            assert tuple(digests) == BUILT_DIGESTS[q, n]
+
+
+def test_opp_complex_and_its_double_format_labels_on_first_read(b24, monkeypatch):
+    """No label is formatted by ``opp_complex`` or ``double_over``; the first
+    read of the double's labels formats one per vertex of each, and later
+    reads, ``vertex_label``, ``to_json_dict`` and ``join`` format none."""
+    made = []
+    real_label, real_signed = bldg._label, complexes.signed_label
+    monkeypatch.setattr(bldg, "_label", lambda rows, q: made.append("opp") or real_label(rows, q))
+    monkeypatch.setattr(complexes, "signed_label", lambda base, sv: made.append("dbl") or real_signed(base, sv))
+    opp = opp_complex(b24, standard_flag(b24))
+    d = double_over(opp, opp.facets[0])
+    assert made == []
+    labels = d.labels
+    assert (made.count("opp"), made.count("dbl")) == (opp.num_vertices, d.num_vertices) == (32, 35)
+    made.clear()
+    assert d.labels is labels and opp.labels[0] == d.labels[0][:-1]
+    assert d.vertex_label(34) == labels[34] and to_json_dict(d)["labels"] == list(labels)
+    assert complexes.join(opp, d).labels == opp.labels + labels
+    assert made == []
+    fresh = opp_complex(b24, standard_flag(b24))
+    assert fresh.vertex_label(0) == opp.labels[0] and made == ["opp"] * 32
+
+
+def test_a_built_complex_keeps_the_vertex_budget():
+    with pytest.raises(ResourceLimitError, match="2000000 vertices"):
+        SimplicialComplex._proven([], 2_000_000, list)
 
 
 def test_opp_complex_refuses_a_non_opposite_chamber(b23, monkeypatch):

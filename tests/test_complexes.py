@@ -29,7 +29,11 @@ from obstructor.complexes import (
     signings,
     to_json_dict,
 )
+from obstructor.building import build, gaussian_binomial
+from obstructor.coxeter import rightangled, symmetric
 from obstructor.errors import ResourceLimitError
+from obstructor.homology import betti
+from obstructor.vankampen import verify_ados
 
 from complex_helpers import complex_by_facet_walk, full_subcomplex, signed_complex_by_signings
 
@@ -274,6 +278,25 @@ def test_has_face():
     assert not k.has_face((1, 2, 3))
 
 
+@pytest.mark.parametrize("simplex", [(0.0, 1), (True, 2), (1, 1.0), ("0",), (None, 1)])
+def test_has_face_refuses_a_vertex_that_is_not_an_int(simplex):
+    """0.0 == 0 and True == 1, so by equality these would be faces of C5."""
+    with pytest.raises(ValueError, match=f"^simplex {re.escape(repr(simplex))} has a vertex that is not an int$"):
+        cycle_complex(5).has_face(simplex)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh", "cached"])
+@pytest.mark.parametrize("d", [1.0, True, "1", None])
+def test_faces_refuses_a_dimension_that_is_not_an_int(d, cached):
+    """Refused on a fresh complex and after ``faces(1)`` is cached, where
+    1.0 and True would hash to the cached edges."""
+    k = cycle_complex(5)
+    if cached:
+        assert len(k.faces(1)) == 5
+    with pytest.raises(ValueError, match=f"^d must be an int, got {re.escape(repr(d))}$"):
+        k.faces(d)
+
+
 def test_faces_sorted_and_closed():
     k = SimplicialComplex([(0, 1, 2), (1, 2, 3)])
     tri = k.faces(2)
@@ -505,6 +528,19 @@ def test_signed_complexes_match_the_signings_oracle(k, labelled, data):
         assert (got.facets, got.labels, got.num_vertices) == (want.facets, want.labels, want.num_vertices)
 
 
+@given(small_complexes(), st.booleans(), st.data())
+def test_signed_complexes_are_what_the_public_constructor_makes_of_them(k, labelled, data):
+    """``octahedralize`` and ``double_over`` skip the public constructor;
+    given their facets backwards and their labels, it returns the same
+    facets, vertex count and labels."""
+    if labelled:
+        k = SimplicialComplex(k.facets, labels=[f"v{v}" for v in range(k.num_vertices)], num_vertices=k.num_vertices)
+    delta = data.draw(st.sets(st.sampled_from(data.draw(st.sampled_from(k.facets)))))
+    for got in (octahedralize(k), double_over(k, delta)):
+        want = SimplicialComplex(reversed(got.facets), labels=got.labels, num_vertices=got.num_vertices)
+        assert (got.facets, got.num_vertices, got.labels) == (want.facets, want.num_vertices, want.labels)
+
+
 # -- JSON interchange ------------------------------------------------
 
 
@@ -595,3 +631,32 @@ def test_generator_argument_validation():
         points_complex(0)
     with pytest.raises(ValueError):
         full_simplex(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: symmetric(3.0), "symmetric system size must be an int >= 2, got 3.0", id="symmetric-float"),
+        pytest.param(lambda: rightangled(True), "rightangled system size must be an int >= 1, got True", id="rightangled-bool"),
+        pytest.param(lambda: verify_ados(cycle_complex(5), (0, 1), True),
+                     "k must be an int equal to the complex dimension 1, got True", id="verify-ados-bool-k"),
+        pytest.param(lambda: build(2, 3.0), "ambient dimension must be an int >= 2, got 3.0", id="build-float-n"),
+        pytest.param(lambda: build("2", 3), "q must be an int, got '2'", id="build-str-q"),
+        pytest.param(lambda: cycle_complex(5.0), "cycle size must be an int >= 3, got 5.0", id="cycle-float"),
+        pytest.param(lambda: cycle_complex(2), "cycle size must be an int >= 3, got 2", id="cycle-small"),
+        pytest.param(lambda: path_complex("4"), "path length must be an int >= 1, got '4'", id="path-str"),
+        pytest.param(lambda: points_complex(True), "point count must be an int >= 1, got True", id="points-bool"),
+        pytest.param(lambda: full_simplex(2.0), "simplex size must be an int >= 1, got 2.0", id="simplex-float"),
+        pytest.param(lambda: gaussian_binomial(3, 1.0, 2), "n and k must be ints, got 3 and 1.0", id="gaussian-float-k"),
+        pytest.param(lambda: gaussian_binomial(3, 1, 2.0), "field size q must be an int >= 2, got 2.0", id="gaussian-float-q"),
+        pytest.param(lambda: build(2, "3"), "ambient dimension must be an int >= 2, got '3'", id="build-str-n"),
+        pytest.param(lambda: betti(cycle_complex(5), 1.0), "d must be an int, got 1.0", id="betti-float-dim"),
+    ],
+)
+def test_a_size_that_is_not_exactly_an_int_is_refused(call, message):
+    """A size is exactly an int: a float, bool or str is refused with
+    ``ValueError``, not read as the int it equals or left to a bare
+    ``TypeError`` further in."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

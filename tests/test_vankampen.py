@@ -806,6 +806,18 @@ def test_too_many_vertices_are_refused_before_the_window_is_built(monkeypatch):
         is_trivial(points_complex(70_000), 4)
 
 
+@pytest.mark.parametrize("seed", [1.5, "1", True])
+def test_a_seed_that_is_not_an_int_is_refused_before_the_window_is_built(seed, monkeypatch):
+    def no_window(*args, **kwargs):
+        pytest.fail("the configuration space was built")
+
+    monkeypatch.setattr(vankampen, "ConfigurationSpace", no_window)
+    monkeypatch.setattr(vankampen, "configuration_space", no_window)
+    with pytest.raises(ValueError) as info:
+        is_trivial(cycle_complex(5), 2, seed=seed)
+    assert str(info.value) == f"seed must be an int, got {seed!r}"
+
+
 @pytest.mark.parametrize("cap", [0, -1, -5])
 def test_cell_budget_must_be_positive(cap):
     with pytest.raises(ValueError, match=f"max_cells must be positive, got {cap}"):
@@ -843,7 +855,7 @@ def test_cell_budget_must_be_positive(cap):
 )
 def test_vk_refuses_numbers_and_faces_it_cannot_take(call, message):
     """The target dimension and the cell budget are taken by the window's
-    constructor, the seed by the parameter draw and the faces and
+    constructor, the seed by ``is_trivial`` before the window and the faces and
     parameters by the per-pair parity, and each is refused there with
     ``ValueError``: a float, bool or str is not an int, and faces that meet,
     a vertex outside the parameters or a repeated parameter have no parity."""
