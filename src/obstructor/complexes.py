@@ -77,6 +77,8 @@ class SimplicialComplex:
         labels: Optional[Sequence[str]] = None,
         num_vertices: Optional[int] = None,
     ) -> None:
+        if num_vertices is not None and type(num_vertices) is not int:
+            raise ValueError(f"num_vertices must be an int, got {num_vertices!r}")
         # One try sorts every facet, checks every vertex to be exactly an int
         # (no bool, which JSON writes as a word) before duplicates go, as
         # (1.0, 2) == (1, 2), drops duplicates in input order (a dict, not a

@@ -5,23 +5,24 @@ A matrix is its columns, each a single Python int; entry (i, j) is bit
 handful of XORs on machine words, which is fast enough for every chain
 complex this package produces and stays exact.
 
-Rank, kernel and row reduction all read one column reduction per matrix.
-The columns are reduced left to right, each at its lowest nonzero row (its
-top bit) against the pivots before it, until it vanishes (is free) or
-founds a pivot.  A column keeps only its history, the set of earlier pivot
-columns XORed into it, so its tag (the original columns it sums, a kernel
-vector if free) is column j plus the tags of its history, unrolled on
-request, and v . tag is v_j plus v . tag over it: one pass, a popcount a
-column, gives the residue and, by back-substitution, the sum of basis rows.
+Every answer reads one column reduction, ``_reduce``: the columns left
+to right, each reduced at its lowest nonzero row (its top bit) against the
+pivots before it until it vanishes (is free) or founds a pivot.  A column
+keeps only its history, the set of earlier pivot columns XORed into it, so
+its tag (the original columns it sums, a kernel vector if free) is column
+j plus the tags of its history, unrolled on request.  A vector v may ride
+along, v_j on column j and each pivot's bit XORed in with the pivot, so a
+column carries v . tag: one pass gives the first free column where that is
+1 or, if none, the sum of basis rows that is v, by back-substitution.
 
 The output is canonical.  A column vanishes iff it lies in the span of the
 columns before it, and a pivot row is a row outside the span of the rows
 before it, since column operations keep the rank of every prefix of rows.
 So the free columns, the pivot rows (the basis rows) and each answer are
 pinned down whatever the order of elimination: the kernel vector that is 1
-on one free column and 0 on the others, and the one sum of basis rows that
-leaves a residue 0 on every pivot column.  Its bits are those a reduced
-echelon form gives, which the obstruction certificates rely on.
+on one free column and 0 on the others, and the one sum of basis rows
+that is v.  Its bits are those a reduced echelon form gives, which the
+obstruction certificates rely on.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 __all__ = ["GF2Vector", "GF2Matrix", "pivot_bits"]
-
-_Reduction = tuple[dict[int, tuple[int, int]], int, Optional[list[int]]]
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class GF2Vector:
 class GF2Matrix:
     """An immutable rows x cols matrix over GF(2), held as its columns."""
 
-    __slots__ = ("rows", "cols", "columns", "_reduced")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, columns: Sequence[int]) -> None:
         if rows < 0 or cols < 0:
@@ -97,7 +97,6 @@ class GF2Matrix:
         self.rows = rows
         self.cols = cols
         self.columns = tuple(columns)
-        self._reduced: Optional[_Reduction] = None
 
     # -- basics -------------------------------------------------------
 
@@ -140,88 +139,76 @@ class GF2Matrix:
 
     # -- elimination --------------------------------------------------
 
-    def _eliminate(self) -> _Reduction:
-        """``_reduce`` of the columns with histories, once per matrix."""
-        if self._reduced is None:
-            self._reduced = _reduce(self.columns, history=True)
-        return self._reduced
-
     def rank(self) -> int:
-        return len(self._eliminate()[0])
-
-    def kernel_vector(self, free: int) -> GF2Vector:
-        """The one kernel vector 1 on free column ``free`` and 0 on every other
-        free column: its tag, unrolled from the top, as a history names only
-        earlier columns."""
-        _, frees, history = self._eliminate()
-        if not 0 <= free < self.cols or not frees >> free & 1:
-            raise ValueError(f"column {free} is not a free column")
-        tag, pending = 0, 1 << free
-        while pending:
-            tag |= 1 << (j := pending.bit_length() - 1)
-            pending ^= 1 << j ^ history[j]
-        return GF2Vector(self.cols, tag)
+        return len(_reduce(self.columns, history=False)[0])
 
     def kernel_basis(self) -> list[GF2Vector]:
-        """Basis of {x : Mx = 0}: ``kernel_vector`` of each free column,
-        ascending, the same vectors a reduced echelon form gives."""
-        _, frees, history = self._eliminate()
+        """Basis of {x : Mx = 0}: the tag of each free column, ascending, the
+        one kernel vector 1 on that column and 0 on every other free column,
+        the same vectors a reduced echelon form gives."""
+        _, frees, history, _ = _reduce(self.columns, history=True)
         tags: list[int] = []
         for j, used in enumerate(history):
             tags.append(reduce(xor, [tags[p] for p in GF2Vector(j, used).support()], 1 << j))
         return [GF2Vector(self.cols, tags[f]) for f in GF2Vector(self.cols, frees).support()]
 
-    def _pairings(self, v: GF2Vector) -> int:
-        """v . tag_j at bit j: v, with bit j flipped where v . tag is odd over
-        the history of j, left to right."""
+    def cycle_or_primitive(self, v: GF2Vector) -> tuple[int, GF2Vector, bool]:
+        """(The rank, a certificate, whether it is a cycle), from one reduction
+        with v riding along.  If some kernel vector pairs with v to 1, the
+        certificate is the first of ``kernel_basis`` that does, the tag of
+        the first free column where v . tag is 1, unrolled from the top, as a
+        history names only earlier columns.  Else v lies in the row space and
+        the certificate is y with y^T M = v, the one sum of basis rows, by
+        back-substitution over the pivot rows, highest first: y pairs with
+        each reduced column as v with its tag, and y is set so far only
+        below, so the pivot row settles it."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
-        pairing = v.bits
-        for j, used in enumerate(self._eliminate()[2]):
-            if used and (pairing & used).bit_count() & 1:
-                pairing ^= 1 << j
-        return pairing
-
-    def residue(self, v: GF2Vector) -> GF2Vector:
-        """The part of v outside the row space: 0 on every pivot column and
-        v . tag on each free column, so a kernel vector pairs with it as
-        with v.  It is 0 iff v lies in the row space."""
-        return GF2Vector(self.cols, self._pairings(v) & self._eliminate()[1])
-
-    def row_reduce(self, v: GF2Vector) -> tuple[GF2Vector, GF2Vector]:
-        """Split v = residue + y^T M, with ``residue(v)``; y is the one sum
-        of basis rows with y^T M = v + residue, by back-substitution over the
-        pivot rows, highest first: y pairs with each reduced column as v with
-        its tag, and y is set so far only below, so the pivot row settles it."""
-        (pivots, frees, _), pairing, y = self._eliminate(), self._pairings(v), 0
+        bits = f"{v.bits:0{self.cols}b}"[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        pivots, _, history, first = _reduce(self.columns, True, bits)
+        if first >= 0:
+            tag, pending = 0, 1 << first
+            while pending:
+                tag |= 1 << (j := pending.bit_length() - 1)
+                pending ^= 1 << j ^ history[j]
+            return len(pivots), GF2Vector(self.cols, tag), True
+        y = 0
         for top in sorted(pivots):
-            j, c = pivots[top]
-            if ((y & c).bit_count() ^ pairing >> j) & 1:
+            _, c, parity = pivots[top]
+            if ((y & c).bit_count() ^ parity) & 1:
                 y |= 1 << top - 1
-        return GF2Vector(self.cols, pairing & frees), GF2Vector(self.rows, _reverse(y, self.rows))
+        return len(pivots), GF2Vector(self.rows, _reverse(y, self.rows)), False
 
 
-def _reduce(columns: Iterable[int], history: bool) -> _Reduction:
-    """The column reduction: ({top bit length of a pivot: (its column, the
-    reduced column)}, the free columns as a bitset, and per column the
-    bitset of pivot columns XORed into it, unless ``history`` is off)."""
-    pivots: dict[int, tuple[int, int]] = {}
-    free, histories = 0, [] if history else None
-    for j, c in enumerate(columns):
+def _reduce(
+    columns: Iterable[int], history: bool, passenger: Iterable[int] = repeat(0)
+) -> tuple[dict[int, tuple[int, int, int]], int, list[int], int]:
+    """The column reduction, with the bits of a vector v riding along, one a
+    column: ({top bit length of a pivot: (its column, the reduced column,
+    v . its tag)}, the free columns as a bitset, per column the bitset of
+    pivot columns XORed into it (empty if ``history`` is off), and the
+    first free column with v . tag = 1, or -1).  Column j starts at v_j and
+    takes v . tag of each pivot XORed into it, as its tag takes the tag."""
+    pivots: dict[int, tuple[int, int, int]] = {}
+    free, histories, first = 0, [], -1
+    for j, (c, parity) in enumerate(zip(columns, passenger)):
         used = 0
         while c:
             pivot = pivots.get(top := c.bit_length())
             if pivot is None:
-                pivots[top] = (j, c)
+                pivots[top] = (j, c, parity)
                 break
             c ^= pivot[1]
+            parity ^= pivot[2]
             if history:
                 used |= 1 << pivot[0]
         else:
             free |= 1 << j
-        if histories is not None:
+            if parity and first < 0:
+                first = j
+        if history:
             histories.append(used)
-    return pivots, free, histories
+    return pivots, free, histories, first
 
 
 def pivot_bits(columns: Iterable[int]) -> set[int]:

@@ -12,9 +12,10 @@ A cell is an int key over one numbering of the faces (see
 ``ConfigurationSpace``).  Ascending keys are the lexicographic order of
 the pairs, each boundary column is XORed in one pass over a table of
 facet ids, and a cell stays an int from enumeration to verdict: only the
-cells a certificate names are decoded to ``CellPair`` tuples.  A nontrivial
-verdict reads the residue of the cocycle alone; only a trivial one
-back-substitutes for the primitive.
+cells a certificate names are decoded to ``CellPair`` tuples.  The
+decision is one reduction of the top boundary with the cocycle riding
+along: it yields the first cycle that pairs to 1 if there is one, and
+back-substitutes for the primitive only if there is none.
 
 No coordinates are computed.  Points on the moment curve with distinct
 parameters are in general position, and two complementary simplices cross
@@ -322,30 +323,25 @@ def is_trivial(
     cfg = configuration_space(k, n, max_cells=max_cells)
     cocycle = obstruction_cocycle(cfg, seed)
     boundary_n = cfg.boundary[n]
-    residue = boundary_n.residue(cocycle.values)
-    if residue.bits:
-        # Cycles vanish on the row space, so the cycle of free column f pairs
-        # with the cocycle as the residue does at f: the lowest residue bit
-        # names the first cycle of the kernel basis that pairs to 1.
-        certificate, kind = boundary_n.kernel_vector((residue.bits & -residue.bits).bit_length() - 1), "cycle"
+    rank, certificate, nontrivial = boundary_n.cycle_or_primitive(cocycle.values)
+    if nontrivial:
         if not boundary_n.apply(certificate).is_zero() or certificate.dot(cocycle.values) != 1:
             raise CertificateError("certificate is not a cycle pairing to 1")
-    else:
-        certificate, kind = boundary_n.row_reduce(cocycle.values)[1], "cochain"
-        if boundary_n.apply_transpose(certificate) != cocycle.values:
-            raise CertificateError("primitive substitution failed")
+    elif boundary_n.apply_transpose(certificate) != cocycle.values:
+        raise CertificateError("primitive substitution failed")
+    kind = "cycle" if nontrivial else "cochain"
     stats = {
         "cells": {d: len(layer) for d, layer in cfg.keys.items()},
         "boundary_rows": boundary_n.rows,
         "boundary_cols": boundary_n.cols,
-        "boundary_rank": boundary_n.rank(),
+        "boundary_rank": rank,
         "cocycle_weight": cocycle.values.weight(),
         "certificate_kind": kind,
         "certificate_weight": certificate.weight(),
     }
-    layer = cfg.keys[n if kind == "cycle" else n - 1]
+    layer = cfg.keys[n if nontrivial else n - 1]
     named = tuple([cfg.decode(layer[i]) for i in certificate.support()])
-    return ObstructionVerdict(n, kind == "cycle", certificate, kind, cocycle, seed, stats, named)
+    return ObstructionVerdict(n, nontrivial, certificate, kind, cocycle, seed, stats, named)
 
 
 # -- doubled-complex criterion ---------------------------------------

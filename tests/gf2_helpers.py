@@ -5,11 +5,12 @@ columns)``, bit rows-1-i of ``columns[j]`` the entry (i, j), so row 0 is
 the top bit); these helpers spell small matrices and vectors out entry by
 entry, with the range checks a hand-written example deserves, and give the
 row-wise oracles the packed rows they read (``by_rows``, ``row_bits``,
-``transpose``), and compare matrices (``columns_of``) and add vectors
-(``xor``).  ``support_by_top_bits`` is the walk over set bits that
+``transpose``), and compare matrices (``columns_of``).
+``support_by_top_bits`` is the walk over set bits that
 ``GF2Vector.support`` once ran, and ``TaggedReduction`` the column
-reduction with a tag on every column that ``GF2Matrix`` once ran, each
-kept as the oracle of what replaced it.
+reduction with a tag on every column that ``GF2Matrix`` once ran, with
+the decision it once made in three reads, each kept as the oracle of what
+replaced it.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ def transpose(m: GF2Matrix) -> GF2Matrix:
 def columns_of(m: GF2Matrix) -> tuple[int, int, tuple[int, ...]]:
     """The shape and columns of ``m``, which pin the matrix down."""
     return (m.rows, m.cols, m.columns)
-
-
-def xor(a: GF2Vector, b: GF2Vector) -> GF2Vector:
-    if a.length != b.length:
-        raise ValueError(f"length mismatch {a.length} != {b.length}")
-    return GF2Vector(a.length, a.bits ^ b.bits)
 
 
 def zero(rows: int, cols: int) -> GF2Matrix:
@@ -187,3 +182,12 @@ class TaggedReduction:
             if (x & c).bit_count() & 1:
                 x |= 1 << (top - row)
         return self.residue(v), GF2Vector(self.rows, reverse(x >> self.cols, self.rows))
+
+    def cycle_or_primitive(self, v: GF2Vector) -> tuple[int, GF2Vector, bool]:
+        """The residue first; then the kernel vector of its lowest bit, the
+        first free column whose tag pairs with v to 1, or if there is none
+        the back-substitution."""
+        residue = self.residue(v).bits
+        if residue:
+            return self.rank(), self.kernel_vector((residue & -residue).bit_length() - 1), True
+        return self.rank(), self.row_reduce(v)[1], False

@@ -195,11 +195,18 @@ def test_a_vertex_that_is_not_an_int_is_refused_by_its_facet(facets, named):
         pytest.param(lambda: cycle_complex(5).vertex_label(True), "vertex True out of range", id="bool-vertex-label"),
         pytest.param(lambda: double_over(cycle_complex(4), (False, True)), "simplex (False, True) has a vertex that is not an int",
                      id="bool-delta"),
+        pytest.param(lambda: SimplicialComplex([(0,)], num_vertices=True), "num_vertices must be an int, got True",
+                     id="bool-num-vertices"),
+        pytest.param(lambda: SimplicialComplex([(0,)], num_vertices=3.0), "num_vertices must be an int, got 3.0",
+                     id="float-num-vertices"),
+        pytest.param(lambda: SimplicialComplex([(0,)], num_vertices="3"), "num_vertices must be an int, got '3'",
+                     id="str-num-vertices"),
     ],
 )
 def test_an_id_that_is_not_exactly_an_int_is_refused(bad, message):
-    """A vertex id is exactly an int: a float or bool equal to one is
-    refused with ``ValueError``, not read as that vertex."""
+    """A vertex id, and a vertex count, is exactly an int: a float or bool
+    equal to one, or a numeral, is refused with ``ValueError``, not read as
+    that vertex or count."""
     with pytest.raises(ValueError) as info:
         bad()
     assert str(info.value) == message

@@ -5,20 +5,21 @@ elements) instead of eliminating, so it shares no code path with the
 implementation under test.  Two more oracles are eliminations the package
 once ran: the reduced row echelon form, back-substitution included, and
 the forward row elimination with tagged pivot rows that the column
-reduction replaced.  Rank, kernel basis and row reduction must equal what
-each reads off, bit for bit.  The column reduction with a tag on every
-column, which pivot histories replaced, is the oracle of every answer.
+reduction replaced.  Rank, kernel basis, and the first cycle pairing to 1
+with a vector or else its primitive, must equal what each reads off, bit
+for bit.  The column reduction with a tag on every column, which pivot
+histories replaced, is the oracle of every answer, and it decides a vector
+in the three reads ``GF2Matrix`` once made: the residue, then a kernel
+vector or a back-substitution.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import permutations
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from obstructor import gf2
 from obstructor.building import build, opp_complex, standard_flag
 from obstructor.complexes import double_over
 from obstructor.gf2 import GF2Matrix, GF2Vector
@@ -37,7 +38,6 @@ from gf2_helpers import (
     support_by_top_bits,
     to_list,
     transpose,
-    xor,
     zero,
 )
 
@@ -99,6 +99,17 @@ def rref_solve(m: GF2Matrix, b: GF2Vector):
     return GF2Vector(m.cols, bits)
 
 
+def first_cycle_or(rank: int, kernel: list[GF2Vector], v: GF2Vector, primitive) -> tuple[int, GF2Vector, bool]:
+    """What ``cycle_or_primitive(v)`` must return, given an oracle's rank and
+    kernel basis: the first kernel vector with v . x = 1, else ``primitive()``."""
+    cycle = next((z for z in kernel if z.dot(v)), None)
+    return (rank, cycle, True) if cycle is not None else (rank, primitive(), False)
+
+
+def rref_answer(m: GF2Matrix, v: GF2Vector) -> tuple[int, GF2Vector, bool]:
+    return first_cycle_or(len(rref(m)[1]), rref_kernel_basis(m), v, lambda: rref_solve(transpose(m), v))
+
+
 class ForwardElimination:
     """The forward row elimination: each row is reduced at its lowest set
     bit until it vanishes or founds a pivot row.  A pivot row carries its
@@ -154,10 +165,11 @@ class ForwardElimination:
 
 def assert_matches_forward_elimination(m: GF2Matrix, vectors: list[GF2Vector]) -> None:
     oracle = ForwardElimination(m)
+    kernel = oracle.kernel_basis()
     assert m.rank() == oracle.rank()
-    assert m.kernel_basis() == oracle.kernel_basis()
+    assert m.kernel_basis() == kernel
     for v in vectors:
-        assert m.row_reduce(v) == oracle.row_reduce(v)
+        assert m.cycle_or_primitive(v) == first_cycle_or(oracle.rank(), kernel, v, lambda: oracle.row_reduce(v)[1])
 
 
 def rank_by_rowspace(m: GF2Matrix) -> int:
@@ -364,28 +376,26 @@ def test_rank_and_kernel_match_the_rref_oracle(m):
     assert m.kernel_basis() == rref_kernel_basis(m)
 
 
-@given(matrices(max_dim=8), st.integers(0, (1 << 8) - 1))
-def test_row_reduce_splits_off_the_row_space(m, vbits):
-    """v = residue + y^T M, the residue is 0 on the pivot columns, every
-    kernel vector pairs with v as with the residue, and a zero residue
-    comes with the oracle's solution of M^T y = v."""
-    v = GF2Vector(m.cols, vbits & ((1 << m.cols) - 1))
-    residue, y = m.row_reduce(v)
-    assert residue == m.residue(v)
-    assert xor(residue, m.apply_transpose(y)) == v
-    assert all(residue[p] == 0 for p in rref(m)[1])
-    assert all(z.dot(v) == z.dot(residue) for z in rref_kernel_basis(m))
-    assert (residue.is_zero()) == (rref_solve(transpose(m), v) is not None)
-    if residue.is_zero():
-        assert y == rref_solve(transpose(m), v)
+def assert_certifies(m: GF2Matrix, v: GF2Vector, answer: tuple[int, GF2Vector, bool]) -> None:
+    """A cycle is a kernel vector pairing with v to 1, which exists iff v
+    lies outside the row space; a primitive y has y^T M = v."""
+    _, certificate, is_cycle = answer
+    assert is_cycle == (rref_solve(transpose(m), v) is None)
+    if is_cycle:
+        assert m.apply(certificate).is_zero() and certificate.dot(v) == 1
+    else:
+        assert m.apply_transpose(certificate) == v
 
 
 @given(matrices(max_dim=8), st.integers(0, (1 << 8) - 1))
-def test_row_reduce_names_the_basis_rows_of_v_minus_residue(m, vbits):
-    """Whatever the residue, y is the oracle's solution of M^T y = v + residue."""
+def test_cycle_or_primitive_matches_the_rref_oracle(m, vbits):
+    """The cycle is the first kernel vector of the reduced echelon form
+    with v . x = 1; when there is none, y is the oracle's solution of
+    M^T y = v.  The rank is the oracle's either way."""
     v = GF2Vector(m.cols, vbits & ((1 << m.cols) - 1))
-    residue, y = m.row_reduce(v)
-    assert y == rref_solve(transpose(m), xor(v, residue))
+    answer = m.cycle_or_primitive(v)
+    assert answer == rref_answer(m, v)
+    assert_certifies(m, v, answer)
 
 
 @given(matrices(max_dim=8), st.lists(st.integers(0, (1 << 8) - 1), max_size=4))
@@ -413,22 +423,15 @@ def test_edge_shapes_match_the_rref_oracle(name):
     assert len(m.kernel_basis()) == m.cols - m.rank()
     for vbits in range(1 << m.cols):
         v = GF2Vector(m.cols, vbits)
-        residue, y = m.row_reduce(v)
-        assert xor(residue, m.apply_transpose(y)) == v
-        expected = rref_solve(transpose(m), v)
-        assert residue.is_zero() == (expected is not None)
-        if expected is not None:
-            assert y == expected
+        answer = m.cycle_or_primitive(v)
+        assert answer == rref_answer(m, v)
+        assert_certifies(m, v, answer)
 
 
 @pytest.mark.parametrize("name", EDGE_SHAPES)
 def test_edge_shapes_match_forward_elimination(name):
     m = EDGE_SHAPES[name]
-    vectors = [GF2Vector(m.cols, vbits) for vbits in range(1 << m.cols)]
-    assert_matches_forward_elimination(m, vectors)
-    for v in vectors:
-        residue, y = m.row_reduce(v)
-        assert y == rref_solve(transpose(m), xor(v, residue))
+    assert_matches_forward_elimination(m, [GF2Vector(m.cols, vbits) for vbits in range(1 << m.cols)])
 
 
 def test_stretch_boundary_matches_forward_elimination():
@@ -446,53 +449,26 @@ def test_stretch_boundary_matches_forward_elimination():
 
 def test_edge_shape_answers():
     assert EDGE_SHAPES["no rows"].kernel_basis() == [GF2Vector(3, 1 << i) for i in range(3)]
-    # no rows: only 0 lies in the row space, so every vector is its own residue
-    assert EDGE_SHAPES["no rows"].row_reduce(GF2Vector(3, 0b101)) == (GF2Vector(3, 0b101), GF2Vector(0, 0))
-    assert EDGE_SHAPES["no columns"].row_reduce(GF2Vector(0, 0)) == (GF2Vector(0, 0), GF2Vector(3, 0))
+    # no rows: only 0 lies in the row space, so the first unit vector v meets is the cycle
+    assert EDGE_SHAPES["no rows"].cycle_or_primitive(GF2Vector(3, 0b101)) == (0, GF2Vector(3, 0b001), True)
+    assert EDGE_SHAPES["no columns"].cycle_or_primitive(GF2Vector(0, 0)) == (0, GF2Vector(3, 0), False)
+    assert EDGE_SHAPES["empty"].cycle_or_primitive(GF2Vector(0, 0)) == (0, GF2Vector(0, 0), False)
     assert EDGE_SHAPES["full rank"].kernel_basis() == []
-    assert EDGE_SHAPES["full rank"].row_reduce(GF2Vector(4, 0b1011)) == (GF2Vector(4, 0), GF2Vector(4, 0b1011))
+    assert EDGE_SHAPES["full rank"].cycle_or_primitive(GF2Vector(4, 0b1011)) == (4, GF2Vector(4, 0b1011), False)
     # rows 0 and 1 are equal, so row 1 is no basis row and never named
     repeated = EDGE_SHAPES["repeated rows"]
-    assert repeated.row_reduce(GF2Vector(3, 0b110)) == (GF2Vector(3, 0), GF2Vector(3, 0b001))
-    assert repeated.row_reduce(GF2Vector(3, 0b101)) == (GF2Vector(3, 0), GF2Vector(3, 0b101))
-    # 001 = 011 + 110 + 100: the residue sits on the free column 2
-    assert repeated.row_reduce(GF2Vector(3, 0b001)) == (GF2Vector(3, 0b100), GF2Vector(3, 0b101))
+    assert repeated.cycle_or_primitive(GF2Vector(3, 0b110)) == (2, GF2Vector(3, 0b001), False)
+    assert repeated.cycle_or_primitive(GF2Vector(3, 0b101)) == (2, GF2Vector(3, 0b101), False)
+    # 001 is outside the row space: it pairs to 1 with 111, the cycle of the free column 2
+    assert repeated.cycle_or_primitive(GF2Vector(3, 0b001)) == (2, GF2Vector(3, 0b111), True)
 
 
-ANSWERS = {
-    "rank": lambda m, v: m.rank(),
-    "residue": lambda m, v: m.residue(v),
-    "kernel_vector": lambda m, v: m.kernel_vector(4),
-    "row_reduce": lambda m, v: m.row_reduce(v),
-    "kernel_basis": lambda m, v: m.kernel_basis(),
-}
-
-
-def test_a_matrix_is_reduced_once_whatever_is_asked_first(monkeypatch):
-    """Every answer reads one cached reduction, with histories, in all 120
-    orders of the five questions: a rank read first leaves no history-free
-    reduction behind to be redone."""
-    real, reductions = gf2._reduce, []
-
-    def counted(columns, history):
-        reductions.append(history)
-        return real(columns, history)
-
-    monkeypatch.setattr(gf2, "_reduce", counted)
-    for order in permutations(ANSWERS):
-        reductions.clear()
-        m = cycle_boundary(5)
-        for name in order:
-            ANSWERS[name](m, GF2Vector(5, 0b10110))
-        assert reductions == [True], order
-
-
-def test_kernel_vector_refuses_pivot_columns():
+def test_cycle_or_primitive_refuses_a_vector_of_another_length():
     m = cycle_boundary(5)
-    assert m.kernel_vector(4).bits == 0b11111
-    for col in (0, 3, 5, -1):
-        with pytest.raises(ValueError):
-            m.kernel_vector(col)
+    assert m.cycle_or_primitive(GF2Vector(5, 0b00001)) == (4, GF2Vector(5, 0b11111), True)
+    for length in (0, 4, 6):
+        with pytest.raises(ValueError, match=f"^vector length {length} != cols 5$"):
+            m.cycle_or_primitive(GF2Vector(length, 0))
 
 
 # -- the tagged column reduction -------------------------------------
@@ -519,24 +495,16 @@ def oracle_cases(draw, max_dim: int = 9):
 
 
 def assert_matches_the_tagged_oracle(m: GF2Matrix, vectors: list[GF2Vector]) -> None:
-    """Every answer equals the tagged reduction's, whether the rank or a
-    kernel vector is read first."""
+    """Every answer equals the tagged reduction's.  The unit vector at a
+    free column pairs to 1 with no earlier free column's tag, so it reads
+    back the kernel vector of that column, unrolled from the histories."""
     oracle = TaggedReduction(m)
-    for first in ("rank", "kernel"):
-        fresh = GF2Matrix(m.rows, m.cols, m.columns)
-        if first == "rank":
-            assert fresh.rank() == oracle.rank()
-        for j in range(-1, m.cols + 1):
-            if j in oracle.free:
-                assert fresh.kernel_vector(j) == oracle.kernel_vector(j)
-            else:
-                with pytest.raises(ValueError):
-                    fresh.kernel_vector(j)
-        assert fresh.rank() == oracle.rank()
-        assert fresh.kernel_basis() == oracle.kernel_basis()
-        for v in vectors:
-            assert fresh.residue(v) == oracle.residue(v)
-            assert fresh.row_reduce(v) == oracle.row_reduce(v)
+    assert m.rank() == oracle.rank()
+    assert m.kernel_basis() == oracle.kernel_basis()
+    for f in oracle.free:
+        assert m.cycle_or_primitive(GF2Vector(m.cols, 1 << f)) == (oracle.rank(), oracle.kernel_vector(f), True)
+    for v in vectors:
+        assert m.cycle_or_primitive(v) == oracle.cycle_or_primitive(v)
 
 
 @given(oracle_cases())
@@ -561,7 +529,8 @@ def test_stretch_boundary_matches_the_tagged_oracle():
     oracle = TaggedReduction(m)
     (free,) = oracle.free
     cocycle = obstruction_cocycle(cfg, 3).values
-    assert m.kernel_vector(free) == oracle.kernel_vector(free)
-    assert m.residue(cocycle) == oracle.residue(cocycle)
-    assert m.row_reduce(cocycle) == oracle.row_reduce(cocycle)
+    assert m.cycle_or_primitive(GF2Vector(m.cols, 1 << free)) == (3183, oracle.kernel_vector(free), True)
+    assert m.cycle_or_primitive(cocycle) == oracle.cycle_or_primitive(cocycle)
+    row = GF2Vector(m.cols, row_bits(m)[0])
+    assert m.cycle_or_primitive(row) == oracle.cycle_or_primitive(row) == (3183, GF2Vector(m.rows, 1), False)
     assert m.rank() == oracle.rank() == 3183

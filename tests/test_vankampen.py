@@ -611,24 +611,22 @@ def test_verdict_stats_are_pinned():
 
 
 def test_a_cycle_certificate_never_back_substitutes(monkeypatch):
-    """Only a trivial verdict reads the primitive: with ``row_reduce``
-    broken, the stretch still returns its pinned 620-cell cycle, and K4 in
-    the plane still reaches ``row_reduce`` for the same one-cell cochain."""
-    real = GF2Matrix.row_reduce
-    calls = []
-
-    def refuse(self, v):
-        raise AssertionError("row_reduce called")
-
-    monkeypatch.setattr(GF2Matrix, "row_reduce", refuse)
+    """A verdict is one ``cycle_or_primitive`` call, and only a trivial one
+    reads the primitive: the stretch gets its pinned 620-cell cycle from a
+    call that answers with a cycle, and K4 in the plane gets the same
+    one-cell cochain from a call that back-substitutes."""
+    real = GF2Matrix.cycle_or_primitive
+    answers = []
+    monkeypatch.setattr(GF2Matrix, "cycle_or_primitive", lambda self, v: answers.append(real(self, v)) or answers[-1])
     stretch = is_trivial(stretch_double(), 4)
+    assert [a[2] for a in answers] == [True]
     assert (stretch.certificate_kind, stretch.certificate.length, stretch.certificate.weight()) == ("cycle", 3184, 620)
     # sha256 of the certificate's hex bits, recorded while every verdict still back-substituted
     digest = hashlib.sha256(f"{stretch.certificate.bits:x}".encode()).hexdigest()
     assert digest == "da7a8f7a1fcb74f8bfe9b1a756d92d23889174f51a0de502e906116349513336"
-    monkeypatch.setattr(GF2Matrix, "row_reduce", lambda self, v: calls.append(v) or real(self, v))
+    answers.clear()
     k4 = is_trivial(SimplicialComplex(combinations(range(4), 2)), 2)
-    assert len(calls) == 1
+    assert [a[2] for a in answers] == [False]
     assert (k4.certificate_kind, k4.certificate) == ("cochain", GF2Vector(12, 0b10))
     assert k4.certificate_cells == (CellPair((0,), (1, 3)),)
 
@@ -911,11 +909,20 @@ def _flip_bit_0(v: GF2Vector) -> GF2Vector:
     return GF2Vector(v.length, v.bits ^ 1)
 
 
+def _flip_certificate(real):
+    """``cycle_or_primitive`` with bit 0 of its certificate flipped."""
+
+    def broken(self, v):
+        rank, certificate, is_cycle = real(self, v)
+        return rank, _flip_bit_0(certificate), is_cycle
+
+    return broken
+
+
 def test_a_cycle_certificate_that_fails_substitution_is_refused(monkeypatch):
     """K33 in the plane is nontrivial; a witness cycle with its cell 0
     flipped is no cycle pairing to 1, and the verdict says so by a raise."""
-    real = GF2Matrix.kernel_vector
-    monkeypatch.setattr(GF2Matrix, "kernel_vector", lambda self, free: _flip_bit_0(real(self, free)))
+    monkeypatch.setattr(GF2Matrix, "cycle_or_primitive", _flip_certificate(GF2Matrix.cycle_or_primitive))
     with pytest.raises(CertificateError, match="^certificate is not a cycle pairing to 1$"):
         is_trivial(k33(), 2)
 
@@ -923,15 +930,15 @@ def test_a_cycle_certificate_that_fails_substitution_is_refused(monkeypatch):
 def test_a_primitive_that_fails_substitution_is_refused(monkeypatch):
     """K4 in the plane is trivial; a primitive with its cell 0 flipped has
     a coboundary other than the cocycle, and the verdict says so by a raise."""
-    real = GF2Matrix.row_reduce
-
-    def broken(self, v):
-        residue, y = real(self, v)
-        return residue, _flip_bit_0(y)
-
-    monkeypatch.setattr(GF2Matrix, "row_reduce", broken)
+    monkeypatch.setattr(GF2Matrix, "cycle_or_primitive", _flip_certificate(GF2Matrix.cycle_or_primitive))
     with pytest.raises(CertificateError, match="^primitive substitution failed$"):
         is_trivial(SimplicialComplex(combinations(range(4), 2)), 2)
+
+
+FLIP_CERTIFICATE = (
+    "real = GF2Matrix.cycle_or_primitive\n"
+    "GF2Matrix.cycle_or_primitive = lambda self, v: (lambda rank, c, is_cycle: (rank, flip(c), is_cycle))(*real(self, v))"
+)
 
 
 @pytest.mark.parametrize(
@@ -939,23 +946,30 @@ def test_a_primitive_that_fails_substitution_is_refused(monkeypatch):
     [
         (
             [list(f) for f in k33().facets],
-            "real = GF2Matrix.kernel_vector\n"
-            "GF2Matrix.kernel_vector = lambda self, free: flip(real(self, free))",
+            FLIP_CERTIFICATE,
             "certificate is not a cycle pairing to 1",
         ),
         (
             [list(e) for e in combinations(range(4), 2)],
-            "real = GF2Matrix.row_reduce\n"
-            "GF2Matrix.row_reduce = lambda self, v: (lambda residue, y: (residue, flip(y)))(*real(self, v))",
+            FLIP_CERTIFICATE,
+            "primitive substitution failed",
+        ),
+        (
+            [list(f) for f in k33().facets],
+            "from obstructor import gf2\n"
+            "real = gf2._reduce\n"
+            "gf2._reduce = lambda columns, history, passenger=(): real(columns, history)",
             "primitive substitution failed",
         ),
     ],
-    ids=["cycle", "primitive"],
+    ids=["cycle", "primitive", "dropped-cocycle"],
 )
 def test_certificate_checks_survive_optimize(tmp_path, facets, patch, message):
     """Both substitution checks of a verdict hold with asserts stripped:
     with the certificate's bit 0 flipped, ``vk`` refuses K33 and K4 in the
-    plane with exit code 4."""
+    plane with exit code 4.  So it does K33 when the reduction drops the
+    cocycle riding along (every parity 0): no column pairs to 1, and the
+    primitive it back-substitutes for cannot exist."""
     f = tmp_path / "graph.json"
     f.write_text(json.dumps({"facets": facets}))
     script = "\n".join([
