@@ -7,13 +7,13 @@ complex this package produces and stays exact.
 
 Every answer reads one column reduction, ``_reduce``: the columns left
 to right, each reduced at its lowest nonzero row (its top bit) against the
-pivots before it until it vanishes (is free) or founds a pivot.  A column
-keeps only its history, the set of earlier pivot columns XORed into it, so
-its tag (the original columns it sums, a kernel vector if free) is column
-j plus the tags of its history, unrolled on request.  A vector v may ride
-along, v_j on column j and each pivot's bit XORed in with the pivot, so a
-column carries v . tag: one pass gives the first free column where that is
-1 or, if none, the sum of basis rows that is v, by back-substitution.
+pivots before it until it vanishes (is free) or founds a pivot.  Beside
+each column rides its tag, the set of original columns it sums: column j
+starts with bit j and XORs in a pivot's tag with the pivot, so a free
+column's tag is a kernel vector.  A vector v pairs with any tag in one
+popcount: the first free tag where v . tag is 1 is a cycle, and if there
+is none the pivots, each read with v . its tag, back-substitute for the
+sum of basis rows that is v.
 
 The output is canonical.  A column vanishes iff it lies in the span of the
 columns before it, and a pivot row is a row outside the span of the rows
@@ -28,9 +28,6 @@ obstruction certificates rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
-from itertools import repeat
 from typing import Iterable, Sequence
 
 __all__ = ["GF2Vector", "GF2Matrix", "pivot_bits"]
@@ -44,6 +41,8 @@ class GF2Vector:
     bits: int
 
     def __post_init__(self) -> None:
+        if type(self.length) is not int or type(self.bits) is not int:
+            raise ValueError(f"length and bits must be ints, got {self.length!r} and {self.bits!r}")
         if self.length < 0:
             raise ValueError(f"negative vector length {self.length}")
         if self.bits < 0 or self.bits >> self.length:
@@ -86,12 +85,14 @@ class GF2Matrix:
     __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, columns: Sequence[int]) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError(f"negative shape ({rows}, {cols})")
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise ValueError(f"shape ({rows!r}, {cols!r}) is not two ints >= 0")
         if len(columns) != cols:
             raise ValueError(f"expected {cols} columns, got {len(columns)}")
-        if columns and (min(columns) < 0 or max(columns) >> rows):
+        if columns and ({*map(type, columns)} != {int} or min(columns) < 0 or max(columns) >> rows):
             for c in columns:
+                if type(c) is not int:
+                    raise ValueError(f"column {c!r} is not an int")
                 if c < 0 or c >> rows:
                     raise ValueError(f"column 0x{c:x} does not fit in {rows} rows")
         self.rows = rows
@@ -140,80 +141,60 @@ class GF2Matrix:
     # -- elimination --------------------------------------------------
 
     def rank(self) -> int:
-        return len(_reduce(self.columns, history=False)[0])
+        return len(_reduce(self.columns, tags=False)[0])
 
     def kernel_basis(self) -> list[GF2Vector]:
         """Basis of {x : Mx = 0}: the tag of each free column, ascending, the
         one kernel vector 1 on that column and 0 on every other free column,
         the same vectors a reduced echelon form gives."""
-        _, frees, history, _ = _reduce(self.columns, history=True)
-        tags: list[int] = []
-        for j, used in enumerate(history):
-            tags.append(reduce(xor, [tags[p] for p in GF2Vector(j, used).support()], 1 << j))
-        return [GF2Vector(self.cols, tags[f]) for f in GF2Vector(self.cols, frees).support()]
+        return [GF2Vector(self.cols, tag) for tag in _reduce(self.columns, tags=True)[1]]
 
     def cycle_or_primitive(self, v: GF2Vector) -> tuple[int, GF2Vector, bool]:
-        """(The rank, a certificate, whether it is a cycle), from one reduction
-        with v riding along.  If some kernel vector pairs with v to 1, the
-        certificate is the first of ``kernel_basis`` that does, the tag of
-        the first free column where v . tag is 1, unrolled from the top, as a
-        history names only earlier columns.  Else v lies in the row space and
-        the certificate is y with y^T M = v, the one sum of basis rows, by
-        back-substitution over the pivot rows, highest first: y pairs with
-        each reduced column as v with its tag, and y is set so far only
-        below, so the pivot row settles it."""
+        """(The rank, a certificate, whether it is a cycle), from one tagged
+        reduction.  The cycle is the first free tag with v . tag = 1, the
+        first of ``kernel_basis`` pairing to 1.  With none, v lies in the
+        row space, and y with y^T M = v, the one sum of basis rows, is set
+        over the pivot rows, highest first: y pairs with each reduced column
+        as v with its tag, and is set so far only below, so the pivot row
+        settles it."""
         if v.length != self.cols:
             raise ValueError(f"vector length {v.length} != cols {self.cols}")
-        bits = f"{v.bits:0{self.cols}b}"[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-        pivots, _, history, first = _reduce(self.columns, True, bits)
-        if first >= 0:
-            tag, pending = 0, 1 << first
-            while pending:
-                tag |= 1 << (j := pending.bit_length() - 1)
-                pending ^= 1 << j ^ history[j]
-            return len(pivots), GF2Vector(self.cols, tag), True
+        pivots, frees = _reduce(self.columns, tags=True)
+        for tag in frees:
+            if (v.bits & tag).bit_count() & 1:
+                return len(pivots), GF2Vector(self.cols, tag), True
         y = 0
         for top in sorted(pivots):
-            _, c, parity = pivots[top]
-            if ((y & c).bit_count() ^ parity) & 1:
+            c, tag = pivots[top]
+            if ((y & c).bit_count() ^ (v.bits & tag).bit_count()) & 1:
                 y |= 1 << top - 1
         return len(pivots), GF2Vector(self.rows, _reverse(y, self.rows)), False
 
 
-def _reduce(
-    columns: Iterable[int], history: bool, passenger: Iterable[int] = repeat(0)
-) -> tuple[dict[int, tuple[int, int, int]], int, list[int], int]:
-    """The column reduction, with the bits of a vector v riding along, one a
-    column: ({top bit length of a pivot: (its column, the reduced column,
-    v . its tag)}, the free columns as a bitset, per column the bitset of
-    pivot columns XORed into it (empty if ``history`` is off), and the
-    first free column with v . tag = 1, or -1).  Column j starts at v_j and
-    takes v . tag of each pivot XORed into it, as its tag takes the tag."""
-    pivots: dict[int, tuple[int, int, int]] = {}
-    free, histories, first = 0, [], -1
-    for j, (c, parity) in enumerate(zip(columns, passenger)):
-        used = 0
+def _reduce(columns: Iterable[int], tags: bool) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """The column reduction: ({top bit length of a pivot: (the reduced
+    column, its tag)}, the free columns' tags in column order).  Column j
+    starts with the tag 1 << j, or 0 if ``tags`` is off, and XORs in each
+    pivot's tag as it XORs in the pivot's column."""
+    pivots: dict[int, tuple[int, int]] = {}
+    frees: list[int] = []
+    for j, c in enumerate(columns):
+        tag = 1 << j if tags else 0
         while c:
             pivot = pivots.get(top := c.bit_length())
             if pivot is None:
-                pivots[top] = (j, c, parity)
+                pivots[top] = (c, tag)
                 break
-            c ^= pivot[1]
-            parity ^= pivot[2]
-            if history:
-                used |= 1 << pivot[0]
+            c ^= pivot[0]
+            tag ^= pivot[1]
         else:
-            free |= 1 << j
-            if parity and first < 0:
-                first = j
-        if history:
-            histories.append(used)
-    return pivots, free, histories, first
+            frees.append(tag)
+    return pivots, frees
 
 
 def pivot_bits(columns: Iterable[int]) -> set[int]:
     """The pivots' top bits, one per unit of rank, reading a column stream once."""
-    return {top - 1 for top in _reduce(columns, history=False)[0]}
+    return {top - 1 for top in _reduce(columns, tags=False)[0]}
 
 
 def _reverse(bits: int, length: int) -> int:

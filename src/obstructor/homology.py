@@ -8,18 +8,16 @@ of ``vankampen`` from its table of facet ids, one column per cell.
 Betti numbers are unreduced: a point has b_0 = 1.  ``betti`` and
 ``cycle_basis`` build only the maps they read, and bit i of a column is the
 i-th face below: a column pivots on its highest face (kernels do not depend
-on the row order).  ``cycle_basis`` takes the faces in the lexicographic
-order of ``SimplicialComplex.faces``, so its indices are stable across
-calls.  Ranks do not depend on the order either, and the ranks behind the
-Betti numbers take every layer in colex order (sorted by reversed tuple),
-in which a face's index counts only faces whose top vertex is no higher
-than its own: a reduced column is an int as long as its pivot's index, and
-on Opp(C) the columns come out shorter than in lexicographic order.  Ranks
-are read top down with clearing (Chen-Kerber, "Persistent homology
-computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus-Wagner,
-"Phat", J. Symb. Comput. 78, 2017): a reduced column of boundary[d+1] is a
-cycle, so column s of boundary[d], s its pivot, lies in the span of the
-columns before it and is skipped.
+on the row order).  Ranks do not depend on the order either, and the ranks
+behind the Betti numbers take every layer in colex order (sorted by
+reversed tuple), in which a face's index counts only faces whose top
+vertex is no higher than its own: a reduced column is an int as long as its
+pivot's index, and on Opp(C) the columns come out shorter than in
+lexicographic order.  Ranks are read top down with clearing (Chen-Kerber,
+"Persistent homology computation with a twist", EuroCG 2011;
+Bauer-Kerber-Reininghaus-Wagner, "Phat", J. Symb. Comput. 78, 2017): a
+reduced column of boundary[d+1] is a cycle, so column s of boundary[d], s
+its pivot, lies in the span of the columns before it and is skipped.
 """
 
 from __future__ import annotations
@@ -84,4 +82,8 @@ def betti_numbers(k: SimplicialComplex) -> tuple[int, ...]:
 
 
 def cycle_basis(k: SimplicialComplex, dim: int) -> list[GF2Vector]:
+    """A basis of the Z/2 ``dim``-cycles over the ``dim``-faces in the
+    lexicographic order of ``SimplicialComplex.faces``, so its indices are
+    stable across calls: one canonical kernel vector per free column, 1 on
+    that face and 0 on every other free one, ascending."""
     return _boundary(k, dim).kernel_basis()

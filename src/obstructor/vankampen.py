@@ -13,9 +13,9 @@ A cell is an int key over one numbering of the faces (see
 the pairs, each boundary column is XORed in one pass over a table of
 facet ids, and a cell stays an int from enumeration to verdict: only the
 cells a certificate names are decoded to ``CellPair`` tuples.  The
-decision is one reduction of the top boundary with the cocycle riding
-along: it yields the first cycle that pairs to 1 if there is one, and
-back-substitutes for the primitive only if there is none.
+decision is one tagged reduction of the top boundary: the first free
+column's tag that pairs with the cocycle to 1 is the cycle, and only if
+there is none does it back-substitute for the primitive.
 
 No coordinates are computed.  Points on the moment curve with distinct
 parameters are in general position, and two complementary simplices cross

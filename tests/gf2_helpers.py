@@ -7,10 +7,10 @@ entry, with the range checks a hand-written example deserves, and give the
 row-wise oracles the packed rows they read (``by_rows``, ``row_bits``,
 ``transpose``), and compare matrices (``columns_of``).
 ``support_by_top_bits`` is the walk over set bits that
-``GF2Vector.support`` once ran, and ``TaggedReduction`` the column
-reduction with a tag on every column that ``GF2Matrix`` once ran, with
-the decision it once made in three reads, each kept as the oracle of what
-replaced it.
+``GF2Vector.support`` once ran, kept as the oracle of what replaced it,
+and ``TaggedReduction`` the packed-tag oracle: the column reduction with
+each column's tag packed below its rows in one int, which decides a
+vector in three reads.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def reverse(bits: int, length: int) -> int:
 
 
 class TaggedReduction:
-    """The column reduction with tags.  A reduced column keeps its tag, the
+    """The packed-tag oracle.  A reduced column keeps its tag, the
     set of original columns it sums, in bits 0..cols-1, original column j
     at bit j, and its rows above them, row 0 at the top; it is reduced at
     its lowest row, its top bit.  A free column's tag is its kernel vector,

@@ -7,10 +7,9 @@ once ran: the reduced row echelon form, back-substitution included, and
 the forward row elimination with tagged pivot rows that the column
 reduction replaced.  Rank, kernel basis, and the first cycle pairing to 1
 with a vector or else its primitive, must equal what each reads off, bit
-for bit.  The column reduction with a tag on every column, which pivot
-histories replaced, is the oracle of every answer, and it decides a vector
-in the three reads ``GF2Matrix`` once made: the residue, then a kernel
-vector or a back-substitution.
+for bit.  The column reduction with each tag packed into its column's int
+is the oracle of every answer, and it decides a vector in three reads:
+the residue, then a kernel vector or a back-substitution.
 """
 
 from __future__ import annotations
@@ -299,6 +298,33 @@ def test_matrix_names_the_first_column_that_does_not_fit(columns, bad):
         GF2Matrix(2, len(columns), columns)
 
 
+GF2_REFUSALS = {
+    "float length": (lambda: GF2Vector(2.0, 1), "length and bits must be ints, got 2.0 and 1"),
+    "float bits": (lambda: GF2Vector(3, 1.0), "length and bits must be ints, got 3 and 1.0"),
+    "bool bits": (lambda: GF2Vector(3, True), "length and bits must be ints, got 3 and True"),
+    "bool length": (lambda: GF2Vector(True, 0), "length and bits must be ints, got True and 0"),
+    "float rows": (lambda: GF2Matrix(2.0, 1, [1]), r"shape \(2.0, 1\) is not two ints >= 0"),
+    "bool cols": (lambda: GF2Matrix(2, True, [1]), r"shape \(2, True\) is not two ints >= 0"),
+    "negative rows": (lambda: GF2Matrix(-1, 0, []), r"shape \(-1, 0\) is not two ints >= 0"),
+    "float column": (lambda: GF2Matrix(2, 1, [1.0]), "column 1.0 is not an int"),
+    "bool column": (lambda: GF2Matrix(2, 1, [True]), "column True is not an int"),
+    "str column": (lambda: GF2Matrix(2, 3, [1, 2, "3"]), "column '3' is not an int"),
+    "float before a wide column": (lambda: GF2Matrix(2, 3, [1, 2.0, 8]), "column 2.0 is not an int"),
+    "wide before a float column": (lambda: GF2Matrix(2, 3, [1, 8, 2.0]), "column 0x8 does not fit in 2 rows"),
+}
+
+
+@pytest.mark.parametrize("name", GF2_REFUSALS)
+def test_gf2_refuses_what_is_not_an_exact_int(name):
+    """A length, shape, ``bits`` or column is read as an exact int, as every
+    id is: a float, a bool or a str is refused with ``ValueError``, as is a
+    negative shape, and the walk names the first bad column, whatever is
+    wrong with it."""
+    make, message = GF2_REFUSALS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 # -- randomized properties -------------------------------------------
 
 
@@ -497,7 +523,7 @@ def oracle_cases(draw, max_dim: int = 9):
 def assert_matches_the_tagged_oracle(m: GF2Matrix, vectors: list[GF2Vector]) -> None:
     """Every answer equals the tagged reduction's.  The unit vector at a
     free column pairs to 1 with no earlier free column's tag, so it reads
-    back the kernel vector of that column, unrolled from the histories."""
+    back the kernel vector of that column, its tag."""
     oracle = TaggedReduction(m)
     assert m.rank() == oracle.rank()
     assert m.kernel_basis() == oracle.kernel_basis()

@@ -958,7 +958,7 @@ FLIP_CERTIFICATE = (
             [list(f) for f in k33().facets],
             "from obstructor import gf2\n"
             "real = gf2._reduce\n"
-            "gf2._reduce = lambda columns, history, passenger=(): real(columns, history)",
+            "gf2._reduce = lambda columns, tags: (real(columns, tags)[0], [])",
             "primitive substitution failed",
         ),
     ],
@@ -967,9 +967,9 @@ FLIP_CERTIFICATE = (
 def test_certificate_checks_survive_optimize(tmp_path, facets, patch, message):
     """Both substitution checks of a verdict hold with asserts stripped:
     with the certificate's bit 0 flipped, ``vk`` refuses K33 and K4 in the
-    plane with exit code 4.  So it does K33 when the reduction drops the
-    cocycle riding along (every parity 0): no column pairs to 1, and the
-    primitive it back-substitutes for cannot exist."""
+    plane with exit code 4.  So it does K33 when the reduction loses every
+    free column: no tag is left to pair to 1, and the primitive it
+    back-substitutes for cannot exist."""
     f = tmp_path / "graph.json"
     f.write_text(json.dumps({"facets": facets}))
     script = "\n".join([
